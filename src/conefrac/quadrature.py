@@ -122,20 +122,60 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (0.5 * (x + 1.0), 0.5 * w)
 
 
-def _graded_edges(lo: float, hi: float, toward_lo: bool, levels: int) -> np.ndarray:
-    """Panel edges on [lo, hi], geometrically refined toward one endpoint."""
-    w = hi - lo
-    fracs = 2.0 ** -np.arange(levels, 0, -1)
-    if toward_lo:
-        inner = lo + w * fracs
-        return np.concatenate(([lo], inner, [hi]))
-    inner = hi - w * fracs[::-1]
-    return np.concatenate(([lo], inner, [hi]))
+@lru_cache(maxsize=None)
+def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (2n+1)-point Gauss-Kronrod extension of G_n on [0, 1].
+
+    Returns (nodes, Kronrod weights, Gauss weights): the Gauss weights sit at
+    the embedded G_n nodes (every odd index) and are zero elsewhere, so one
+    set of 2n+1 values gives both rules.  The Kronrod-Jacobi matrix comes
+    from Laurie's algorithm (Math. Comp. 66, 1997) applied to the Legendre
+    recurrence; its eigen-decomposition gives nodes and weights as in
+    Golub-Welsch, symmetrised about the midpoint.
+    """
+    m = (3 * n + 1) // 2 + 1
+    k = np.arange(m, dtype=float)
+    a = np.zeros(2 * n + 1)
+    b = np.zeros(2 * n + 1)
+    b[0] = 2.0
+    b[1:m] = k[1:] ** 2 / (4.0 * k[1:] ** 2 - 1.0)
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for j in range(n - 1):
+        k = np.arange((j + 1) // 2, -1, -1)
+        l = j - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1]
+                             + b[k + n + 1] * s[k] - b[l] * s[k + 1])
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1]
+    for j in range(n - 1, 2 * n - 2):
+        k = np.arange(j + 1 - n, (j - 1) // 2 + 1)
+        l = j - k
+        i = n - 1 - l
+        s[i + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[i + 1]
+                             - b[k + n + 1] * s[i + 1] + b[l] * s[i + 2])
+        i, k = i[-1], (j + 1) // 2
+        if j % 2 == 0:
+            a[k + n + 1] = a[k] + (s[i + 1] - b[k + n + 1] * s[i + 2]) / t[i + 2]
+        else:
+            b[k + n + 1] = s[i + 1] / s[i + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    x, vec = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    w = b[0] * vec[0] ** 2
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    wg = np.zeros(2 * n + 1)
+    wg[1::2] = _gauss01(n)[1]
+    return 0.5 * (x + 1.0), 0.5 * w, wg
 
 
 def _graded_rows(lo: np.ndarray, hi: np.ndarray, toward_lo: bool,
                  levels: int) -> np.ndarray:
-    """_graded_edges for many intervals at once: one row of edges each."""
+    """Panel edges on each [lo, hi], geometrically refined toward one
+    endpoint: one row of levels + 2 edges per interval."""
     w = hi - lo
     fracs = 2.0 ** -np.arange(levels, 0, -1)
     if toward_lo:
@@ -175,8 +215,12 @@ def _initial_panels(task_lo: np.ndarray, task_hi: np.ndarray,
     return np.concatenate(plo_p)[order], np.concatenate(phi_p)[order], ptask[order]
 
 
+_MIN_DEPTH = 6
+
+
 def _depth_for_tol(tol_rel: float) -> int:
-    return int(np.clip(7 + 1.2 * math.log10(1.0 / max(tol_rel, 1e-16)), 6, 40))
+    return int(np.clip(7 + 1.2 * math.log10(1.0 / max(tol_rel, 1e-16)),
+                       _MIN_DEPTH, 40))
 
 
 # panels per integrand call in _eval_panels: keeps the temporaries of one
@@ -468,8 +512,17 @@ def _sphere_breakpoints_2d(a: SpectralDensity,
 def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
                          kink_normals=(), graded_dirs=(), strong_dirs=()):
     """Adaptive panel rule on the circle.  The weight a(theta) multiplies the
-    node values; panels never straddle a declared jump of a; panel ends at
-    directions toward point singularities are graded geometrically."""
+    node values; panels never straddle a declared jump of a.
+
+    Each panel is one nested Gauss-Kronrod pair: node_eval runs on the 2n+1
+    Kronrod directions and the embedded G_n nodes give the low-order value,
+    so the pair costs 2n+1 directions, not n + 2n+1.  Arc ends at kink-plane
+    crossings and at directions toward sphere-kink centres start graded six
+    levels deep; ends toward point singularities start _depth_for_tol + 6
+    levels deep.  Refinement then deepens only where the error needs it: a
+    selected panel that ends at such a marked angle is replaced by a
+    three-level graded row toward it, any other selected panel by its halves.
+    """
     brk, graded = _sphere_breakpoints_2d(a, kink_normals, graded_dirs)
     strong = []
     for d in strong_dirs:
@@ -477,7 +530,8 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
             ang = (_angles_of(np.asarray(d)) + off) % _TWO_PI
             brk.append(ang)
             strong.append(ang)
-    graded_all = sorted(set(graded) | set(strong))
+    graded_all = np.asarray(sorted(set(graded) | set(strong)))
+    strong = np.asarray(strong)
 
     if brk:
         uniq = np.unique(np.asarray(sorted(brk)))
@@ -493,48 +547,45 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
     else:
         arcs = [(0.0, _TWO_PI)]
 
-    def is_marked(ang: float, marks) -> bool:
-        return any(abs(((ang - m + math.pi) % _TWO_PI) - math.pi) < 1e-9 for m in marks)
+    def is_marked(angs, marks) -> np.ndarray:
+        angs = np.asarray(angs, dtype=float)[..., None]
+        return np.any(np.abs(((angs - marks + math.pi) % _TWO_PI) - math.pi) < 1e-9,
+                      axis=-1)
 
-    depth = _depth_for_tol(cfg.rel_tol)
-    strong_depth = depth + 6
-    plo_parts, phi_parts, gl_parts = [], [], []
+    strong_depth = _depth_for_tol(cfg.rel_tol) + 6
+    plo_parts, phi_parts = [], []
     for lo, hi in arcs:
         n_base = max(1, int(round(cfg.sphere_panels * (hi - lo) / _TWO_PI)))
         edges = np.linspace(lo, hi, n_base + 1)
-        sub = [np.asarray([edges[i], edges[i + 1]]) for i in range(n_base)]
-        # grade the first/last sub-panel toward a marked arc endpoint
+        # grade the first/last sub-panel toward a marked arc endpoint; a
+        # one-panel arc marked at both ends is graded toward both from its
+        # midpoint
         if is_marked(lo, graded_all):
-            d = strong_depth if is_marked(lo, strong) else depth
-            sub[0] = _graded_edges(sub[0][0], sub[0][-1], True, d)
+            d = strong_depth if is_marked(lo, strong) else _MIN_DEPTH
+            edges = np.concatenate(
+                (_graded_rows(edges[:1], edges[1:2], True, d)[0], edges[2:]))
         if is_marked(hi, graded_all):
-            d = strong_depth if is_marked(hi, strong) else depth
-            sub[-1] = _graded_edges(sub[-1][0], sub[-1][-1], False, d)
-        for e in sub:
-            plo_parts.append(e[:-1])
-            phi_parts.append(e[1:])
+            d = strong_depth if is_marked(hi, strong) else _MIN_DEPTH
+            edges = np.concatenate(
+                (edges[:-2], _graded_rows(edges[-2:-1], edges[-1:], False, d)[0]))
+        plo_parts.append(edges[:-1])
+        phi_parts.append(edges[1:])
     plo = np.concatenate(plo_parts)
     phi = np.concatenate(phi_parts)
 
-    n_lo, n_hi = _orders_for_tol(max(cfg.abs_tol, cfg.rel_tol / 30.0))
-    x1, w1 = _gauss01(n_lo)
-    x2, w2 = _gauss01(n_hi)
+    n_gauss, _ = _orders_for_tol(max(cfg.abs_tol, cfg.rel_tol / 30.0))
+    xk, wk, wg = _kronrod01(n_gauss)
+    w_pair = np.column_stack((wk, wg))
 
     def eval_batch(plo_b, phi_b):
         wid = phi_b - plo_b
-        ang1 = (plo_b[:, None] + wid[:, None] * x1[None, :]).ravel()
-        ang2 = (plo_b[:, None] + wid[:, None] * x2[None, :]).ravel()
-        angs = np.concatenate((ang1, ang2))
+        angs = (plo_b[:, None] + wid[:, None] * xk[None, :]).ravel()
         thetas = np.stack((np.cos(angs), np.sin(angs)), axis=1)
         gvals, gerrs, n_inner = node_eval(thetas)
         avals = a._eval_unit(thetas)
-        f = gvals * avals
-        fe = gerrs * avals
-        n1 = plo_b.size * n_lo
-        v1 = (f[:n1].reshape(-1, n_lo) @ w1) * wid
-        v2 = (f[n1:].reshape(-1, n_hi) @ w2) * wid
-        ne = (fe[n1:].reshape(-1, n_hi) @ w2) * wid
-        return v2, np.abs(v2 - v1), np.abs(ne), n_inner
+        vk, vg = ((gvals * avals).reshape(-1, xk.size) @ w_pair).T * wid
+        ne = ((gerrs * avals).reshape(-1, xk.size) @ wk) * wid
+        return vk, np.abs(vk - vg), np.abs(ne), n_inner
 
     v, e_rule, e_node, nev = eval_batch(plo, phi)
     rounds = 0
@@ -549,9 +600,18 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
         sel = (e_rule > 0.15 * emax) & ((phi - plo) > 1e-12)
         if not np.any(sel) or plo.size > 20000:
             break
-        mid = 0.5 * (plo[sel] + phi[sel])
-        c_lo = np.concatenate((plo[sel], mid))
-        c_hi = np.concatenate((mid, phi[sel]))
+        # a panel at a marked angle is graded three levels toward it, any
+        # other panel is halved
+        s_lo, s_hi = plo[sel], phi[sel]
+        at_lo = is_marked(s_lo, graded_all)
+        at_hi = is_marked(s_hi, graded_all) & ~at_lo
+        plain = ~(at_lo | at_hi)
+        rows = (_graded_rows(s_lo[at_lo], s_hi[at_lo], True, 3),
+                _graded_rows(s_lo[at_hi], s_hi[at_hi], False, 3),
+                np.column_stack((s_lo[plain], 0.5 * (s_lo[plain] + s_hi[plain]),
+                                 s_hi[plain])))
+        c_lo = np.concatenate([r[:, :-1].ravel() for r in rows])
+        c_hi = np.concatenate([r[:, 1:].ravel() for r in rows])
         cv, cr, cn, n2 = eval_batch(c_lo, c_hi)
         nev += n2
         keep = ~sel

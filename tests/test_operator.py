@@ -108,6 +108,22 @@ class TestNumericOracle:
         assert ev.converged
 
 
+class TestEvaluationCost:
+    # reference from paired G7/G15 sphere panels graded 15 levels deep at
+    # every kink direction, which took 5,223,328 evaluations
+    BUMP_VALUE = -13.973520776508265
+
+    def test_bump_point_within_evaluation_budget(self, const2, cfg):
+        # nested Gauss-Kronrod sphere panels and a shallow start that
+        # refinement grades only where needed reach the same value for well
+        # under half the evaluations
+        f = cf.Bump(2, S, center=(0.0, 1.0), r_in=0.6, r_out=1.4)
+        ev = cf.apply_L(const2, S, f, (0.3, 0.9), cfg)
+        assert ev.converged
+        assert abs(ev.value - self.BUMP_VALUE) <= ev.abs_error_estimate
+        assert ev.n_evals <= 2_600_000
+
+
 class TestIdentities:
     def test_rescaling_identity(self, const2, fast_cfg):
         # L f_R (x) = R^{-2s} (L f)(x / R) for f_R(x) = f(x / R)

@@ -10,7 +10,7 @@ from scipy.special import binom
 
 import conefrac as cf
 from conefrac.errors import InputDomainError
-from conefrac.quadrature import DEFAULT_CONFIG
+from conefrac.quadrature import DEFAULT_CONFIG, _gauss01, _kronrod01
 
 
 def series_tail_oracle(a, s, d=0.1, T=50.0):
@@ -85,6 +85,41 @@ class TestGeometry:
     def test_ball_volume(self):
         assert cf.ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
         assert cf.ball_volume(3, 2.0) == pytest.approx(32.0 * math.pi / 3.0, rel=1e-14)
+
+
+# QUADPACK's qk15 rule on [-1, 1] (Piessens et al., 1983): the nonnegative
+# Kronrod abscissae from the outermost inward, and their weights
+QK15_X = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+          0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+          0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+          0.207784955007898467600689403773245, 0.0)
+QK15_W = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+          0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+          0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+          0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+
+
+class TestKronrod:
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_embeds_the_gauss_rule(self, n):
+        x, _, wg = _kronrod01(n)
+        xg, wgg = _gauss01(n)
+        assert np.max(np.abs(x[1::2] - xg)) <= 1e-15
+        assert np.array_equal(wg[1::2], wgg)
+        assert not np.any(wg[::2])
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_exact_for_polynomials_of_degree_3n_plus_1(self, n):
+        x, wk, _ = _kronrod01(n)
+        for d in range(3 * n + 2):
+            assert abs(wk @ x ** d - 1.0 / (d + 1)) <= 1e-14
+
+    def test_matches_quadpack_qk15(self):
+        x, wk, _ = _kronrod01(7)
+        # both halves, mapped back to [-1, 1]
+        for xs, ws in ((2.0 * x[::-1] - 1.0, 2.0 * wk[::-1]), (1.0 - 2.0 * x, 2.0 * wk)):
+            assert np.max(np.abs(xs[:8] - QK15_X)) <= 1e-15
+            assert np.max(np.abs(ws[:8] - QK15_W)) <= 1e-15
 
 
 class TestSphereQuadrature:

@@ -115,10 +115,20 @@ class TestMoments:
         res = cf.weighted_sphere_moment(cf.ConstantDensity(1), 0.5, cfg)
         assert res.value == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
-    def test_constant_moment_matches_beta_formula_2d(self, s, cfg):
+    @pytest.mark.parametrize("s,tols", [
+        pytest.param(0.3, None, id="0.3"),
+        pytest.param(0.5, None, id="0.5"),
+        pytest.param(0.7, None, id="0.7"),
+        pytest.param(0.05, None, id="0.05"),
+        pytest.param(0.05, (1e-11, 1e-10), id="0.05-tight")])
+    def test_constant_moment_matches_beta_formula_2d(self, s, tols, cfg):
+        # |theta_N|^{2s} kinks where the circle crosses the plane; at small s
+        # and a tight target the panels there must be graded deep
+        if tols is not None:
+            cfg = cfg.with_tol(*tols)
         res = cf.weighted_sphere_moment(cf.ConstantDensity(2), s, cfg)
         exact = constant_moment_2d(s)
+        assert res.converged
         assert abs(res.value - exact) <= max(res.abs_error_estimate, 1e-10)
 
     def test_constant_moment_3d(self, cfg):
