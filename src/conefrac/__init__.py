@@ -19,7 +19,7 @@ from .spectral import (Cone, ConePlateauDensity, ConstantDensity,
 from .catalog import (Bump, CatalogFunction, Constant, HalfSpacePower,
                       KelvinHalfSpacePower, Product, Rescale, ScalarMultiple,
                       TranslateTruncate, WholeSpaceBump, Zero, kelvin,
-                      rescale, translate_truncate)
+                      translate_truncate)
 from .operators import (OperatorEvaluation, PairingResult, apply_L,
                         apply_L_halfspace_power, correction_l, pairing)
 from .liouville import (CandidateRefutation, CertificationReport, GammaRow,
@@ -48,7 +48,7 @@ __all__ = [
     "weighted_sphere_moment",
     "Bump", "CatalogFunction", "Constant", "HalfSpacePower",
     "KelvinHalfSpacePower", "Product", "Rescale", "ScalarMultiple",
-    "TranslateTruncate", "WholeSpaceBump", "Zero", "kelvin", "rescale",
+    "TranslateTruncate", "WholeSpaceBump", "Zero", "kelvin",
     "translate_truncate",
     "OperatorEvaluation", "PairingResult", "apply_L",
     "apply_L_halfspace_power", "correction_l", "pairing",

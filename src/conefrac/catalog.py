@@ -172,17 +172,6 @@ class CatalogFunction:
         x = np.asarray(x, dtype=float).reshape(self.dim)
         return float(min(1.0, self._kink_distance(x)))
 
-    def plane_kink_exponent(self, x, tol: float = 1e-9) -> Optional[float]:
-        """Smallest kink exponent among plane kinks passing through x."""
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        best = None
-        for k in self.kink_surfaces:
-            if isinstance(k, PlaneKink) and k.exponent is not None:
-                n = np.asarray(k.normal)
-                if abs(float(x @ n) - k.offset) < tol:
-                    best = k.exponent if best is None else min(best, k.exponent)
-        return best
-
     def kink_times(self, x, theta) -> np.ndarray:
         """All t > 0 at which t -> f(x+t theta) + f(x-t theta) can lose
         smoothness: crossings of the kink surfaces by either ray, sorted
@@ -871,7 +860,3 @@ def kelvin(alpha: float, dim: int, s: float) -> KelvinHalfSpacePower:
 
 def translate_truncate(f: CatalogFunction) -> TranslateTruncate:
     return TranslateTruncate(f)
-
-
-def rescale(f: CatalogFunction, R: float) -> Rescale:
-    return Rescale(f, R)

@@ -24,7 +24,7 @@ from .errors import (
     InputDomainError,
     SearchFailureError,
 )
-from .spectral import Cone, ConstantDensity, SpectralDensity, weighted_sphere_moment
+from .spectral import Cone, ConstantDensity, SpectralDensity
 from .catalog import (
     Bump,
     CatalogFunction,
@@ -36,14 +36,20 @@ from .catalog import (
     TranslateTruncate,
     kelvin,
 )
-from .quadrature import (
+# c_alpha is not called here; the name stays bound so that per-module hooks
+# on it (bench/tracing.py) keep resolving
+from .quadrature import (  # noqa: F401
     DEFAULT_CONFIG,
     QuadratureConfig,
     c_alpha,
     mc_region_volume,
     sphere_surface_area,
 )
-from .operators import _gauss_on_panels, _L_field, apply_L
+# the mass sums call operators._conv_L through its module, so a hook on that
+# one name sees every mass kernel of both modules
+from . import operators
+from .operators import (_L_field, _tensor_nodes,
+                        _weighted_difference_constant, apply_L)
 
 __all__ = [
     "critical_exponents",
@@ -130,19 +136,6 @@ class LiouvilleConstruction:
     function: CatalogFunction
 
 
-def _weighted_difference_constant(a: SpectralDensity, s: float, alpha: float,
-                                  cfg: QuadratureConfig):
-    """C_alpha for the given density: the one-dimensional second-difference
-    integral times the weighted sphere moment, with first-order error."""
-    ca = c_alpha(alpha, s, cfg)
-    m = weighted_sphere_moment(a, s, cfg)
-    val = ca.value * m.value
-    err = (abs(ca.value) * m.abs_error_estimate
-           + abs(m.value) * ca.abs_error_estimate
-           + ca.abs_error_estimate * m.abs_error_estimate)
-    return val, err
-
-
 def construct_supersolution(N: int, s: float, p: float,
                             epsilon: Optional[float] = None,
                             cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -174,7 +167,8 @@ def construct_supersolution(N: int, s: float, p: float,
         regime = "translate_truncate" if N >= 2 else "oneD_low_s"
         alpha = 0.5 * s
         base = TranslateTruncate(kelvin(alpha, N, s))
-    C, C_err = _weighted_difference_constant(ConstantDensity(N, 1.0), s, alpha, cfg)
+    C, C_err, _ = _weighted_difference_constant(ConstantDensity(N, 1.0), s,
+                                                alpha, cfg)
     if not (C < 0.0):
         raise DegenerateConstructionError(
             f"the weighted difference constant is {C} at exponent {alpha}; "
@@ -271,30 +265,12 @@ def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
     def run(ratio, g):
         n_z = max(6, int(math.ceil(math.log(span / 1e-6) / math.log(ratio))))
         ze = 1e-6 * (span / 1e-6) ** (np.arange(n_z + 1) / n_z)
-        if N == 2:
-            te = np.concatenate([-ze[::-1], [0.0], ze])
-            zz, wz = _gauss_on_panels(ze, g)
-            tt, wt = _gauss_on_panels(te, g)
-            Z = np.stack([np.repeat(tt, zz.size), np.tile(zz, tt.size)], axis=1)
-            W = (wt[:, None] * wz[None, :]).ravel()
-        else:
-            zz, wz = _gauss_on_panels(ze, g)
-            Z = zz[:, None]
-            W = wz
+        edges = [ze] if N == 1 else [np.concatenate([-ze[::-1], [0.0], ze]), ze]
+        Z, W = _tensor_nodes(edges, g)
         uv = u.values(Z)
         keep = uv != 0.0
-        Z, W, uv = Z[keep], W[keep], uv[keep]
-        out = np.zeros(X.shape[0])
-        if Z.shape[0] == 0:
-            return out, 0
-        step = max(1, 4_000_000 // Z.shape[0])
-        for i in range(0, X.shape[0], step):
-            D = Z[None, :, :] - X[i:i + step, None, :]
-            r = np.linalg.norm(D, axis=2)
-            av = a._eval_unit((D / r[:, :, None]).reshape(-1, N)).reshape(r.shape)
-            out[i:i + step] = 2.0 * np.sum(
-                (W * uv)[None, :] * av * r ** (-N - 2.0 * s), axis=1)
-        return out, Z.shape[0] * X.shape[0]
+        Z, W = Z[keep], W[keep] * uv[keep]
+        return operators._conv_L(a, s, Z, W, X), Z.shape[0] * X.shape[0]
 
     vf, n1 = run(1.35, 3)
     vc, n2 = run(1.8, 2)
@@ -415,7 +391,7 @@ def refute_candidate_family(a: SpectralDensity, s: float, p: float,
     rows = []
     for frac in alpha_fracs:
         alpha = lo + (s - lo) * float(frac)
-        C, _ = _weighted_difference_constant(a, s, alpha, cfg)
+        C, _, _ = _weighted_difference_constant(a, s, alpha, cfg)
         if not (C < 0.0):
             continue
         eps_max = (-C) ** (1.0 / (p - 1.0))
@@ -602,14 +578,6 @@ def _cluster_edges(lo: float, hi: float, base_step: float, anchors,
     return e[keep]
 
 
-def _tensor_mass_nodes(z1e: np.ndarray, zne: np.ndarray, g: int):
-    n1, w1 = _gauss_on_panels(z1e, g)
-    n2, w2 = _gauss_on_panels(zne, g)
-    z = np.stack([np.repeat(n1, n2.size), np.tile(n2, n1.size)], axis=1)
-    w = (w1[:, None] * w2[None, :]).ravel()
-    return z, w
-
-
 class _CutoffMassField:
     """L of the plateau test functions by splitting against the pure power.
 
@@ -633,18 +601,15 @@ class _CutoffMassField:
         self.r_out = bump.r_out
         self.phia = Product(HalfSpacePower(2, s, alpha=alpha0), bump)
         self.phis = Product(HalfSpacePower(2, s, alpha=s), bump)
-        self.W = {al: _weighted_difference_constant(a, s, al, cfg)
+        self.W = {al: _weighted_difference_constant(a, s, al, cfg)[:2]
                   for al in self.alphas}
-        if a.is_constant:
-            self.abar_const = 2.0 * float(
-                a._eval_unit(np.asarray([[0.0, 1.0]]))[0])
-        else:
-            self.abar_const = None
         self.frames = [self._frame_mesh(4, 2.4, 3), self._frame_mesh(3, 3.2, 2)]
 
     def _frame_mesh(self, g: int, zn_ratio: float, n1p: int):
-        """Quadrature nodes on the dyadic frames beyond the plate, with the
-        complement weight (identically one out there) times z_N^alpha."""
+        """Quadrature nodes on the dyadic frames beyond the plate and their
+        weight matrix: one column per (exponent, frame), holding the
+        complement weight (identically one out there) times z_N^alpha on the
+        frame's own nodes and zero elsewhere."""
         c1, cn = self.c
         zs, ws, fid = [], [], []
         for j in range(_N_FRAMES):
@@ -653,29 +618,22 @@ class _CutoffMassField:
             zn_col = _geom_edges(_PLANE_EPS, cn + r1, zn_ratio)
             for sgn in (-1.0, 1.0):
                 z1 = c1 + sgn * np.geomspace(r0, r1, n1p + 1)
-                z, w = _tensor_mass_nodes(np.sort(z1), zn_col, g)
+                z, w = _tensor_nodes([np.sort(z1), zn_col], g)
                 zs.append(z)
                 ws.append(w)
                 fid.append(np.full(w.size, j))
             z1_top = np.linspace(c1 - r0, c1 + r0, 2 * n1p + 3)
             zn_top = np.geomspace(cn + r0, cn + r1, n1p + 1)
-            z, w = _tensor_mass_nodes(z1_top, zn_top, g)
+            z, w = _tensor_nodes([z1_top, zn_top], g)
             zs.append(z)
             ws.append(w)
             fid.append(np.full(w.size, j))
         z = np.concatenate(zs)
         w = np.concatenate(ws)
-        fid = np.concatenate(fid).astype(np.int64)
-        wa = {al: w * z[:, 1] ** al for al in self.alphas}
-        return z, wa, fid
-
-    def _abar(self, z: np.ndarray, x: np.ndarray):
-        if self.abar_const is not None:
-            return self.abar_const
-        d = z - x[None, :]
-        nr = np.linalg.norm(d, axis=1, keepdims=True)
-        th = d / nr
-        return self.a._eval_unit(th) + self.a._eval_unit(-th)
+        in_frame = np.concatenate(fid) == np.arange(_N_FRAMES)[:, None]
+        W = np.concatenate([(w * z[:, 1] ** al) * in_frame
+                            for al in self.alphas])
+        return z, W.T
 
     def _plate(self, x: np.ndarray, outside: bool, g: int, base: float,
                h0: float, ratio: float, zn_ratio: float):
@@ -696,24 +654,20 @@ class _CutoffMassField:
             _cluster_edges(0.5, top, base, an, h0, ratio),
             _cluster_edges(_PLANE_EPS, min(0.5 + h0, top), 0.5, an, h0, ratio),
         ]))
-        z, w = _tensor_mass_nodes(z1e, zne, g)
+        z, w = _tensor_nodes([z1e, zne], g)
         prof = self.bump.values(z)
         prof = prof if outside else 1.0 - prof
         keep = prof > 0.0
-        z, w, prof = z[keep], w[keep], prof[keep]
-        d = z - x[None, :]
-        kern = (d[:, 0] ** 2 + d[:, 1] ** 2) ** (-1.0 - self.s)
-        src = w * prof * kern * self._abar(z, x)
-        return {al: float(np.sum(src * z[:, 1] ** al)) for al in self.alphas}
+        z, w = z[keep], w[keep] * prof[keep]
+        W = np.stack([w * z[:, 1] ** al for al in self.alphas])
+        G = operators._conv_L(self.a, self.s, z, W.T, x[None, :])[0]
+        return {al: float(v) for al, v in zip(self.alphas, G)}
 
     def _frame_sums(self, x: np.ndarray, mesh):
-        z, wa, fid = mesh
-        d = z - x[None, :]
-        kern = (d[:, 0] ** 2 + d[:, 1] ** 2) ** (-1.0 - self.s)
-        kern = kern * self._abar(z, x)
+        z, W = mesh
+        frame_sums = operators._conv_L(self.a, self.s, z, W, x[None, :])[0]
         out = {}
-        for al, w in wa.items():
-            S = np.bincount(fid, weights=w * kern, minlength=_N_FRAMES)
+        for al, S in zip(self.alphas, frame_sums.reshape(-1, _N_FRAMES)):
             r1 = S[-1] / S[-2]
             r2 = S[-2] / S[-3]
             if not (0.0 < r1 < 0.97):
@@ -976,24 +930,20 @@ def rescaled_inequality_experiment(a: SpectralDensity, s: float, p: float,
         def run(ratio, g, na):
             n_r = max(8, int(math.ceil(math.log(1e30) / math.log(ratio))))
             re = rmax * (1e-30) ** (1.0 - np.arange(n_r + 1) / n_r)
-            rr, wr = _gauss_on_panels(re, g)
             ge = np.concatenate([[0.0], np.geomspace(1e-4, 0.5, na)])
             te = np.unique(np.concatenate(
                 [ge, np.linspace(0.5, math.pi - 0.5, 7), math.pi - ge]))
-            th, wt = _gauss_on_panels(te, g)
-            P = np.stack([
-                np.repeat(rr, th.size) * np.tile(np.cos(th), rr.size),
-                np.repeat(rr, th.size) * np.tile(np.sin(th), rr.size)], axis=1)
-            W = (wr[:, None] * wt[None, :]).ravel() * np.repeat(rr, th.size)
+            RT, W = _tensor_nodes([re, te], g)
+            rr, th = RT[:, 0], RT[:, 1]
+            P = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
+            W = W * rr
             wv = P[:, 1] ** s * phi_R.values(P)
             keep = wv != 0.0
             with np.errstate(over="ignore"):
                 uv = u.values(P[keep])
                 i_p = float(np.sum(W[keep] * wv[keep] * uv ** p))
                 i_1 = float(np.sum(W[keep] * wv[keep] * uv))
-            first = np.zeros(P.shape[0], dtype=bool)
-            first[:g * th.size] = True
-            fk = first[keep]
+            fk = rr[keep] < re[1]          # nodes of the innermost panel
             with np.errstate(over="ignore"):
                 m_p = abs(float(np.sum(W[keep][fk] * wv[keep][fk] * uv[fk] ** p)))
                 m_1 = abs(float(np.sum(W[keep][fk] * wv[keep][fk] * uv[fk])))

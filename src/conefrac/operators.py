@@ -32,6 +32,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _radial_batch,
+    _jump_angles_2d,
     _UnionStructure,
     c_alpha,
     sphere_quadrature,
@@ -57,8 +58,9 @@ class OperatorEvaluation:
     """One operator value with its accuracy accounting.
 
     path is "closed_form" when an exact formula supplied the value (the error
-    estimate then covers only the sphere-moment quadrature) and "numeric" for
-    the full polar-decomposition evaluation.
+    estimate then covers the quadratures of the power-kernel constant and of
+    the sphere moment) and "numeric" for the full polar-decomposition
+    evaluation.
     """
 
     value: float
@@ -210,15 +212,14 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
                                       base.converged)
         if (isinstance(core, KelvinHalfSpacePower) and a.is_constant
                 and x[-1] > 0.0):
-            ca = c_alpha(core.alpha, s, cfg)
-            m = weighted_sphere_moment(a, s, cfg)
+            C, C_err, nev = _weighted_difference_constant(a, s, core.alpha,
+                                                          cfg)
             r = float(np.linalg.norm(x))
             geom = x[-1] ** (core.alpha - 2.0 * s) / r ** core.radial_exponent
-            return OperatorEvaluation(
-                scale * ca.value * m.value * geom,
-                abs(scale * ca.value * geom) * m.abs_error_estimate,
-                "closed_form", tuple(float(c) for c in x),
-                ca.n_evals + m.n_evals, True)
+            return OperatorEvaluation(scale * C * geom,
+                                      abs(scale * geom) * C_err,
+                                      "closed_form", tuple(float(c) for c in x),
+                                      nev, True)
 
     _guard_smooth(f, x)
     f0 = float(f.value(x))
@@ -259,13 +260,24 @@ def apply_L_halfspace_power(a: SpectralDensity, s: float, alpha: float, x,
     if not x[-1] > 0.0:
         raise InputDomainError(
             "closed form needs a point in the open upper half-space")
+    C, C_err, nev = _weighted_difference_constant(a, s, alpha, cfg)
+    pw = x[-1] ** (alpha - 2.0 * s)
+    return OperatorEvaluation(C * pw, abs(pw) * C_err, "closed_form",
+                              tuple(float(c) for c in x), nev, True)
+
+
+def _weighted_difference_constant(a: SpectralDensity, s: float, alpha: float,
+                                  cfg: QuadratureConfig):
+    """C_alpha for the given density: the one-dimensional second-difference
+    integral times the weighted sphere moment, with first-order error and
+    the evaluations of both factors."""
     ca = c_alpha(alpha, s, cfg)
     m = weighted_sphere_moment(a, s, cfg)
-    pw = x[-1] ** (alpha - 2.0 * s)
-    return OperatorEvaluation(ca.value * m.value * pw,
-                              abs(ca.value * pw) * m.abs_error_estimate,
-                              "closed_form", tuple(float(c) for c in x),
-                              ca.n_evals + m.n_evals, True)
+    val = ca.value * m.value
+    err = (abs(ca.value) * m.abs_error_estimate
+           + abs(m.value) * ca.abs_error_estimate
+           + ca.abs_error_estimate * m.abs_error_estimate)
+    return val, err, ca.n_evals + m.n_evals
 
 
 # --------------------------------------------------------------------------
@@ -432,6 +444,8 @@ def _gauss_on_panels(edges: np.ndarray, n: int):
 
 
 def _tensor_nodes(edge_list, n_gauss: int):
+    """Tensor product of composite Gauss rules, one per axis: nodes (m, dim)
+    with the first axis varying slowest, and weights (m,)."""
     axes = [_gauss_on_panels(e, n_gauss) for e in edge_list]
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
@@ -469,22 +483,29 @@ def _conv_source(v: CatalogFunction, fine: bool):
     if v.dim != 2:
         raise InputDomainError("the pairing check is two-dimensional")
     nr, na = (40, 96) if fine else (24, 56)
-    re, rw = _gauss_on_panels(np.linspace(0.0, r, nr // 4 + 1), 4)
-    ae, aw = _gauss_on_panels(np.linspace(0.0, 2.0 * math.pi, na // 4 + 1), 4)
-    R, A = np.meshgrid(re, ae, indexing="ij")
-    W = np.outer(rw, aw) * R
-    z = np.stack([c[0] + R.ravel() * np.cos(A.ravel()),
-                  c[1] + R.ravel() * np.sin(A.ravel())], axis=1)
-    w = W.ravel() * v.values(z)
+    RA, W = _tensor_nodes([np.linspace(0.0, r, nr // 4 + 1),
+                           np.linspace(0.0, 2.0 * math.pi, na // 4 + 1)], 4)
+    R, A = RA[:, 0], RA[:, 1]
+    z = np.stack([c[0] + R * np.cos(A), c[1] + R * np.sin(A)], axis=1)
+    w = W * R * v.values(z)
     keep = w != 0.0
     return z[keep], w[keep]
 
 
 def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
             X: np.ndarray) -> np.ndarray:
-    """Lv at points strictly outside supp v: 2 int v(z) a(^) |z-x|^{-N-2s} dz."""
-    out = np.empty(X.shape[0])
+    """The mass sum 2 sum_j wv_j a(theta_j) |z_j - x|^{-N-2s}, theta_j the
+    direction of z_j - x, at each row x of X clear of the nodes z.
+
+    With wv the quadrature weights times v(z) this is Lv at points strictly
+    outside supp v, where only the mass of v arrives.  wv is (m,), or (m, k)
+    with one weight column per integral; the result is (n,) or (n, k).  A
+    constant density needs no directions: its kernel is a.value r^{-N-2s}.
+    Columns stored contiguously (a (k, m) array transposed) keep the sum
+    over the nodes fast.
+    """
     dim = X.shape[1]
+    out = np.empty((X.shape[0],) + wv.shape[1:])
     # coordinates lead, (dim, points, nodes): the elementwise work then runs
     # along the long axes, not along dim.  The squares are summed coordinate
     # by coordinate, as numpy sums fewer than eight terms
@@ -497,12 +518,14 @@ def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
         r2 = sq[0]
         for c in range(1, dim):
             r2 = r2 + sq[c]
-        rr = np.sqrt(r2)
-        unit = (d / rr[None, :, :]).reshape(dim, -1).T
-        av = a._eval_unit(np.ascontiguousarray(unit)).reshape(rr.shape)
-        out[i:i + step] = 2.0 * np.sum(wv[None, :] * av
-                                       * rr ** (-dim - 2.0 * s), axis=1)
-    return out
+        kern = r2 ** (-0.5 * dim - s)
+        if not a.is_constant:
+            unit = (d / np.sqrt(r2)[None, :, :]).reshape(dim, -1).T
+            kern *= a._eval_unit(np.ascontiguousarray(unit)).reshape(r2.shape)
+        # numpy's own loops, not a threaded BLAS call: the sum stays fast
+        # and bit-reproducible when other processes hold the cores
+        out[i:i + step] = np.einsum("pm,m...->p...", kern, wv)
+    return 2.0 * (a.value if a.is_constant else 1.0) * out
 
 
 def _tt_kelvin_parts(f: CatalogFunction):
@@ -522,12 +545,10 @@ def _kelvin_closed_batch(a: SpectralDensity, s: float,
                          cfg: QuadratureConfig):
     """Closed-form L of the decaying half-space power at upper points,
     vectorized; constant densities only."""
-    ca = c_alpha(k.alpha, s, cfg)
-    m = weighted_sphere_moment(a, s, cfg)
+    C, C_err, nev = _weighted_difference_constant(a, s, k.alpha, cfg)
     r = np.linalg.norm(X, axis=1)
     geom = X[:, -1] ** (k.alpha - 2.0 * s) / r ** k.radial_exponent
-    return ca.value * m.value * geom, \
-        np.abs(ca.value * geom) * m.abs_error_estimate, ca.n_evals + m.n_evals
+    return C * geom, np.abs(geom) * C_err, nev
 
 
 _SLAB_SPAN = 600.0
@@ -543,13 +564,9 @@ def _slab_source(k: KelvinHalfSpacePower, fine: bool):
     en = _graded_edges_1d(0.0, 1.0, nn, 2.0, toward_lo=True)
     half = np.concatenate(([0.0], np.geomspace(1e-7, _SLAB_SPAN, nt)))
     et = np.concatenate((-half[::-1][:-1], half))
-    zn, wn = _gauss_on_panels(en, gauss)
-    zt, wt = _gauss_on_panels(et, gauss)
-    ZT, ZN = np.meshgrid(zt, zn, indexing="ij")
-    W = np.outer(wt, wn)
-    z = np.stack([ZT.ravel(), ZN.ravel()], axis=1)
+    z, W = _tensor_nodes([et, en], gauss)
     rr = np.linalg.norm(z, axis=1)
-    w = W.ravel() * z[:, 1] ** k.alpha / rr ** (k.dim - 2.0 * k.s + 2.0 * k.alpha)
+    w = W * z[:, 1] ** k.alpha / rr ** (k.dim - 2.0 * k.s + 2.0 * k.alpha)
     return z, w
 
 
@@ -577,14 +594,7 @@ def _tt_kelvin_L(a: SpectralDensity, s: float, scale: float,
 
 def _angular_panel_edges(a: SpectralDensity, per_half_turn: int) -> np.ndarray:
     """Panel edges on [0, 2 pi] aligned with the density's jump circles."""
-    brk = [0.0]
-    if a.jump_cosines and a.cone is not None:
-        phi_axis = math.atan2(float(a.cone.axis[1]), float(a.cone.axis[0]))
-        for c in a.jump_cosines:
-            g = math.acos(np.clip(c, -1.0, 1.0))
-            for off in (g, -g, math.pi - g, math.pi + g):
-                brk.append((phi_axis + off) % (2.0 * math.pi))
-    brk = sorted(set(brk)) + [2.0 * math.pi]
+    brk = sorted({0.0, *_jump_angles_2d(a)}) + [2.0 * math.pi]
     return np.unique(np.concatenate(
         [np.linspace(lo, hi, max(2, int(per_half_turn * (hi - lo) / math.pi)))
          for lo, hi in zip(brk[:-1], brk[1:]) if hi - lo > 1e-12]))

@@ -21,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate as _sc_integrate
 from scipy.special import gammaln
 
+from .catalog import PlaneKink
 from .errors import AccuracyError, InputDomainError
 from .spectral import SpectralDensity
 
@@ -484,17 +485,24 @@ class _CheapNodeEval:
         return vals, np.zeros_like(vals), vals.size
 
 
-def _sphere_breakpoints_2d(a: SpectralDensity,
-                           kink_normals: Sequence[np.ndarray],
-                           graded_dirs: Sequence[np.ndarray]):
-    brk: list[float] = []
-    graded: list[float] = []
+def _jump_angles_2d(a: SpectralDensity) -> list[float]:
+    """Angles in [0, 2 pi) across which a 2-D density may jump: for each cap
+    boundary cosine cos g, phi_axis +- g and phi_axis + pi +- g."""
+    out: list[float] = []
     if a.jump_cosines and a.cone is not None:
         phi_axis = _angles_of(np.asarray(a.cone.axis))
         for c in a.jump_cosines:
             g = math.acos(np.clip(c, -1.0, 1.0))
             for off in (g, -g, math.pi - g, math.pi + g):
-                brk.append((phi_axis + off) % _TWO_PI)
+                out.append((phi_axis + off) % _TWO_PI)
+    return out
+
+
+def _sphere_breakpoints_2d(a: SpectralDensity,
+                           kink_normals: Sequence[np.ndarray],
+                           graded_dirs: Sequence[np.ndarray]):
+    brk = _jump_angles_2d(a)
+    graded: list[float] = []
     for w in kink_normals:
         phi_w = _angles_of(np.asarray(w))
         for off in (0.5 * math.pi, 1.5 * math.pi):
@@ -806,12 +814,11 @@ class _UnionStructure:
     def smooth_radius_excluding_through(self, x) -> float:
         """Distance to structure not passing through x itself (for base
         points sitting exactly on a kink surface)."""
-        import math as _math
         x = np.asarray(x, dtype=float)
         d = 1.0
         for m in self.members:
             for k in m.kink_surfaces:
-                if type(k).__name__ == "PlaneKink":
+                if isinstance(k, PlaneKink):
                     di = abs(float(x @ np.asarray(k.normal)) - k.offset)
                 else:
                     di = abs(float(np.linalg.norm(x - np.asarray(k.center))) - k.radius)

@@ -12,6 +12,8 @@ from scipy.special import roots_legendre
 import conefrac as cf
 from conefrac.errors import (AccuracyError, InputDomainError,
                              NonsmoothPointError, TruncationError)
+from conefrac.liouville import _mass_only_L
+from conefrac.operators import _conv_L
 
 S = 0.5
 
@@ -89,6 +91,21 @@ class TestClosedForms:
         else:
             assert numeric.value == pytest.approx(closed.value, rel=1e-5)
 
+    def test_closed_form_estimate_covers_c_alpha_error(self, cone2, fast_cfg):
+        # the closed form multiplies c_alpha by the sphere moment, so its
+        # estimate must carry c_alpha's own quadrature error, not only the
+        # moment's
+        alpha = 0.4
+        x = np.array([0.6456, 0.5146])
+        ev = cf.apply_L(cone2, S, cf.HalfSpacePower(2, S, alpha=alpha), x,
+                        fast_cfg)
+        assert ev.path == "closed_form"
+        moment = cf.weighted_sphere_moment(cone2, S, fast_cfg).value
+        ca = cf.c_alpha(alpha, S, fast_cfg)
+        assert ca.abs_error_estimate > 0.0
+        assert ev.abs_error_estimate >= (abs(moment * x[-1] ** (alpha - 2.0 * S))
+                                         * ca.abs_error_estimate)
+
     def test_scaling_with_power_of_height(self, const2, cfg):
         # the closed form is homogeneous of degree alpha - 2s in the height
         f = cf.HalfSpacePower(2, S, alpha=0.4)
@@ -156,6 +173,61 @@ class TestIdentities:
         numeric = cf.apply_L(const2, S, f, x, kelvin_cfg, force_numeric=True)
         assert closed.path == "closed_form"
         assert numeric.value == pytest.approx(closed.value, rel=1e-4)
+
+
+class TestMassKernel:
+    """_conv_L against a direct loop over (point, node) pairs that uses only
+    the public density evaluation and the kernel |z - x|^{-N-2s}."""
+
+    DENSITIES = {
+        "constant_1d": cf.ConstantDensity(1),
+        "constant_2d": cf.ConstantDensity(2),
+        "constant_2d_scaled": cf.ConstantDensity(2, 2.5),
+        "cone": cf.ConePlateauDensity(2, cf.Cone((1.0, 0.0), 0.3), 1.0, 0.25),
+    }
+
+    @pytest.mark.parametrize("n_cols", [None, 2])
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_matches_direct_loop(self, name, n_cols):
+        a = self.DENSITIES[name]
+        dim = a.dim
+        rng = np.random.default_rng(11)
+        # nodes in a small cube at the origin, points on the sphere of radius
+        # 2 around it, so the directions z - x cover every angle
+        z = rng.uniform(-0.35, 0.35, size=(30, dim))
+        dirs = rng.normal(size=(9, dim))
+        X = 2.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        w = rng.uniform(-1.0, 1.0, size=(30,) if n_cols is None else (30, n_cols))
+        got = _conv_L(a, S, z, w, X)
+        cols = w.reshape(30, -1)
+        want = np.zeros((X.shape[0], cols.shape[1]))
+        seen = set()
+        for i, x in enumerate(X):
+            for j, zj in enumerate(z):
+                r = float(np.linalg.norm(zj - x))
+                aval = a((zj - x) / r)
+                seen.add(aval)
+                want[i] += 2.0 * cols[j] * aval * r ** (-dim - 2.0 * S)
+        assert got.shape == (X.shape[0],) + w.shape[1:]
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=1e-12)
+        if name == "cone":
+            assert seen == {1.0, 0.25}
+
+    def test_mass_only_field_in_one_dimension(self):
+        # below the boundary point only the mass of the translate-truncated
+        # decaying power reaches x, so Lu(x) = 2 int_0^inf u(z) (z - x)^{-1-2s}
+        # dz, here against scipy's quad
+        s = 0.3
+        a = cf.ConstantDensity(1)
+        u = cf.translate_truncate(cf.kelvin(0.15, 1, s))
+        X = np.array([[-0.01], [-0.5], [-3.0]])
+        vals, errs, nev = _mass_only_L(a, s, u, X)
+        assert nev > 0
+        for x, v, e in zip(X[:, 0], vals, errs):
+            oracle, _ = quad(lambda t: 2.0 * u.value(np.array([t]))
+                             * (t - x) ** (-1.0 - 2.0 * s), 0.0, np.inf,
+                             epsabs=1e-14, epsrel=1e-13, limit=200)
+            assert abs(v - oracle) <= e <= 0.05 * abs(oracle)
 
 
 class TestPairing:
