@@ -146,65 +146,80 @@ class CatalogFunction:
     def vanishes_lower_halfspace(self) -> bool:
         return False
 
-    # -- geometry helpers --------------------------------------------------
-    def _kink_distance(self, x: np.ndarray) -> float:
-        d = math.inf
-        for k in self.kink_surfaces:
-            if isinstance(k, PlaneKink):
-                n = np.asarray(k.normal)
-                d = min(d, abs(float(x @ n) - k.offset))
-            else:
-                c = np.asarray(k.center)
-                d = min(d, abs(float(np.linalg.norm(x - c)) - k.radius))
-        for p in self.singular_points:
-            d = min(d, float(np.linalg.norm(x - np.asarray(p))))
-        return d
-
     def require_smooth_at(self, x) -> None:
         x = np.asarray(x, dtype=float).reshape(self.dim)
         scale = max(1.0, float(np.linalg.norm(x)))
-        if self._kink_distance(x) < _KINK_TOL * scale:
+        if _KinkSet.of(self).distance(x) < _KINK_TOL * scale:
             raise NonsmoothPointError(
                 f"point {tuple(x)} lies on a kink surface of {type(self).__name__}")
 
-    def smooth_radius(self, x) -> float:
-        """Distance from x to the nearest kink surface, capped at 1."""
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        return float(min(1.0, self._kink_distance(x)))
 
-    def kink_times(self, x, theta) -> np.ndarray:
-        """All t > 0 at which t -> f(x+t theta) + f(x-t theta) can lose
-        smoothness: crossings of the kink surfaces by either ray, sorted
-        ascending and deduplicated."""
+class _KinkSet:
+    """Where a set of catalog members can lose smoothness, as arrays: the
+    kink planes {y . n = c}, the kink spheres {|y - center| = r} and the
+    singular points of every member, in member order.
+
+    ``planes`` keeps the PlaneKink objects for their exponents.  distances(X)
+    gives the distance from each point to every plane, sphere and point, in
+    that column order; crossing_times(x, thetas) the times at which the two
+    rays x +- t theta cross a plane or a sphere.
+    """
+
+    def __init__(self, dim: int, planes, spheres, points):
+        self.dim = dim
+        self.planes = tuple(planes)
+        self.normals = np.asarray([k.normal for k in planes], dtype=float).reshape(-1, dim)
+        self.offsets = np.asarray([k.offset for k in planes], dtype=float)
+        self.centers = np.asarray([k.center for k in spheres], dtype=float).reshape(-1, dim)
+        self.radii = np.asarray([k.radius for k in spheres], dtype=float)
+        self.points = np.asarray(points, dtype=float).reshape(-1, dim)
+
+    @classmethod
+    def of(cls, *members: CatalogFunction) -> "_KinkSet":
+        planes, spheres, points = [], [], []
+        for m in members:
+            for k in m.kink_surfaces:
+                (planes if isinstance(k, PlaneKink) else spheres).append(k)
+            points.extend(m.singular_points)
+        return cls(members[0].dim, planes, spheres, points)
+
+    def distances(self, X) -> np.ndarray:
+        """Distances of x (dim,) or of each row of X (n, dim) to every plane,
+        sphere and point: shape (P + S + Q,) or (n, P + S + Q)."""
+        X = np.asarray(X, dtype=float)
+        P = X.reshape(-1, self.dim)
+        to_c = np.linalg.norm(P[:, None, :] - self.centers[None, :, :], axis=2)
+        to_p = np.linalg.norm(P[:, None, :] - self.points[None, :, :], axis=2)
+        out = np.concatenate((np.abs(P @ self.normals.T - self.offsets),
+                              np.abs(to_c - self.radii), to_p), axis=1)
+        return out[0] if X.ndim == 1 else out
+
+    def distance(self, x, beyond: float = -1.0) -> float:
+        """The nearest of the distances of x that exceeds ``beyond`` (inf if
+        none does); a positive ``beyond`` skips the surfaces through x."""
+        d = self.distances(x)
+        d = d[d > beyond]
+        return float(d.min()) if d.size else math.inf
+
+    def crossing_times(self, x, thetas: np.ndarray) -> np.ndarray:
+        """Times t > 1e-14 at which x + t theta_k or x - t theta_k crosses a
+        surface, as a (K, P + 4 S) array: one column per plane, four per
+        sphere (both roots on both rays).  An entry is inf where the ray is
+        parallel to the plane, misses the sphere or meets it at t <= 1e-14."""
         x = np.asarray(x, dtype=float).reshape(self.dim)
-        theta = np.asarray(theta, dtype=float).reshape(self.dim)
-        out: list[float] = []
-        for k in self.kink_surfaces:
-            if isinstance(k, PlaneKink):
-                n = np.asarray(k.normal)
-                den = float(theta @ n)
-                if abs(den) > 1e-14:
-                    t = abs((k.offset - float(x @ n)) / den)
-                    if t > 1e-14:
-                        out.append(t)
-            else:
-                c = np.asarray(k.center)
-                d = x - c
-                b = float(theta @ d)
-                disc = b * b - (float(d @ d) - k.radius ** 2)
-                if disc >= 0.0:
-                    r = math.sqrt(disc)
-                    for t in (-b - r, -b + r, b - r, b + r):
-                        if t > 1e-14:
-                            out.append(t)
-        if not out:
-            return np.empty(0)
-        ts = np.sort(np.asarray(out))
-        keep = [ts[0]]
-        for t in ts[1:]:
-            if t - keep[-1] > 1e-12 * (1.0 + t):
-                keep.append(t)
-        return np.asarray(keep)
+        den = thetas @ self.normals.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tp = np.abs((self.offsets - self.normals @ x) / den)
+        tp[np.abs(den) <= 1e-14] = np.inf
+        d = x[None, :] - self.centers
+        b = thetas @ d.T
+        disc = b * b - (np.einsum("ij,ij->i", d, d) - self.radii ** 2)
+        r = np.sqrt(np.maximum(disc, 0.0))
+        ts = np.stack((-b - r, -b + r, b - r, b + r), axis=2)
+        ts[np.broadcast_to((disc < 0.0)[:, :, None], ts.shape)] = np.inf
+        out = np.concatenate((tp, ts.reshape(thetas.shape[0], -1)), axis=1)
+        out[out <= 1e-14] = np.inf
+        return out
 
 
 # --------------------------------------------------------------------------

@@ -606,12 +606,12 @@ class _CutoffMassField:
         self.frames = [self._frame_mesh(4, 2.4, 3), self._frame_mesh(3, 3.2, 2)]
 
     def _frame_mesh(self, g: int, zn_ratio: float, n1p: int):
-        """Quadrature nodes on the dyadic frames beyond the plate and their
-        weight matrix: one column per (exponent, frame), holding the
-        complement weight (identically one out there) times z_N^alpha on the
-        frame's own nodes and zero elsewhere."""
+        """Quadrature nodes on the dyadic frames beyond the plate, frame by
+        frame, their (m, 2) weight matrix (one column per exponent: the
+        complement weight, identically one out there, times z_N^alpha) and
+        the node index at which each frame starts, with m appended."""
         c1, cn = self.c
-        zs, ws, fid = [], [], []
+        zs, ws, starts = [], [], [0]
         for j in range(_N_FRAMES):
             r0 = _PLATE_SPAN * 2.0 ** j
             r1 = 2.0 * r0
@@ -621,19 +621,16 @@ class _CutoffMassField:
                 z, w = _tensor_nodes([np.sort(z1), zn_col], g)
                 zs.append(z)
                 ws.append(w)
-                fid.append(np.full(w.size, j))
             z1_top = np.linspace(c1 - r0, c1 + r0, 2 * n1p + 3)
             zn_top = np.geomspace(cn + r0, cn + r1, n1p + 1)
             z, w = _tensor_nodes([z1_top, zn_top], g)
             zs.append(z)
             ws.append(w)
-            fid.append(np.full(w.size, j))
+            starts.append(sum(wi.size for wi in ws))
         z = np.concatenate(zs)
         w = np.concatenate(ws)
-        in_frame = np.concatenate(fid) == np.arange(_N_FRAMES)[:, None]
-        W = np.concatenate([(w * z[:, 1] ** al) * in_frame
-                            for al in self.alphas])
-        return z, W.T
+        W = np.stack([w * z[:, 1] ** al for al in self.alphas])
+        return z, W.T, starts
 
     def _plate(self, x: np.ndarray, outside: bool, g: int, base: float,
                h0: float, ratio: float, zn_ratio: float):
@@ -664,10 +661,12 @@ class _CutoffMassField:
         return {al: float(v) for al, v in zip(self.alphas, G)}
 
     def _frame_sums(self, x: np.ndarray, mesh):
-        z, W = mesh
-        frame_sums = operators._conv_L(self.a, self.s, z, W, x[None, :])[0]
+        z, W, starts = mesh
+        frame_sums = np.stack([
+            operators._conv_L(self.a, self.s, z[i:j], W[i:j], x[None, :])[0]
+            for i, j in zip(starts[:-1], starts[1:])])
         out = {}
-        for al, S in zip(self.alphas, frame_sums.reshape(-1, _N_FRAMES)):
+        for al, S in zip(self.alphas, frame_sums.T):
             r1 = S[-1] / S[-2]
             r2 = S[-2] / S[-3]
             if not (0.0 < r1 < 0.97):

@@ -16,11 +16,10 @@ from .catalog import (
     Constant,
     HalfSpacePower,
     KelvinHalfSpacePower,
-    PlaneKink,
     ScalarMultiple,
-    SphereKink,
     TranslateTruncate,
     Zero,
+    _KinkSet,
 )
 from .errors import (
     AccuracyError,
@@ -33,7 +32,6 @@ from .quadrature import (
     QuadratureConfig,
     _radial_batch,
     _jump_angles_2d,
-    _UnionStructure,
     c_alpha,
     sphere_quadrature,
     sphere_surface_area,
@@ -114,37 +112,24 @@ def _local_scale(x: np.ndarray) -> float:
     return max(1.0, float(np.linalg.norm(x)))
 
 
-def _guard_smooth(f: CatalogFunction, x: np.ndarray) -> None:
-    lim = _REFUSE_FACTOR * _local_scale(x)
-    d = f._kink_distance(x)
-    if d < lim:
+def _refuse_near(kinks: _KinkSet, x: np.ndarray, lim: float, *,
+                 planes: bool = True) -> None:
+    """Raise NonsmoothPointError when x lies within lim of a kink surface or
+    a singular point; planes=False leaves the kink planes out."""
+    d = kinks.distances(x)[0 if planes else len(kinks.planes):]
+    if np.any(d < lim):
         raise NonsmoothPointError(
-            "evaluation point is too close to a kink surface")
-    for p in f.singular_points:
-        if float(np.linalg.norm(x - np.asarray(p))) < lim:
-            raise NonsmoothPointError(
-                "evaluation point is too close to a singular point")
+            "evaluation point is too close to a kink surface or singular point")
 
 
-def _sphere_hints(members, x: np.ndarray):
+def _sphere_hints(kinks: _KinkSet, x: np.ndarray):
     """Splitting hints for the sphere rule: normals of kink planes, directions
     toward sphere-kink centers, and directions toward point singularities."""
-    normals, graded, strong = [], [], []
-    for m in members:
-        for k in m.kink_surfaces:
-            if isinstance(k, PlaneKink):
-                normals.append(np.asarray(k.normal, dtype=float))
-            elif isinstance(k, SphereKink):
-                v = np.asarray(k.center, dtype=float) - x
-                n = float(np.linalg.norm(v))
-                if n > 1e-12:
-                    graded.append(v / n)
-        for p in m.singular_points:
-            v = np.asarray(p, dtype=float) - x
-            n = float(np.linalg.norm(v))
-            if n > 1e-12:
-                strong.append(v / n)
-    return normals, graded, strong
+    def toward(pts):
+        v = pts - x[None, :]
+        n = np.linalg.norm(v, axis=1)
+        return list(v[n > 1e-12] / n[n > 1e-12, None])
+    return list(kinks.normals), toward(kinks.centers), toward(kinks.points)
 
 
 def _node_tols(a: SpectralDensity, cfg: QuadratureConfig):
@@ -152,18 +137,17 @@ def _node_tols(a: SpectralDensity, cfg: QuadratureConfig):
     return cfg.abs_tol / (3.0 * lam_bound), cfg.rel_tol / 3.0
 
 
-def _run_polar(a: SpectralDensity, s: float, members, x: np.ndarray,
+def _run_polar(a: SpectralDensity, s: float, kinks: _KinkSet, x: np.ndarray,
                cfg: QuadratureConfig, *, numer, quad_fn, inner_mode: str,
                tail_mode: str, analytic_const: float, strict: bool,
                what: str) -> OperatorEvaluation:
-    structure = _UnionStructure(members)
-    normals, graded, strong = _sphere_hints(members, x)
+    normals, graded, strong = _sphere_hints(kinks, x)
     tol_abs_node, tol_rel_node = _node_tols(a, cfg)
 
     def node_eval(thetas: np.ndarray):
         qc = quad_fn(thetas) if quad_fn is not None else None
         vals, errs, nev, _ok = _radial_batch(
-            x=x, thetas=thetas, s=s, cfg=cfg, structure=structure,
+            x=x, thetas=thetas, s=s, cfg=cfg, kinks=kinks,
             numer=numer, quad_coefs=qc, inner_mode=inner_mode,
             tail_mode=tail_mode, analytic_const=analytic_const,
             tol_abs_node=tol_abs_node, tol_rel_node=tol_rel_node)
@@ -221,7 +205,8 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
                                       "closed_form", tuple(float(c) for c in x),
                                       nev, True)
 
-    _guard_smooth(f, x)
+    kinks = _KinkSet.of(f)
+    _refuse_near(kinks, x, _REFUSE_FACTOR * _local_scale(x))
     f0 = float(f.value(x))
     H = f.hessian(x)
 
@@ -240,7 +225,7 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
     def quad_fn(thetas: np.ndarray) -> np.ndarray:
         return np.einsum("ki,ij,kj->k", thetas, H, thetas)
 
-    return _run_polar(a, s, [f], x, cfg, numer=numer, quad_fn=quad_fn,
+    return _run_polar(a, s, kinks, x, cfg, numer=numer, quad_fn=quad_fn,
                       inner_mode="subtract", tail_mode=tail_mode,
                       analytic_const=const, strict=strict,
                       what="operator evaluation")
@@ -284,26 +269,15 @@ def _weighted_difference_constant(a: SpectralDensity, s: float, alpha: float,
 # the product-rule correction
 # --------------------------------------------------------------------------
 
-def _planes_through(f: CatalogFunction, x: np.ndarray, lim: float):
-    out = []
-    for k in f.kink_surfaces:
-        if isinstance(k, PlaneKink):
-            d = abs(float(x @ np.asarray(k.normal)) - k.offset)
-            if d < lim:
-                out.append(k)
-    return out
-
-
 def _difference_exponent(f: CatalogFunction, x: np.ndarray, lim: float):
     """Local growth exponent of |f(x + t theta) - f(x)| in t: 1 for a smooth
-    point, the kink exponent on a kink plane through x (None meaning a jump,
-    exponent 0)."""
-    planes = _planes_through(f, x, lim)
-    if not planes:
-        return 1.0, False
+    point, the kink exponent on a kink plane within lim of x (None meaning a
+    jump, exponent 0)."""
+    kinks = _KinkSet.of(f)
+    d = kinks.distances(x)
     exps = [0.0 if k.exponent is None else min(k.exponent, 1.0)
-            for k in planes]
-    return min(exps), True
+            for k, dk in zip(kinks.planes, d) if dk < lim]
+    return (min(exps), True) if exps else (1.0, False)
 
 
 def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
@@ -344,18 +318,8 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
     # refuse nearby curved structure; a kink plane is fine at any distance
     # (through x it switches to the open boundary mode, otherwise the radial
     # splitting resolves the crossing time exactly)
-    for f in (g, h):
-        for k in f.kink_surfaces:
-            if not isinstance(k, PlaneKink):
-                d = abs(float(np.linalg.norm(x - np.asarray(k.center)))
-                        - k.radius)
-                if d < lim:
-                    raise NonsmoothPointError(
-                        "evaluation point is too close to a kink surface")
-        for p in f.singular_points:
-            if float(np.linalg.norm(x - np.asarray(p))) < lim:
-                raise NonsmoothPointError(
-                    "evaluation point is too close to a singular point")
+    kinks = _KinkSet.of(g, h)
+    _refuse_near(kinks, x, lim, planes=False)
 
     g0 = float(g.value(x))
     h0 = float(h.value(x))
@@ -388,7 +352,7 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
                 "factors grow too fast for the correction to converge")
         tail_mode, const = "u_map", 0.0
 
-    return _run_polar(a, s, [g, h], x, cfg, numer=numer, quad_fn=quad_fn,
+    return _run_polar(a, s, kinks, x, cfg, numer=numer, quad_fn=quad_fn,
                       inner_mode=inner_mode, tail_mode=tail_mode,
                       analytic_const=const, strict=strict,
                       what="product-rule correction")
@@ -697,11 +661,9 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
                 done |= far
         # remaining points: the excision form needs two derivatives on a
         # small ball clear of any kink plane (smooth scale markers are fine)
-        clear = ~done
-        for k in f.kink_surfaces:
-            if isinstance(k, PlaneKink):
-                nrm = np.asarray(k.normal, dtype=float)
-                clear &= np.abs(X @ nrm - k.offset) > 0.1
+        kinks = _KinkSet.of(f)
+        clear = ~done & np.all(
+            kinks.distances(X)[:, :len(kinks.planes)] > 0.1, axis=1)
         if np.any(clear):
             mass, Q = _density_angular_moments(a)
             v3, e3, n3 = _excised_L_compact(a, s, f, X[clear], mass, Q)
@@ -786,14 +748,11 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
     r = float(ball.radius)
     # a kink plane meeting the support must carry an admissible exponent
     low = max(0.0, 2.0 * s - 1.0)
-    for k in v.kink_surfaces:
-        if isinstance(k, PlaneKink):
-            if abs(float(c @ np.asarray(k.normal)) - k.offset) <= r:
-                alpha = k.exponent
-                if alpha is None or not (low < alpha < 2.0 * s):
-                    raise InputDomainError(
-                        "the pairing weight exponent must lie in "
-                        "((2s-1)_+, 2s)")
+    kinks = _KinkSet.of(v)
+    for k, dk in zip(kinks.planes, kinks.distances(c)):
+        if dk <= r and (k.exponent is None or not (low < k.exponent < 2.0 * s)):
+            raise InputDomainError(
+                "the pairing weight exponent must lie in ((2s-1)_+, 2s)")
     W = float(half_width)
     if not (W > 0.0):
         raise InputDomainError("the box half-width must be positive")

@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate as _sc_integrate
 from scipy.special import gammaln
 
-from .catalog import PlaneKink
+from .catalog import _KinkSet
 from .errors import AccuracyError, InputDomainError
 from .spectral import SpectralDensity
 
@@ -782,143 +782,90 @@ def mc_region_volume(predicate, center: Sequence[float], radius: float,
 # radial integrals along both rays of a direction
 # --------------------------------------------------------------------------
 
-class _UnionStructure:
-    """Kink/support structure of a set of catalog members, for radial
-    splitting when the integrand mixes several functions."""
-
-    def __init__(self, members):
-        self.members = list(members)
-
-    def kink_times(self, x, theta) -> np.ndarray:
-        parts = [m.kink_times(x, theta) for m in self.members]
-        parts = [p for p in parts if p.size]
-        if not parts:
-            return np.empty(0)
-        ts = np.sort(np.concatenate(parts))
-        keep = [ts[0]]
-        for t in ts[1:]:
-            if t - keep[-1] > 1e-12 * (1.0 + t):
-                keep.append(t)
-        return np.asarray(keep)
-
-    @property
-    def singular_points(self):
-        out = []
-        for m in self.members:
-            out.extend(m.singular_points)
-        return tuple(out)
-
-    def smooth_radius(self, x) -> float:
-        return min(m.smooth_radius(x) for m in self.members)
-
-    def smooth_radius_excluding_through(self, x) -> float:
-        """Distance to structure not passing through x itself (for base
-        points sitting exactly on a kink surface)."""
-        x = np.asarray(x, dtype=float)
-        d = 1.0
-        for m in self.members:
-            for k in m.kink_surfaces:
-                if isinstance(k, PlaneKink):
-                    di = abs(float(x @ np.asarray(k.normal)) - k.offset)
-                else:
-                    di = abs(float(np.linalg.norm(x - np.asarray(k.center))) - k.radius)
-                if di > 1e-9:
-                    d = min(d, di)
-            for p in m.singular_points:
-                di = float(np.linalg.norm(x - np.asarray(p)))
-                if di > 1e-9:
-                    d = min(d, di)
-        return max(d, 1e-9)
-
-    @property
-    def support_ball(self):
-        # the union integrand vanishes beyond every member's support only if
-        # every member is compact; callers decide the tail mode themselves
-        balls = [m.support_ball for m in self.members]
-        if any(b is None for b in balls):
-            return None
-        return balls[0] if len(balls) == 1 else balls
-
-
-def _assemble_radial(structure, x: np.ndarray, thetas: np.ndarray, s: float,
+def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, s: float,
                      cfg: QuadratureConfig, *, inner_mode: str, tail_mode: str):
-    """Build the per-direction task table for both-ray radial integration.
+    """Build the task table for both-ray radial integration along K directions.
+
+    The inner segment is [0, t_in], t_in = t0_factor times the distance from
+    x to the nearest kink surface or singular point, capped at 1 ("open"
+    mode skips the surfaces through x).  Direction k splits [t_in, T0_k] at
+    every time at which either ray crosses a kink surface, and at the
+    distance along the ray to each singular point the ray passes close to;
+    T0_k = max(last split, 2 t_in, 1).  Splits closer than 1e-12 (1 + t) to
+    the previous one kept are dropped, and panel ends at a split are graded.
+    The table is direction-major: for each direction the inner task (in
+    "subtract" mode), then its pieces in increasing t.
 
     inner_mode: "subtract" (quadratic Taylor subtraction on [0, t_in]) or
     "open" (no subtraction; the inner range is integrated on octaves toward 0,
     for integrable endpoint singularities at a kinked base point).
     tail_mode: "compact" (integrand constant beyond the last split),
     "u_map" (map [T0, inf) by t = 1/u and integrate octaves), "none".
+
+    Returns the task arrays (lo, hi, grading flags gl/gh, mode 1 for the
+    subtracted inner task and 0 otherwise, direction theta, group), the inner
+    and tail octave sources as (upper end, direction), T0 and t_in.
     """
     K = thetas.shape[0]
     if inner_mode == "subtract":
-        rho = structure.smooth_radius(x)
+        rho = min(1.0, kinks.distance(x))
     else:
-        rho = structure.smooth_radius_excluding_through(x)
+        rho = max(min(1.0, kinks.distance(x, beyond=1e-9)), 1e-9)
     if not (rho > 0.0):
         raise AccuracyError("no room around the base point for the inner segment")
     t_in = cfg.t0_factor * rho
 
-    lo_l, hi_l, gl_l, gh_l, mode_l, theta_l, group_l = [], [], [], [], [], [], []
-    tail_u_hi, tail_group = [], []
-    inner_hi, inner_group = [], []
-    T0_arr = np.empty(K)
+    # split times, one row per direction: the crossings, then the distance
+    # along the ray to each singular point that passes close to it
+    v = kinks.points - x[None, :]
+    vt = thetas @ v.T
+    ta = np.abs(vt)
+    near = (ta > 1.5 * t_in) & (np.einsum("ij,ij->i", v, v) - vt * vt
+                                < (0.3 * ta + 0.1) ** 2)
+    T = np.concatenate((kinks.crossing_times(x, thetas),
+                        np.where(near, ta, np.inf)), axis=1)
+    T[T <= t_in * (1.0 + 1e-12)] = np.inf
+    T.sort(axis=1)
+    last = np.full(K, -np.inf)
+    with np.errstate(invalid="ignore"):  # inf - inf past the last split
+        for j in range(T.shape[1]):
+            t = T[:, j]
+            new = t - last > 1e-12 * (1.0 + t)
+            t[~new] = np.inf
+            last = np.where(new, t, last)
+    T.sort(axis=1)
+    n = np.count_nonzero(np.isfinite(T), axis=1)
+    T = T[:, :n.max(initial=0)]
+    last = np.max(np.where(np.isfinite(T), T, 0.0), axis=1, initial=0.0)
+    T0 = np.maximum(last, max(2.0 * t_in, 1.0))
 
-    sing = [np.asarray(p) for p in structure.singular_points]
-    for k in range(K):
-        th = thetas[k]
-        times = [float(t) for t in structure.kink_times(x, th)]
-        strong = set(times)
-        for p in sing:
-            v = p - x
-            ta = abs(float(v @ th))
-            if ta > 1.5 * t_in:
-                d2 = float(v @ v) - float(v @ th) ** 2
-                if d2 < (0.3 * ta + 0.1) ** 2:
-                    times.append(ta)
-                    strong.add(ta)
-        times = sorted(t for t in times if t > t_in * (1.0 + 1e-12))
-        merged = []
-        for t in times:
-            if not merged or t - merged[-1] > 1e-12 * (1.0 + t):
-                merged.append(t)
-        T0 = max(merged[-1] if merged else 0.0, 2.0 * t_in, 1.0)
-        T0_arr[k] = T0
-
-        if inner_mode == "subtract":
-            lo_l.append(0.0); hi_l.append(t_in)
-            gl_l.append(True); gh_l.append(False)
-            mode_l.append(1); theta_l.append(k); group_l.append(k)
-        else:
-            inner_hi.append(t_in)
-            inner_group.append(k)
-
-        edges = [t_in] + merged
-        if not merged or merged[-1] < T0:
-            edges.append(T0)
-        for a_e, b_e in zip(edges[:-1], edges[1:]):
-            lo_l.append(a_e); hi_l.append(b_e)
-            gl_l.append(a_e in strong); gh_l.append(b_e in strong)
-            mode_l.append(0); theta_l.append(k); group_l.append(k)
-
-        if tail_mode == "u_map":
-            tail_u_hi.append(1.0 / T0)
-            tail_group.append(k)
-
+    # one edge row per direction: [0,] t_in, splits, T0 (unless T0 is the
+    # last split), padded with inf
+    p = 1 if inner_mode == "subtract" else 0
+    E = np.full((K, p + T.shape[1] + 2), np.inf)
+    E[:, :p] = 0.0
+    E[:, p] = t_in
+    E[:, p + 1:p + 1 + T.shape[1]] = T
+    E[np.arange(K), p + 1 + n] = np.where(last < T0, T0, np.inf)
+    j = np.arange(E.shape[1] - 1)[None, :]
+    valid = np.isfinite(E[:, 1:])
+    k_col = np.broadcast_to(np.arange(K)[:, None], valid.shape)[valid]
     tasks = {
-        "lo": np.asarray(lo_l), "hi": np.asarray(hi_l),
-        "gl": np.asarray(gl_l, dtype=bool), "gh": np.asarray(gh_l, dtype=bool),
-        "mode": np.asarray(mode_l, dtype=np.int64),
-        "theta": np.asarray(theta_l, dtype=np.int64),
-        "group": np.asarray(group_l, dtype=np.int64),
+        "lo": E[:, :-1][valid], "hi": E[:, 1:][valid],
+        "gl": np.broadcast_to(j != p, valid.shape)[valid],
+        "gh": ((j >= p) & (j < p + n[:, None]))[valid],
+        "mode": np.broadcast_to((j < p).astype(np.int64), valid.shape)[valid],
+        "theta": k_col, "group": k_col,
     }
-    inner_oct = (np.asarray(inner_hi), np.asarray(inner_group, dtype=np.int64))
-    tail_oct = (np.asarray(tail_u_hi), np.asarray(tail_group, dtype=np.int64))
-    return tasks, inner_oct, tail_oct, T0_arr, t_in
+    dirs = np.arange(K, dtype=np.int64)
+    none = (np.empty(0), np.empty(0, dtype=np.int64))
+    inner_oct = (np.full(K, t_in), dirs) if inner_mode != "subtract" else none
+    tail_oct = (1.0 / T0, dirs) if tail_mode == "u_map" else none
+    return tasks, inner_oct, tail_oct, T0, t_in
 
 
 def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
-                  cfg: QuadratureConfig, structure, numer,
+                  cfg: QuadratureConfig, kinks: _KinkSet, numer,
                   quad_coefs: np.ndarray = None,
                   inner_mode: str = "subtract", tail_mode: str = "u_map",
                   analytic_const: float = 0.0,
@@ -927,9 +874,12 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     for each direction, with Taylor subtraction, kink splitting, tail mapping
     and measured-ratio completion.
 
-    numer(P, M) evaluates the numerator at the two ray point batches.
-    quad_coefs[k] is the exact quadratic coefficient subtracted on the inner
-    segment for direction k (required in "subtract" mode).
+    thetas (K, dim) are unit directions; kinks is the _KinkSet of every
+    function in the numerator, which places the inner segment and the splits
+    (see _assemble_radial).  numer(P, M) evaluates the numerator at the two
+    ray point batches.  quad_coefs[k] is the exact quadratic coefficient
+    subtracted on the inner segment for direction k (required in "subtract"
+    mode).  The tolerances per direction default to the config's.
     Returns (values, error_estimates, n_evals, converged) per direction.
     """
     K = thetas.shape[0]
@@ -938,7 +888,7 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     tol_r = cfg.rel_tol if tol_rel_node is None else tol_rel_node
 
     tasks, inner_oct, tail_oct, T0, t_in = _assemble_radial(
-        structure, x, thetas, s, cfg, inner_mode=inner_mode, tail_mode=tail_mode)
+        kinks, x, thetas, s, cfg, inner_mode=inner_mode, tail_mode=tail_mode)
 
     n_main = tasks["lo"].size
     # the evalf task table spans main tasks, then inner octave sources, then
@@ -1034,7 +984,7 @@ def radial_integral(f, x, theta, s: float, cfg: QuadratureConfig = DEFAULT_CONFI
 
     compact = f.support_ball is not None
     vals, errs, nev, ok = _radial_batch(
-        x=x, thetas=thetas, s=s, cfg=cfg, structure=_UnionStructure([f]),
+        x=x, thetas=thetas, s=s, cfg=cfg, kinks=_KinkSet.of(f),
         numer=numer, quad_coefs=qc,
         inner_mode="subtract",
         tail_mode="compact" if compact else "u_map",

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conefrac as cf
+from conefrac.catalog import PlaneKink, _KinkSet
 from conefrac.errors import InputDomainError
+from conefrac.quadrature import DEFAULT_CONFIG, _assemble_radial
 
 S = 0.5
 
@@ -174,3 +176,111 @@ class TestCombinators:
         X = np.array([[0.3, 0.4], [-1.0, 2.0]])
         assert cf.Zero(2, S).values(X) == pytest.approx([0.0, 0.0])
         assert cf.Constant(2, S, c=3.0).values(X) == pytest.approx([3.0, 3.0])
+
+
+def _ref_crossings(f, x, theta):
+    """Crossing times of x +- t theta with each kink surface of f, one
+    surface at a time."""
+    out = []
+    for k in f.kink_surfaces:
+        if isinstance(k, PlaneKink):
+            n = np.asarray(k.normal)
+            den = float(theta @ n)
+            if abs(den) > 1e-14:
+                t = abs((k.offset - float(x @ n)) / den)
+                if t > 1e-14:
+                    out.append(t)
+        else:
+            d = x - np.asarray(k.center)
+            b = float(theta @ d)
+            disc = b * b - (float(d @ d) - k.radius ** 2)
+            if disc >= 0.0:
+                r = math.sqrt(disc)
+                out.extend(t for t in (-b - r, -b + r, b - r, b + r) if t > 1e-14)
+    return sorted(out)
+
+
+def _ref_distances(f, x):
+    """Distances to the planes, then the spheres, then the singular points."""
+    kinks = f.kink_surfaces
+    planes = [abs(float(x @ np.asarray(k.normal)) - k.offset)
+              for k in kinks if isinstance(k, PlaneKink)]
+    spheres = [abs(float(np.linalg.norm(x - np.asarray(k.center))) - k.radius)
+               for k in kinks if not isinstance(k, PlaneKink)]
+    points = [float(np.linalg.norm(x - np.asarray(p))) for p in f.singular_points]
+    return planes + spheres + points
+
+
+KINK_MEMBERS = {
+    "bump": cf.Bump(2, S, center=(0.3, 0.9), r_in=0.5, r_out=1.0),
+    "kelvin": cf.kelvin(0.25, 2, S),
+    "product": cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                          cf.Bump(2, S, center=(0.0, 1.0), r_in=0.6, r_out=1.4)),
+    "rescale": cf.Rescale(cf.Bump(2, S, center=(0.3, 0.9), r_in=0.5, r_out=1.0), 2.0),
+    "translate_truncate": cf.translate_truncate(cf.kelvin(0.25, 2, S)),
+}
+
+
+class TestKinkSet:
+    @pytest.mark.parametrize("name", sorted(KINK_MEMBERS))
+    def test_matches_per_surface_reference(self, name, rng):
+        f = KINK_MEMBERS[name]
+        kinks = _KinkSet.of(f)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 64)
+        thetas = np.stack((np.cos(phi), np.sin(phi)), axis=1)
+        checked = 0
+        for x in rng.uniform(-2.5, 2.5, size=(40, 2)):
+            ref_d = _ref_distances(f, x)
+            if min(ref_d) < 0.05:
+                continue  # crossing times near a surface cancel digits
+            checked += 1
+            np.testing.assert_allclose(kinks.distances(x), ref_d, rtol=1e-12)
+            assert kinks.distance(x) == pytest.approx(min(ref_d), rel=1e-12)
+            T = kinks.crossing_times(x, thetas)
+            assert T.shape == (64, len(kinks.planes) + 4 * kinks.radii.size)
+            for row, th in zip(T, thetas):
+                np.testing.assert_allclose(np.sort(row[np.isfinite(row)]),
+                                           _ref_crossings(f, x, th), rtol=1e-12)
+        assert checked >= 10
+        X = rng.uniform(-2.5, 2.5, size=(5, 2))
+        np.testing.assert_allclose(kinks.distances(X),
+                                   [_ref_distances(f, x) for x in X], rtol=1e-12)
+
+    def test_parallel_ray_and_missed_sphere_are_inf(self):
+        kinks = _KinkSet.of(KINK_MEMBERS["product"])
+        # along e_1 from (3, 0.5): parallel to x_N = 0, clear of both circles
+        T = kinks.crossing_times(np.array([3.0, 0.5]), np.array([[1.0, 0.0]]))
+        assert T.shape == (1, 9)
+        assert np.isinf(T[0, 0])
+        assert np.sum(np.isfinite(T)) == 4  # the rays meet both circles twice
+        T = kinks.crossing_times(np.array([3.0, 2.5]), np.array([[0.0, 1.0]]))
+        assert np.isinf(T[0, 1:]).all()  # both rays miss both circles
+        assert T[0, 0] == pytest.approx(2.5)
+
+    def test_distance_beyond_skips_the_surfaces_through_x(self):
+        kinks = _KinkSet.of(KINK_MEMBERS["kelvin"])
+        x = np.array([0.8, 0.0])
+        assert kinks.distance(x) == 0.0
+        assert kinks.distance(x, beyond=1e-9) == pytest.approx(0.8)
+
+    def test_shared_plane_gives_one_task_edge_per_crossing(self, rng):
+        f = cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                       cf.HalfSpacePower(2, S, alpha=0.3))
+        kinks = _KinkSet.of(f)
+        assert len(kinks.planes) == 2
+        x = np.array([0.2, 0.3])
+        phi = rng.uniform(0.0, 2.0 * math.pi, 50)
+        thetas = np.stack((np.cos(phi), np.sin(phi)), axis=1)
+        tasks, _, _, T0, t_in = _assemble_radial(
+            kinks, x, thetas, S, DEFAULT_CONFIG, inner_mode="subtract",
+            tail_mode="u_map")
+        for k, th in enumerate(thetas):
+            mine = tasks["group"] == k
+            splits = tasks["hi"][mine & tasks["gh"]]
+            cross = abs(x[1] / th[1])
+            assert splits.tolist() == ([pytest.approx(cross, rel=1e-14)]
+                                       if cross > t_in else [])
+            # the inner task, then pieces tiling [t_in, T0] in order
+            lo, hi = tasks["lo"][mine], tasks["hi"][mine]
+            assert (lo[0], hi[0], lo[1], hi[-1]) == (0.0, t_in, t_in, T0[k])
+            np.testing.assert_array_equal(hi[:-1], lo[1:])

@@ -296,6 +296,30 @@ class TestErrorPolicy:
         with pytest.raises(NonsmoothPointError):
             cf.apply_L(const2, S, f, np.array([0.0, 0.0]), fast_cfg)
 
+    def test_correction_refuses_a_point_next_to_a_kink_circle(self, const2, fast_cfg):
+        g = cf.HalfSpacePower(2, S, alpha=0.4)
+        h = cf.Bump(2, S, center=(0.0, 1.0), r_in=0.6, r_out=1.4)
+        # 1e-7 outside the plateau circle, within _REFUSE_FACTOR * |x|
+        x = np.array([0.0, 1.6 + 1e-7])
+        with pytest.raises(NonsmoothPointError):
+            cf.correction_l(const2, S, g, h, x, fast_cfg)
+
+    def test_correction_refuses_a_point_next_to_the_kelvin_origin(self, const2, fast_cfg):
+        g = cf.kelvin(0.25, 2, S)
+        h = cf.Bump(2, S, center=(0.0, 1.0), r_in=0.6, r_out=1.4)
+        # above the on-plane tolerance 1e-9, so not handled as a boundary point
+        x = np.array([1e-8, 2e-8])
+        with pytest.raises(NonsmoothPointError):
+            cf.correction_l(const2, S, g, h, x, fast_cfg)
+
+    def test_pairing_refuses_a_weight_jumping_inside_its_support(self, const2, cfg):
+        u = cf.HalfSpacePower(2, S, alpha=0.4)
+        # the truncation plane x_N = 0 (a jump, exponent None) cuts the
+        # shifted support ball centred at (0, 0.2) with radius 0.5
+        v = cf.translate_truncate(cf.Bump(2, S, center=(0.0, 1.2), r_in=0.2, r_out=0.5))
+        with pytest.raises(InputDomainError, match="exponent"):
+            cf.pairing(const2, S, u, v, 6.0, cfg)
+
     def test_strict_mode_raises_when_budget_missed(self, const2, cfg):
         # with refinement switched off the a-priori panel layout cannot meet
         # the tight default target on the decaying power
