@@ -34,6 +34,7 @@ from .catalog import (
     Rescale,
     ScalarMultiple,
     TranslateTruncate,
+    _KinkSet,
     kelvin,
 )
 # c_alpha is not called here; the name stays bound so that per-module hooks
@@ -41,6 +42,9 @@ from .catalog import (
 from .quadrature import (  # noqa: F401
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _geom_edges,
+    _geometric_tail,
+    _merge_edges,
     c_alpha,
     mc_region_volume,
     sphere_surface_area,
@@ -248,8 +252,9 @@ def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
                  X: np.ndarray):
     """Lu at points strictly below a vanishing half-space: only the mass of u
     reaches them, so Lu(x) = 2 integral of u(z) K(z - x) over the support,
-    evaluated on a graded grid at two resolutions, with the analytic far tail
-    bounded from the decay metadata."""
+    evaluated on a graded grid at two resolutions, with an edge at each
+    kink sphere's extent along each axis and the analytic far tail bounded
+    from the decay metadata."""
     ff = u.far_field
     N = X.shape[1]
     far_x = 2.0 * float(np.max(np.linalg.norm(X, axis=1)))
@@ -262,10 +267,15 @@ def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
                 * 2.0 ** (N + 2.0 * s)
                 * span ** (-(ff.rate + 2.0 * s)) / (ff.rate + 2.0 * s))
 
+    kinks = _KinkSet.of(u)
+    r = kinks.radii[:, None]
+    ext = np.concatenate((kinks.centers - r, kinks.centers + r))
+
     def run(ratio, g):
-        n_z = max(6, int(math.ceil(math.log(span / 1e-6) / math.log(ratio))))
-        ze = 1e-6 * (span / 1e-6) ** (np.arange(n_z + 1) / n_z)
-        edges = [ze] if N == 1 else [np.concatenate([-ze[::-1], [0.0], ze]), ze]
+        ze = _geom_edges(1e-6, span, ratio, 6)
+        edges = [_merge_edges([-ze, [0.0], ze, ext[:, i]], -span, span)
+                 for i in range(N - 1)]
+        edges.append(_merge_edges([ze, ext[:, -1]], 1e-6, span))
         Z, W = _tensor_nodes(edges, g)
         uv = u.values(Z)
         keep = uv != 0.0
@@ -554,28 +564,17 @@ _N_FRAMES = 12
 _PLANE_EPS = 1e-8
 
 
-def _geom_edges(lo: float, hi: float, ratio: float) -> np.ndarray:
-    n = max(2, int(math.ceil(math.log(hi / lo) / math.log(ratio))))
-    return np.geomspace(lo, hi, n + 1)
-
-
-def _cluster_edges(lo: float, hi: float, base_step: float, anchors,
+def _cluster_edges(lo: float, hi: float, base_step: float, anchor: float,
                    h0: float, ratio: float) -> np.ndarray:
     """Edges on [lo, hi]: uniform coverage plus geometric accumulation
-    toward each anchor, starting at offset h0."""
+    toward the anchor, starting at offset h0."""
     n = max(2, int(math.ceil((hi - lo) / base_step)))
-    parts = [np.linspace(lo, hi, n + 1)]
     offs = [h0]
     while offs[-1] < 0.45 * (hi - lo):
         offs.append(offs[-1] * ratio)
     offs = np.asarray(offs)
-    for anc in anchors:
-        parts.append(anc - offs[::-1])
-        parts.append(anc + offs)
-    e = np.concatenate(parts)
-    e = np.unique(np.clip(e, lo, hi))
-    keep = np.concatenate(([True], np.diff(e) > 1e-11 * (1.0 + np.abs(e[1:]))))
-    return e[keep]
+    return _merge_edges([np.linspace(lo, hi, n + 1), anchor - offs, anchor + offs],
+                        lo, hi)
 
 
 class _CutoffMassField:
@@ -586,8 +585,11 @@ class _CutoffMassField:
     complement-weighted power, a nonsingular integral.  Outside the support
     only the mass of phi_alpha itself reaches x.  Both masses run on
     plane-aligned tensor plates at two resolutions; the unbounded complement
-    is finished by dyadic frame sums with measured-ratio completion.  Points
-    in the transition shell fall back to the excision evaluator."""
+    is finished by dyadic frame sums, whose remainder _geometric_tail
+    completes from the last three frames, at their measured ratio or, when
+    that is not clearly below one (alpha near 2s, or s near 0), at the
+    known asymptotic ratio 2^(alpha - 2s) of the frame sums.  Points in the
+    transition shell fall back to the excision evaluator."""
 
     def __init__(self, a: SpectralDensity, s: float, alpha0: float,
                  bump: Bump, cfg: QuadratureConfig):
@@ -643,14 +645,14 @@ class _CutoffMassField:
         else:
             lo1, hi1 = c1 - _PLATE_SPAN, c1 + _PLATE_SPAN
             top = cn + _PLATE_SPAN
-        a1 = [min(max(x[0], lo1), hi1)]
-        an = [min(max(x[1], _PLANE_EPS), top)]
+        a1 = min(max(x[0], lo1), hi1)
+        an = min(max(x[1], _PLANE_EPS), top)
         z1e = _cluster_edges(lo1, hi1, base, a1, h0, ratio)
-        zne = np.unique(np.concatenate([
+        zne = _merge_edges([
             _geom_edges(_PLANE_EPS, 0.5, zn_ratio),
             _cluster_edges(0.5, top, base, an, h0, ratio),
             _cluster_edges(_PLANE_EPS, min(0.5 + h0, top), 0.5, an, h0, ratio),
-        ]))
+        ], _PLANE_EPS, top)
         z, w = _tensor_nodes([z1e, zne], g)
         prof = self.bump.values(z)
         prof = prof if outside else 1.0 - prof
@@ -665,17 +667,10 @@ class _CutoffMassField:
         frame_sums = np.stack([
             operators._conv_L(self.a, self.s, z[i:j], W[i:j], x[None, :])[0]
             for i, j in zip(starts[:-1], starts[1:])])
-        out = {}
-        for al, S in zip(self.alphas, frame_sums.T):
-            r1 = S[-1] / S[-2]
-            r2 = S[-2] / S[-3]
-            if not (0.0 < r1 < 0.97):
-                r1 = 2.0 ** (al - 2.0 * self.s)
-            rem = S[-1] * r1 / (1.0 - r1)
-            drift = abs(r1 - r2) / max(1.0 - r1, 1e-3)
-            out[al] = (float(S.sum() + rem),
-                       float(abs(rem) * (3.0 * drift + 1e-9)))
-        return out
+        rem, err = _geometric_tail(
+            frame_sums[-3:].T, 2.0 ** (np.array(self.alphas) - 2.0 * self.s))
+        return {al: (float(S.sum() + r), float(e))
+                for al, S, r, e in zip(self.alphas, frame_sums.T, rem, err)}
 
     def _plane_remainder(self, clearance: float) -> dict:
         """Mass below the lowest tensor node, bounded along the plane."""
@@ -927,11 +922,10 @@ def rescaled_inequality_experiment(a: SpectralDensity, s: float, p: float,
         rmax = R * (2.0 - gamma0)
 
         def run(ratio, g, na):
-            n_r = max(8, int(math.ceil(math.log(1e30) / math.log(ratio))))
-            re = rmax * (1e-30) ** (1.0 - np.arange(n_r + 1) / n_r)
-            ge = np.concatenate([[0.0], np.geomspace(1e-4, 0.5, na)])
-            te = np.unique(np.concatenate(
-                [ge, np.linspace(0.5, math.pi - 0.5, 7), math.pi - ge]))
+            re = _geom_edges(1e-30 * rmax, rmax, ratio, 8)
+            ge = np.geomspace(1e-4, 0.5, na)
+            te = _merge_edges([ge, np.linspace(0.5, math.pi - 0.5, 7), math.pi - ge],
+                              0.0, math.pi)
             RT, W = _tensor_nodes([re, te], g)
             rr, th = RT[:, 0], RT[:, 1]
             P = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)

@@ -30,8 +30,12 @@ from .errors import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    _radial_batch,
+    _gauss01,
+    _geom_edges,
+    _graded_rows,
     _jump_angles_2d,
+    _merge_edges,
+    _radial_batch,
     c_alpha,
     sphere_quadrature,
     sphere_surface_area,
@@ -362,43 +366,7 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
 # pairing on a truncated box
 # --------------------------------------------------------------------------
 
-def _graded_edges_1d(lo: float, hi: float, n: int, ratio: float,
-                     toward_lo: bool) -> np.ndarray:
-    w = ratio ** np.arange(n, dtype=float)
-    w *= (hi - lo) / w.sum()
-    widths = w if toward_lo else w[::-1]
-    return lo + np.concatenate(([0.0], np.cumsum(widths)))
-
-
-def _merge_edges(edges: np.ndarray, forced) -> np.ndarray:
-    vals = list(map(float, edges))
-    lo, hi = vals[0], vals[-1]
-    for f in forced:
-        if lo + 1e-12 < f < hi - 1e-12:
-            vals.append(float(f))
-    vals = sorted(set(vals))
-    out = [vals[0]]
-    for v in vals[1:]:
-        if v - out[-1] > 1e-10 * (1.0 + abs(v)):
-            out.append(v)
-    if out[-1] != hi:
-        out[-1] = hi
-    return np.asarray(out)
-
-
-def _expanding_edges(lo: float, hi: float, ratio: float) -> np.ndarray:
-    """Edges from lo to hi whose widths grow geometrically (first ~= lo)."""
-    edges = [lo]
-    w = max(lo, 1e-3)
-    while edges[-1] + w < hi:
-        edges.append(edges[-1] + w)
-        w *= ratio
-    edges.append(hi)
-    return np.asarray(edges)
-
-
 def _gauss_on_panels(edges: np.ndarray, n: int):
-    from .quadrature import _gauss01
     xg, wg = _gauss01(n)
     lo = edges[:-1]
     wid = np.diff(edges)
@@ -425,16 +393,9 @@ def _support_edges(v: CatalogFunction, n_side: int, graded_min: int):
     ball = v.support_ball
     c = np.asarray(ball.center, dtype=float)
     r = float(ball.radius)
-    dims = []
-    for i in range(v.dim):
-        lo, hi = c[i] - r, c[i] + r
-        if i == v.dim - 1:
-            lo = max(lo, 0.0)
-            if lo < 1e-9:
-                dims.append(_graded_edges_1d(0.0, hi, max(graded_min, n_side),
-                                             1.5, toward_lo=True))
-                continue
-        dims.append(np.linspace(lo, hi, n_side + 1))
+    dims = [np.linspace(ci - r, ci + r, n_side + 1) for ci in c]
+    if c[-1] - r < 1e-9:
+        dims[-1] = _graded_rows(0.0, c[-1] + r, True, max(graded_min, n_side) - 1, 1.5)
     return dims
 
 
@@ -525,7 +486,7 @@ def _slab_source(k: KelvinHalfSpacePower, fine: bool):
     # both factors of the source are algebraic powers; log-graded panels in
     # each coordinate resolve the integrable singularity at the origin
     nn, nt, gauss = (20, 28, 4) if fine else (13, 19, 3)
-    en = _graded_edges_1d(0.0, 1.0, nn, 2.0, toward_lo=True)
+    en = _graded_rows(0.0, 1.0, True, nn - 1)
     half = np.concatenate(([0.0], np.geomspace(1e-7, _SLAB_SPAN, nt)))
     et = np.concatenate((-half[::-1][:-1], half))
     z, W = _tensor_nodes([et, en], gauss)
@@ -600,9 +561,7 @@ def _excised_L_compact(a: SpectralDensity, s: float, f: CatalogFunction,
 
     def run(delta, n_ang, ratio, g):
         near = hq * delta ** (2.0 - ts2) / (2.0 - ts2)
-        n_r = max(4, int(math.ceil(math.log(rmax / delta) / math.log(ratio))))
-        re_edges = delta * (rmax / delta) ** (np.arange(n_r + 1) / n_r)
-        rr, wr = _gauss_on_panels(re_edges, g)
+        rr, wr = _gauss_on_panels(_geom_edges(delta, rmax, ratio, 4), g)
         ang, wa = _gauss_on_panels(_angular_panel_edges(a, n_ang // 2), g)
         th = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         th_t = np.ascontiguousarray(th.T)
@@ -795,7 +754,6 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
     forced_n = (max(c[1] - r, 0.0), c[1] + r)
     h0 = min(2.0 * (c[1] + r), W)
     r1 = min(max(2.0 * (abs(c[0]) + r), 2.0), W)
-    pad = 0.3 * r
 
     blocks = [(c, r)]
     if u.support_ball is not None:
@@ -803,21 +761,20 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
         blocks.append((np.asarray(bu.center, dtype=float), float(bu.radius)))
 
     def box_edges(n_graded: int, n_mid: int, n_near: int, ratio: float):
-        en = _graded_edges_1d(0.0, h0, n_graded, 1.5, toward_lo=True)
+        en = [_graded_rows(0.0, h0, True, n_graded - 1, 1.5), forced_n]
         if h0 < W:
-            en = np.concatenate((en, _expanding_edges(h0, W, ratio)[1:]))
-        en = _merge_edges(en, forced_n)
-        mid = np.linspace(-r1, r1, n_mid + 1)
-        right = _expanding_edges(r1, W, ratio)[1:] if r1 < W else np.empty(0)
-        et = np.concatenate((-right[::-1], mid, right))
-        et = _merge_edges(et, forced_t)
+            en.append(_geom_edges(h0, W, ratio))
+        et = [np.linspace(-r1, r1, n_mid + 1), forced_t]
+        if r1 < W:
+            right = _geom_edges(r1, W, ratio)
+            et += [right, -right]
         for cb, rb in blocks:
             p = 0.2971 * rb
-            en = _merge_edges(en, tuple(np.linspace(
-                max(cb[1] - rb - p, 0.0), min(cb[1] + rb + p, W), n_near + 1)))
-            et = _merge_edges(et, tuple(np.linspace(
-                max(cb[0] - rb - p, -W), min(cb[0] + rb + p, W), n_near + 1)))
-        return [et, en]
+            en.append(np.linspace(max(cb[1] - rb - p, 0.0),
+                                  min(cb[1] + rb + p, W), n_near + 1))
+            et.append(np.linspace(max(cb[0] - rb - p, -W),
+                                  min(cb[0] + rb + p, W), n_near + 1))
+        return [_merge_edges(et, -W, W), _merge_edges(en, 0.0, W)]
 
     ef = box_edges(12, 8, 20, 1.6)
     ec = box_edges(8, 6, 13, 2.0)

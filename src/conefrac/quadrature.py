@@ -173,17 +173,38 @@ def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w, wg
 
 
-def _graded_rows(lo: np.ndarray, hi: np.ndarray, toward_lo: bool,
-                 levels: int) -> np.ndarray:
+def _graded_rows(lo, hi, toward_lo: bool, levels: int,
+                 ratio: float = 2.0) -> np.ndarray:
     """Panel edges on each [lo, hi], geometrically refined toward one
-    endpoint: one row of levels + 2 edges per interval."""
-    w = hi - lo
-    fracs = 2.0 ** -np.arange(levels, 0, -1)
-    if toward_lo:
-        inner = lo[:, None] + w[:, None] * fracs
-    else:
-        inner = hi[:, None] - w[:, None] * fracs[::-1]
-    return np.column_stack((lo, inner, hi))
+    endpoint: levels + 2 edges per interval, the inner ones (hi - lo)
+    ratio^-k away from that endpoint, k = levels, ..., 1.  Array bounds give
+    one row per interval, scalar bounds a single row."""
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    fracs = ratio ** -np.arange(levels, 0, -1.0)
+    inner = lo + (hi - lo) * fracs if toward_lo else hi - (hi - lo) * fracs[::-1]
+    return np.concatenate((lo, inner, hi), axis=-1)
+
+
+def _geom_edges(lo: float, hi: float, ratio: float, n_min: int = 2) -> np.ndarray:
+    """Edges lo (hi/lo)^(k/n), k = 0, ..., n, on [lo, hi] with 0 < lo < hi:
+    the fewest panels, and at least n_min, whose edge ratio is at most ratio."""
+    n = max(n_min, math.ceil(math.log(hi / lo) / math.log(ratio)))
+    edges = lo * (hi / lo) ** (np.arange(n + 1) / n)
+    edges[-1] = hi
+    return edges
+
+
+def _merge_edges(parts, lo: float, hi: float) -> np.ndarray:
+    """Sorted union of the edge arrays in parts, clipped to [lo, hi], with lo
+    and hi exact and every edge within 1e-10 (1 + |e|) of its predecessor
+    dropped."""
+    edges = np.sort(np.clip(
+        np.concatenate([np.ravel(p) for p in parts] + [[lo, hi]]), lo, hi))
+    edges = edges[np.concatenate(
+        ([True], np.diff(edges) > 1e-10 * (1.0 + np.abs(edges[1:]))))]
+    edges[-1] = hi
+    return edges
 
 
 def _initial_panels(task_lo: np.ndarray, task_hi: np.ndarray,
@@ -202,10 +223,8 @@ def _initial_panels(task_lo: np.ndarray, task_hi: np.ndarray,
             edges = np.concatenate((_graded_rows(lo, mid, True, d),
                                     _graded_rows(mid, hi, False, d)[:, 1:]),
                                    axis=1)
-        elif k == 1:
-            edges = _graded_rows(lo, hi, True, d)
-        elif k == 2:
-            edges = _graded_rows(lo, hi, False, d)
+        elif k:
+            edges = _graded_rows(lo, hi, k == 1, d)
         else:
             edges = np.column_stack((lo, 0.5 * (lo + hi), hi))
         plo_p.append(edges[:, :-1].ravel())
@@ -230,7 +249,7 @@ _PANEL_CHUNK = 512
 
 
 def _eval_panels(evalf, plo: np.ndarray, phi: np.ndarray, ptask: np.ndarray,
-                 orders: tuple[int, int] = (_N_LOW, _N_HIGH)):
+                 orders: tuple[int, int]):
     """Return per-panel high-order values and |high - low| error surrogates.
 
     The integrand is pointwise, so evaluating the panels in chunks gives the
@@ -261,14 +280,14 @@ def _run_tasks(task_lo: np.ndarray, task_hi: np.ndarray,
                group: np.ndarray, n_groups: int,
                evalf: Callable[[np.ndarray, np.ndarray], np.ndarray],
                tol_abs: np.ndarray, tol_rel: np.ndarray,
-               depth, max_rounds: int, floor_shift=None,
-               orders: tuple[int, int] = (_N_LOW, _N_HIGH)):
+               depth, max_rounds: int, floor_shift,
+               orders: tuple[int, int]):
     """Adaptive composite Gauss over a batch of 1-D tasks.
 
     evalf(ts, task_ids) evaluates the integrand; tasks are grouped (one group
     per radial direction) and refined until each group's error surrogate meets
-    its tolerance or the budget runs out.  ``depth`` and ``floor_shift`` may
-    be per-task arrays: tasks whose integrand is cancellation-limited near an
+    its tolerance or the budget runs out.  ``depth`` and ``floor_shift`` are
+    per-task arrays: tasks whose integrand is cancellation-limited near an
     endpoint (Taylor-subtracted second differences) must keep both shallow or
     the refinement chases rounding noise.  A refined panel is bisected at its
     midpoint, except that a long panel away from the origin (lo > 0 and
@@ -277,27 +296,19 @@ def _run_tasks(task_lo: np.ndarray, task_hi: np.ndarray,
     would need ~log2(hi) rounds to resolve an integrand that lives at t ~ lo.
     Deterministic by construction.
     """
-    depth_arr = np.broadcast_to(np.asarray(depth, dtype=np.int64), task_lo.shape)
-    if floor_shift is None:
-        floor_shift = depth_arr + 10
-    floor_arr = np.broadcast_to(np.asarray(floor_shift, dtype=np.int64), task_lo.shape)
     if task_lo.size == 0:
         zeros = np.zeros(n_groups)
         return zeros, zeros.copy(), 0, np.ones(n_groups, dtype=bool)
-    plo, phi, ptask = _initial_panels(np.asarray(task_lo, dtype=float),
-                                      np.asarray(task_hi, dtype=float),
-                                      np.asarray(grade_lo, dtype=bool),
-                                      np.asarray(grade_hi, dtype=bool),
-                                      depth_arr)
-    floors = (task_hi - task_lo) * 2.0 ** -floor_arr.astype(float)
+    plo, phi, ptask = _initial_panels(task_lo, task_hi, grade_lo, grade_hi, depth)
+    floors = (task_hi - task_lo) * 2.0 ** -floor_shift.astype(float)
 
     v, e, nev = _eval_panels(evalf, plo, phi, ptask, orders)
-    for _ in range(max_rounds):
+    for rnd in range(max_rounds + 1):
         pg = group[ptask]
         val_g = np.bincount(pg, weights=v, minlength=n_groups)
         err_g = np.bincount(pg, weights=e, minlength=n_groups)
         needy = err_g > np.maximum(tol_abs, tol_rel * np.abs(val_g))
-        if not np.any(needy):
+        if rnd == max_rounds or not np.any(needy):
             break
         max_g = np.zeros(n_groups)
         np.maximum.at(max_g, pg, e)
@@ -319,86 +330,86 @@ def _run_tasks(task_lo: np.ndarray, task_hi: np.ndarray,
         ptask = np.concatenate((ptask[keep], c_task))
         v = np.concatenate((v[keep], cv))
         e = np.concatenate((e[keep], ce))
-
-    pg = group[ptask]
-    val_g = np.bincount(pg, weights=v, minlength=n_groups)
-    err_g = np.bincount(pg, weights=e, minlength=n_groups)
-    ok = err_g <= np.maximum(tol_abs, tol_rel * np.abs(val_g))
-    return val_g, err_g, nev, ok
+    return val_g, err_g, nev, ~needy
 
 
 # --------------------------------------------------------------------------
 # octave integration with geometric-series completion
 # --------------------------------------------------------------------------
 
+def _geometric_tail(last3, ratio=None) -> tuple[np.ndarray, np.ndarray]:
+    """Remainder after the last term of each row of last3 (a series' last
+    three terms v_{L-2}, v_{L-1}, v_L) and its error.  With r1 = v_L / v_{L-1}
+    and r2 = v_{L-1} / v_{L-2} both below 0.97 in size the remainder is
+    v_L r1 / (1 - r1), charged 3 |r1 - r2| / (1 - |r1|) of itself, at most
+    all of it.  Other rows are completed at their known asymptotic ratio q
+    (|q| < 1, one or one per row) if given, charged 3 max(|q - r1|,
+    |q - r2|) / (1 - |q|) uncapped; else they get no remainder and an
+    infinite error.  A row ending in 0 needs nothing."""
+    v2, v1, v = np.asarray(last3, dtype=float).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1, r2 = v / v1, v1 / v2
+        good = (np.abs(r1) < 0.97) & (np.abs(r2) < 0.97)
+        q = np.where(good, r1, 0.0 if ratio is None else ratio)
+        rem = v * q / (1.0 - q)
+        drift = (np.maximum(np.abs(q - r1), np.abs(q - r2))
+                 / np.maximum(1.0 - np.abs(q), 1e-3))
+        err = np.abs(rem) * np.minimum(3.0 * drift + 1e-12,
+                                       np.where(good, 1.0, np.inf))
+    err = np.where(good | ((ratio is not None) & ~np.isnan(err)), err, np.inf)
+    return rem, np.where(v == 0.0, 0.0, err)
+
+
+# octaves per evalf call, and the most octaves a source gets
+_OCTAVE_CHUNK, _MAX_OCTAVES = 12, 64
+
+
 def _octave_batch(evalf, hi: np.ndarray, group: np.ndarray, n_groups: int,
-                  tol_abs: np.ndarray, task_ids: np.ndarray = None,
-                  max_octaves: int = 64, chunk: int = 12,
-                  orders: tuple[int, int] = (_N_LOW, _N_HIGH)):
-    """Integrate sum_j int_{hi 2^{-j-1}}^{hi 2^{-j}} f for each group down to 0.
+                  tol_abs: np.ndarray, task_ids: np.ndarray,
+                  orders: tuple[int, int]):
+    """Integrate sum_j int_{hi 2^{-j-1}}^{hi 2^{-j}} f for each source down to
+    0, summed per group; source k hands task_ids[k] to evalf.
 
     The integrand is assumed to behave like a power u^{kappa-1} near 0 with
-    kappa > 0; once octave contributions decay geometrically the unresolved
-    remainder is completed from the measured ratio, with the ratio drift
-    folded into the error estimate.  ``task_ids`` maps each source to the id
-    handed to evalf (defaults to the source index).
+    kappa > 0.  Every source is finished once, from its own last three
+    octaves, by _geometric_tail: the measured-ratio remainder with the ratio
+    drift folded into the error, or no remainder and an infinite error when
+    those octaves do not decay geometrically.  A source that stopped early
+    already carries its stop charge, so that infinite error is kept only for
+    a source that ran out of octaves.
     """
-    K = hi.size
-    if task_ids is None:
-        task_ids = np.arange(K, dtype=np.int64)
     vals = np.zeros(n_groups)
     errs = np.zeros(n_groups)
     nev = 0
-    # per-source octave history, needed for the ratio measurement
-    hist: list[np.ndarray] = []
+    last3 = np.zeros((hi.size, 3))
     j0 = 0
-    active = np.ones(K, dtype=bool)
-    while j0 < max_octaves and np.any(active):
-        js = np.arange(j0, min(j0 + chunk, max_octaves))
+    active = np.ones(hi.size, dtype=bool)
+    while j0 < _MAX_OCTAVES and np.any(active):
+        js = np.arange(j0, min(j0 + _OCTAVE_CHUNK, _MAX_OCTAVES))
         act_idx = np.nonzero(active)[0]
         lo = hi[act_idx, None] * 2.0 ** -(js[None, :] + 1.0)
         up = hi[act_idx, None] * 2.0 ** -js[None, :].astype(float)
-        plo = lo.ravel()
-        phi = up.ravel()
-        ptask = np.repeat(task_ids[act_idx], js.size)
-        v, e, n2 = _eval_panels(evalf, plo, phi, ptask, orders)
+        v, e, n2 = _eval_panels(evalf, lo.ravel(), up.ravel(),
+                                np.repeat(task_ids[act_idx], js.size), orders)
         nev += n2
         v = v.reshape(act_idx.size, js.size)
         e = e.reshape(act_idx.size, js.size)
-        block = np.zeros((K, js.size))
-        block_e = np.zeros((K, js.size))
-        block[act_idx] = v
-        block_e[act_idx] = e
-        hist.append(block)
+        last3[act_idx] = np.concatenate((last3[act_idx], v), axis=1)[:, -3:]
         np.add.at(vals, group[act_idx], v.sum(axis=1))
         np.add.at(errs, group[act_idx], e.sum(axis=1))
         # a source may stop once its last octave is negligible against its
         # group tolerance and decaying at ratio <= 1/2, which bounds the
         # remaining sum by the last octave itself
-        last = np.abs(v[:, -1])
-        prev = np.abs(v[:, -2]) if js.size > 1 else last + 1.0
+        last = np.abs(last3[act_idx, 2])
         tolg = tol_abs[group[act_idx]]
-        done = (last <= 0.02 * tolg) & (last <= 0.5 * prev)
+        done = (last <= 0.02 * tolg) & (last <= 0.5 * np.abs(last3[act_idx, 1]))
         np.add.at(errs, group[act_idx[done]], 2.0 * last[done])
         active[act_idx[done]] = False
         j0 += js.size
-    # geometric completion from the last two octaves of every source
-    allv = np.concatenate(hist, axis=1) if hist else np.zeros((K, 0))
-    if allv.shape[1] >= 3:
-        vL = allv[:, -1]
-        vL1 = allv[:, -2]
-        vL2 = allv[:, -3]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(vL1 != 0.0, vL / vL1, 0.0)
-            r2 = np.where(vL2 != 0.0, vL1 / vL2, 0.0)
-        good = (np.abs(r1) < 0.97) & (np.abs(r2) < 0.97) & (np.abs(vL) > 0.0)
-        rem = np.where(good, vL * r1 / (1.0 - np.where(good, r1, 0.0)), 0.0)
-        drift = np.abs(r1 - r2) / np.maximum(1.0 - np.abs(r1), 1e-3)
-        rem_err = np.where(good, np.abs(rem) * np.minimum(3.0 * drift + 1e-12, 1.0)
-                           + 1e-16 * np.abs(rem),
-                           np.abs(vL) * 4.0)
-        np.add.at(vals, group, rem)
-        np.add.at(errs, group, rem_err)
+    rem, rem_err = _geometric_tail(last3)
+    rem_err = np.where(active | np.isfinite(rem_err), rem_err, 0.0)
+    np.add.at(vals, group, rem)
+    np.add.at(errs, group, rem_err)
     return vals, errs, nev
 
 
@@ -571,11 +582,11 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
         if is_marked(lo, graded_all):
             d = strong_depth if is_marked(lo, strong) else _MIN_DEPTH
             edges = np.concatenate(
-                (_graded_rows(edges[:1], edges[1:2], True, d)[0], edges[2:]))
+                (_graded_rows(edges[0], edges[1], True, d), edges[2:]))
         if is_marked(hi, graded_all):
             d = strong_depth if is_marked(hi, strong) else _MIN_DEPTH
             edges = np.concatenate(
-                (edges[:-2], _graded_rows(edges[-2:-1], edges[-1:], False, d)[0]))
+                (edges[:-2], _graded_rows(edges[-2], edges[-1], False, d)))
         plo_parts.append(edges[:-1])
         phi_parts.append(edges[1:])
     plo = np.concatenate(plo_parts)

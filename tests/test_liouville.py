@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, dblquad
 
 import conefrac as cf
+from conefrac import operators
 from conefrac.errors import DegenerateConstructionError, InputDomainError
+from conefrac.liouville import _CutoffMassField, _L_field
 from conefrac.quadrature import DEFAULT_CONFIG
 
 
@@ -167,6 +169,28 @@ class TestStepOneValidation:
     def test_gamma_window(self, const2, cfg):
         with pytest.raises(InputDomainError):
             cf.step_one_M(const2, 0.5, 0.75, 0.0, cfg)
+
+
+class TestCutoffMassField:
+    def test_frames_near_alpha_two_s_complete_at_the_known_ratio(self, const2, cfg):
+        # with alpha0 = 0.98 and s = 0.5 the frame sums decay at
+        # 2^(alpha0 - 2s) ~ 0.986, too close to 1 for the measured ratio; the
+        # far field beyond the last frame is ~70 times its sum and must be
+        # completed at the known ratio, with a finite error
+        s, alpha0 = 0.5, 0.98
+        bump = cf.Bump(2, s, center=(0.0, 0.5), r_in=0.75, r_out=1.0)
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        field = _CutoffMassField(const2, s, alpha0, bump, loose)
+        X = np.array([[0.0, 0.5], [0.3, 0.7]])
+        z, W, starts = field.frames[0]
+        for x in X:
+            S = [operators._conv_L(const2, s, z[i:j], W[i:j], x[None, :])[0][0]
+                 for i, j in zip(starts[-3:-1], starts[-2:])]
+            assert S[1] / S[0] >= 0.97
+        va, ea, vs, es = field.L_pair(X)
+        assert np.all(np.isfinite(ea)) and np.all(np.isfinite(es))
+        ref, ref_err, _ = _L_field(const2, s, field.phia, X, loose)
+        assert np.all(np.abs(va - ref) <= ea + ref_err)
 
 
 class TestRescaledRows:

@@ -213,14 +213,16 @@ class TestMassKernel:
         if name == "cone":
             assert seen == {1.0, 0.25}
 
-    def test_mass_only_field_in_one_dimension(self):
-        # below the boundary point only the mass of the translate-truncated
-        # decaying power reaches x, so Lu(x) = 2 int_0^inf u(z) (z - x)^{-1-2s}
-        # dz, here against scipy's quad
-        s = 0.3
+    @pytest.mark.parametrize("s,u,X", [
+        (0.3, cf.translate_truncate(cf.kelvin(0.15, 1, 0.3)), [-0.01, -0.5, -3.0]),
+        # a bump clear of the boundary point: its kink points need edges
+        (0.5, cf.Bump(1, 0.5, center=(1.0,), r_in=0.2, r_out=0.5), [-0.05, -0.5, -2.0]),
+    ], ids=["translate_truncate", "bump"])
+    def test_mass_only_field_in_one_dimension(self, s, u, X):
+        # below the boundary point only the mass of u reaches x, so
+        # Lu(x) = 2 int_0^inf u(z) (z - x)^{-1-2s} dz, here against scipy's quad
         a = cf.ConstantDensity(1)
-        u = cf.translate_truncate(cf.kelvin(0.15, 1, s))
-        X = np.array([[-0.01], [-0.5], [-3.0]])
+        X = np.array(X)[:, None]
         vals, errs, nev = _mass_only_L(a, s, u, X)
         assert nev > 0
         for x, v, e in zip(X[:, 0], vals, errs):

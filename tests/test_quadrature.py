@@ -10,7 +10,9 @@ from scipy.special import binom
 
 import conefrac as cf
 from conefrac.errors import InputDomainError
-from conefrac.quadrature import DEFAULT_CONFIG, _gauss01, _kronrod01
+from conefrac.quadrature import (DEFAULT_CONFIG, _gauss01, _geom_edges,
+                                  _geometric_tail, _graded_rows, _kronrod01,
+                                  _merge_edges, _octave_batch)
 
 
 def series_tail_oracle(a, s, d=0.1, T=50.0):
@@ -120,6 +122,124 @@ class TestKronrod:
         for xs, ws in ((2.0 * x[::-1] - 1.0, 2.0 * wk[::-1]), (1.0 - 2.0 * x, 2.0 * wk)):
             assert np.max(np.abs(xs[:8] - QK15_X)) <= 1e-15
             assert np.max(np.abs(ws[:8] - QK15_W)) <= 1e-15
+
+
+class TestPanelEdges:
+    @pytest.mark.parametrize("levels", [1, 3, 6, 18])
+    @pytest.mark.parametrize("toward_lo", [True, False])
+    def test_graded_rows_at_ratio_two_is_the_dyadic_formula(self, levels, toward_lo):
+        rng = np.random.default_rng(levels)
+        lo = rng.uniform(-2.0, 2.0, 7)
+        hi = lo + rng.uniform(1e-3, 5.0, 7)
+        w = hi - lo
+        fracs = 2.0 ** -np.arange(levels, 0, -1)
+        inner = (lo[:, None] + w[:, None] * fracs if toward_lo
+                 else hi[:, None] - w[:, None] * fracs[::-1])
+        want = np.column_stack((lo, inner, hi))
+        got = _graded_rows(lo, hi, toward_lo, levels)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_graded_rows(lo[2], hi[2], toward_lo, levels), want[2])
+
+    def test_graded_rows_other_ratio(self):
+        e = _graded_rows(0.0, 3.0, True, 4, 1.5)
+        assert e[0] == 0.0 and e[-1] == 3.0
+        np.testing.assert_allclose(e[1:-1], 3.0 * 1.5 ** -np.arange(4.0, 0.0, -1.0),
+                                   rtol=1e-15)
+        e = _graded_rows(1.0, 4.0, False, 4, 1.5)
+        np.testing.assert_allclose(4.0 - e[-2:0:-1],
+                                   3.0 * 1.5 ** -np.arange(4.0, 0.0, -1.0), rtol=1e-15)
+
+    @pytest.mark.parametrize("lo,hi,ratio,n_min", [
+        (1e-6, 600.0, 1.35, 6), (1e-30, 3.5, 1.55, 8), (2.8, 50.0, 1.6, 2),
+        (1.0, 1.2, 2.0, 4), (0.003, 2.5, 1.7, 4)])
+    def test_geom_edges(self, lo, hi, ratio, n_min):
+        e = _geom_edges(lo, hi, ratio, n_min)
+        assert e[0] == lo and e[-1] == hi
+        assert np.all(e[1:] / e[:-1] <= ratio * (1.0 + 1e-12))
+        assert np.all(np.diff(e) > 0.0)
+        assert e.size - 1 >= n_min
+
+    def test_merge_edges(self):
+        e = _merge_edges([np.linspace(0.0, 1.0, 5), [0.3, -0.4, 1.7, 0.5 + 1e-12],
+                          [0.9, 0.3 + 1e-13]], 0.0, 1.0)
+        assert np.all(np.diff(e) > 0.0)
+        assert e[0] == 0.0 and e[-1] == 1.0
+        np.testing.assert_array_equal(e, [0.0, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0])
+        # an edge just below hi gives way to hi itself
+        e = _merge_edges([[0.5, 2.0 - 1e-12]], -1.0, 2.0)
+        np.testing.assert_array_equal(e, [-1.0, 0.5, 2.0])
+
+
+class TestGeometricTail:
+    @pytest.mark.parametrize("r", [0.5, -0.5])
+    def test_geometric_rows_are_completed_exactly(self, r):
+        v = 0.3 * r ** np.arange(3.0)
+        rem, err = _geometric_tail(v[None, :])
+        exact = v[-1] * r / (1.0 - r)
+        assert rem[0] == pytest.approx(exact, rel=1e-14)
+        assert err[0] <= 1e-11 * abs(exact)
+
+    @pytest.mark.parametrize("row", [0.99 ** np.arange(3.0), [1.0, 0.0, 1e-3],
+                                     [0.0, 1e-3, 1e-4]])
+    def test_no_geometric_decay_gives_an_infinite_error(self, row):
+        rem, err = _geometric_tail(np.asarray(row)[None, :])
+        assert rem[0] == 0.0 and err[0] == math.inf
+
+    def test_known_ratio_completes_slow_rows(self):
+        # measured ratios at or above 0.97 fall back to the known ratio;
+        # a term that does not follow it costs an infinite error
+        q = np.array([0.99, 0.5])
+        rows = np.array([0.99 ** np.arange(3.0), [1.0, 0.0, 1e-3]])
+        rem, err = _geometric_tail(rows, q)
+        assert rem[0] == pytest.approx(0.99 ** 3 / 0.01, rel=1e-12)
+        assert err[0] <= 1e-10 * rem[0]
+        assert err[1] == math.inf
+        # a fast row keeps its measured ratio whatever the known one
+        v = 0.3 * 0.5 ** np.arange(3.0)
+        assert _geometric_tail(v[None, :], 0.9)[0][0] == _geometric_tail(v[None, :])[0][0]
+
+    def test_row_ending_in_zero_needs_nothing(self):
+        rem, err = _geometric_tail(np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0]]))
+        assert np.array_equal(rem, [0.0, 0.0]) and np.array_equal(err, [0.0, 0.0])
+
+    def test_octave_source_does_not_depend_on_its_batch(self):
+        # int_0^1 kappa t^(kappa - 1) dt = 1.  The kappa = 1.5 source stops
+        # after two chunks; batched with a slowly decaying kappa = 0.05
+        # source, which runs on, it must still be completed the same way
+        kappa = np.array([1.5, 0.05])
+
+        def evalf(ts, ids):
+            k = kappa[ids]
+            return k * ts ** (k - 1.0)
+
+        def run(n):
+            ids = np.arange(n)
+            return _octave_batch(evalf, np.ones(n), ids, n, np.full(n, 1e-8), ids,
+                                 (7, 15))
+
+        alone, alone_err, _ = run(1)
+        both, both_err, _ = run(2)
+        assert abs(alone[0] - 1.0) <= 1e-15
+        assert both[0] == alone[0] and both_err[0] == alone_err[0]
+        assert abs(both[1] - 1.0) <= both_err[1]
+
+    def test_stopped_source_keeps_its_stop_charge(self):
+        # F(t) = t^2 - a t^3 with a = 6 / (7 u0): the octave [u0/2, u0],
+        # u0 = 2^-9, integrates to 0, so the last three octaves of the first
+        # chunk are not geometric although the source stops after it; its
+        # stop charge bounds the rest, 2^-24 - a 2^-36
+        u0 = 2.0 ** -9
+        a = 6.0 / (7.0 * u0)
+
+        def evalf(ts, ids):
+            return 2.0 * ts - 3.0 * a * ts ** 2
+
+        one = np.zeros(1, dtype=np.int64)
+        val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, np.full(1, 1e-5),
+                                      one, (7, 15))
+        assert nev == 12 * (7 + 15)
+        assert math.isfinite(err[0])
+        assert abs(val[0] - (1.0 - a)) <= err[0] <= 1e-6
 
 
 class TestSphereQuadrature:
