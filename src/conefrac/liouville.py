@@ -538,6 +538,7 @@ def gamma_search(nu, tau: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
 class RegionEstimate:
     region: str
     M_est: float
+    M_err: float
     sup_x: tuple
     n_points: int
 
@@ -545,6 +546,7 @@ class RegionEstimate:
 @dataclass(frozen=True)
 class StepOneReport:
     M_est: float
+    M_err: float
     sup_x: tuple
     stability: float
     n_samples: int
@@ -797,7 +799,9 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
 
     The ratio is sampled on deterministic grids graded toward the sphere,
     the boundary plane, and their corner, on two refinements; the relative
-    change is reported as stability.  Outside the ball both test functions
+    change is reported as stability.  M_err (per region too) is the error
+    of the ratio at the sup point, (e_alpha0 + e_s) / phi_s from the error
+    estimates of both operator values.  Outside the ball both test functions
     vanish, so the numerator drops to a nonpositive pure mass term; the
     audit checks that sign at a ring of exterior points.
     """
@@ -821,12 +825,12 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
 
     def sup_pass(k):
         pts = _step_one_samples(h, phi.r_in, k)
-        va, _, vs, _ = field.L_pair(pts)
-        ratios = (-va - vs) / field.phis.values(pts)
-        return pts, ratios
+        va, ea, vs, es = field.L_pair(pts)
+        phis = field.phis.values(pts)
+        return pts, (-va - vs) / phis, (ea + es) / phis
 
-    pts_b, ratios_b = sup_pass(2)
-    pts_d, ratios_d = sup_pass(4)
+    pts_b, ratios_b, _ = sup_pass(2)
+    pts_d, ratios_d, errs_d = sup_pass(4)
     M_base = float(np.max(ratios_b))
     M_dense = float(np.max(ratios_d))
     stability = abs(M_dense - M_base) / max(abs(M_dense), 1e-300)
@@ -835,12 +839,12 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
     for name in ("interior", "sphere", "flat", "corner"):
         mask = labels == name
         if not np.any(mask):
-            regions.append(RegionEstimate(name, -math.inf, (), 0))
+            regions.append(RegionEstimate(name, -math.inf, 0.0, (), 0))
             continue
         j = int(np.argmax(np.where(mask, ratios_d, -np.inf)))
         regions.append(RegionEstimate(
-            region=name, M_est=float(ratios_d[j]), sup_x=tuple(pts_d[j]),
-            n_points=int(mask.sum())))
+            region=name, M_est=float(ratios_d[j]), M_err=float(errs_d[j]),
+            sup_x=tuple(pts_d[j]), n_points=int(mask.sum())))
     i0 = int(np.argmax(ratios_d))
     audit_max, audit_arg, audit_n = -math.inf, (), 0
     if audit:
@@ -860,8 +864,9 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
         j = int(np.argmax(numer))
         audit_max, audit_arg, audit_n = float(numer[j]), tuple(ext[j]), len(ext)
     return StepOneReport(
-        M_est=M_dense, sup_x=tuple(pts_d[i0]), stability=float(stability),
-        n_samples=int(pts_d.shape[0]), regions=tuple(regions),
+        M_est=M_dense, M_err=float(errs_d[i0]), sup_x=tuple(pts_d[i0]),
+        stability=float(stability), n_samples=int(pts_d.shape[0]),
+        regions=tuple(regions),
         audit_max=audit_max, audit_argmax=audit_arg, audit_n=audit_n,
         alpha0=float(alpha0), gamma0=float(gamma0))
 
@@ -969,6 +974,7 @@ class ScanRow:
     eps_max: float
     min_margin: float
     certified: bool
+    error: str = ""  # "ClassName: message" of the failure in an "error" row
 
 
 def liouville_scan(a: SpectralDensity, s: float, p_grid, mode: str,
@@ -983,7 +989,8 @@ def liouville_scan(a: SpectralDensity, s: float, p_grid, mode: str,
     boundary plane, where a truncated candidate loses the inequality to its
     own mass.  Construction is only available for constant densities; rows
     for anisotropic densities above threshold record that.  Per-row errors
-    are recorded in the row rather than aborting the scan.
+    are recorded in the row (regime "error", with the exception's class and
+    message in ``error``) rather than aborting the scan.
     """
     if mode not in ("halfspace", "wholespace"):
         raise InputDomainError(f"unknown mode {mode!r}")
@@ -1027,7 +1034,7 @@ def liouville_scan(a: SpectralDensity, s: float, p_grid, mode: str,
                     alpha=best.alpha, C_alpha=best.C_alpha,
                     eps_max=best.eps_max, min_margin=best.min_margin,
                     certified=any(c.certified for c in cands)))
-        except ConefracError:
+        except ConefracError as exc:
             rows.append(ScanRow(p, threshold, "error", nan, nan, nan, nan,
-                                False))
+                                False, f"{type(exc).__name__}: {exc}"))
     return tuple(rows)

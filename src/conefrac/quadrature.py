@@ -207,24 +207,31 @@ def _merge_edges(parts, lo: float, hi: float) -> np.ndarray:
     return edges
 
 
+_MIN_DEPTH = 6
+
+
+def _depth_for_tol(tol_rel: float) -> int:
+    return int(np.clip(7 + 1.2 * math.log10(1.0 / max(tol_rel, 1e-16)),
+                       _MIN_DEPTH, 40))
+
+
 def _initial_panels(task_lo: np.ndarray, task_hi: np.ndarray,
-                    grade_lo: np.ndarray, grade_hi: np.ndarray,
-                    depth: np.ndarray):
-    """First panel layout of every task, in task order: graded toward each
-    flagged endpoint (toward both from the midpoint), else two halves.
-    Returns panel (lo, hi, task) arrays."""
+                    grade_lo: np.ndarray, grade_hi: np.ndarray):
+    """First panel layout of every task, in task order: graded _MIN_DEPTH
+    levels toward each flagged endpoint (toward both from the midpoint),
+    else two halves.  Returns panel (lo, hi, task) arrays."""
     kind = grade_lo.astype(np.int64) + 2 * grade_hi.astype(np.int64)
     plo_p, phi_p, ptask_p = [], [], []
-    for k, d in np.unique(np.column_stack((kind, depth)), axis=0):
-        idx = np.nonzero((kind == k) & (depth == d))[0]
+    for k in np.unique(kind):
+        idx = np.nonzero(kind == k)[0]
         lo, hi = task_lo[idx], task_hi[idx]
         if k == 3:
             mid = 0.5 * (lo + hi)
-            edges = np.concatenate((_graded_rows(lo, mid, True, d),
-                                    _graded_rows(mid, hi, False, d)[:, 1:]),
+            edges = np.concatenate((_graded_rows(lo, mid, True, _MIN_DEPTH),
+                                    _graded_rows(mid, hi, False, _MIN_DEPTH)[:, 1:]),
                                    axis=1)
         elif k:
-            edges = _graded_rows(lo, hi, k == 1, d)
+            edges = _graded_rows(lo, hi, k == 1, _MIN_DEPTH)
         else:
             edges = np.column_stack((lo, 0.5 * (lo + hi), hi))
         plo_p.append(edges[:, :-1].ravel())
@@ -235,12 +242,21 @@ def _initial_panels(task_lo: np.ndarray, task_hi: np.ndarray,
     return np.concatenate(plo_p)[order], np.concatenate(phi_p)[order], ptask[order]
 
 
-_MIN_DEPTH = 6
-
-
-def _depth_for_tol(tol_rel: float) -> int:
-    return int(np.clip(7 + 1.2 * math.log10(1.0 / max(tol_rel, 1e-16)),
-                       _MIN_DEPTH, 40))
+def _split_panels(lo: np.ndarray, hi: np.ndarray, at_lo: np.ndarray,
+                  at_hi: np.ndarray, mid: np.ndarray):
+    """Children of the panels [lo, hi]: a three-level _graded_rows row toward
+    lo where at_lo, else toward hi where at_hi, else the two halves at mid.
+    Returns child (lo, hi) arrays and the index of each child's panel."""
+    at_hi = at_hi & ~at_lo
+    plain = ~(at_lo | at_hi)
+    idx = np.arange(lo.size)
+    rows = (_graded_rows(lo[at_lo], hi[at_lo], True, 3),
+            _graded_rows(lo[at_hi], hi[at_hi], False, 3),
+            np.column_stack((lo[plain], mid[plain], hi[plain])))
+    parent = np.concatenate((np.repeat(idx[at_lo], 4), np.repeat(idx[at_hi], 4),
+                             np.repeat(idx[plain], 2)))
+    return (np.concatenate([r[:, :-1].ravel() for r in rows]),
+            np.concatenate([r[:, 1:].ravel() for r in rows]), parent)
 
 
 # panels per integrand call in _eval_panels: keeps the temporaries of one
@@ -279,35 +295,35 @@ def _run_tasks(task_lo: np.ndarray, task_hi: np.ndarray,
                grade_lo: np.ndarray, grade_hi: np.ndarray,
                group: np.ndarray, n_groups: int,
                evalf: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               tol_abs: np.ndarray, tol_rel: np.ndarray,
-               depth, max_rounds: int, floor_shift,
-               orders: tuple[int, int]):
+               tol_abs: np.ndarray, tol_rel: np.ndarray, offset: np.ndarray,
+               max_rounds: int, floor_shift: int, orders: tuple[int, int]):
     """Adaptive composite Gauss over a batch of 1-D tasks.
 
     evalf(ts, task_ids) evaluates the integrand; tasks are grouped (one group
-    per radial direction) and refined until each group's error surrogate meets
-    its tolerance or the budget runs out.  ``depth`` and ``floor_shift`` are
-    per-task arrays: tasks whose integrand is cancellation-limited near an
-    endpoint (Taylor-subtracted second differences) must keep both shallow or
-    the refinement chases rounding noise.  A refined panel is bisected at its
-    midpoint, except that a long panel away from the origin (lo > 0 and
-    hi > 4 lo) is split at the geometric mean sqrt(lo hi): a ray nearly
+    per radial direction) and refined until each group's error surrogate
+    meets max(tol_abs, tol_rel |value + offset|), offset being what the
+    caller adds to the group's panel sum, or the budget runs out.  Tasks
+    start graded _MIN_DEPTH levels toward their flagged ends.  A refined
+    panel at a graded task end becomes a three-level graded row toward it,
+    as in the sphere rule; any other is bisected at its midpoint, or at the
+    geometric mean sqrt(lo hi) if lo > 0 and hi > 4 lo: a ray nearly
     parallel to a kink plane meets it at t >> 1, and arithmetic bisection
     would need ~log2(hi) rounds to resolve an integrand that lives at t ~ lo.
-    Deterministic by construction.
+    Panels narrower than their task's span times 2^-floor_shift are not
+    split.  Returns the per-group panel sums, error surrogates and
+    evaluation count.  Deterministic by construction.
     """
     if task_lo.size == 0:
-        zeros = np.zeros(n_groups)
-        return zeros, zeros.copy(), 0, np.ones(n_groups, dtype=bool)
-    plo, phi, ptask = _initial_panels(task_lo, task_hi, grade_lo, grade_hi, depth)
-    floors = (task_hi - task_lo) * 2.0 ** -floor_shift.astype(float)
+        return np.zeros(n_groups), np.zeros(n_groups), 0
+    plo, phi, ptask = _initial_panels(task_lo, task_hi, grade_lo, grade_hi)
+    floors = (task_hi - task_lo) * 2.0 ** -float(floor_shift)
 
     v, e, nev = _eval_panels(evalf, plo, phi, ptask, orders)
     for rnd in range(max_rounds + 1):
         pg = group[ptask]
         val_g = np.bincount(pg, weights=v, minlength=n_groups)
         err_g = np.bincount(pg, weights=e, minlength=n_groups)
-        needy = err_g > np.maximum(tol_abs, tol_rel * np.abs(val_g))
+        needy = err_g > np.maximum(tol_abs, tol_rel * np.abs(val_g + offset))
         if rnd == max_rounds or not np.any(needy):
             break
         max_g = np.zeros(n_groups)
@@ -316,12 +332,13 @@ def _run_tasks(task_lo: np.ndarray, task_hi: np.ndarray,
         sel = needy[pg] & (e > 0.15 * max_g[pg]) & (wid > floors[ptask])
         if not np.any(sel) or plo.size > 400_000:
             break
-        s_lo, s_hi = plo[sel], phi[sel]
+        s_lo, s_hi, s_task = plo[sel], phi[sel], ptask[sel]
         geo = (s_lo > 0.0) & (s_hi > 4.0 * s_lo)
-        mid = np.where(geo, np.sqrt(s_lo * s_hi), 0.5 * (s_lo + s_hi))
-        c_lo = np.concatenate((s_lo, mid))
-        c_hi = np.concatenate((mid, s_hi))
-        c_task = np.concatenate((ptask[sel], ptask[sel]))
+        c_lo, c_hi, parent = _split_panels(
+            s_lo, s_hi, grade_lo[s_task] & (s_lo == task_lo[s_task]),
+            grade_hi[s_task] & (s_hi == task_hi[s_task]),
+            np.where(geo, np.sqrt(s_lo * s_hi), 0.5 * (s_lo + s_hi)))
+        c_task = s_task[parent]
         cv, ce, n2 = _eval_panels(evalf, c_lo, c_hi, c_task, orders)
         nev += n2
         keep = ~sel
@@ -330,7 +347,7 @@ def _run_tasks(task_lo: np.ndarray, task_hi: np.ndarray,
         ptask = np.concatenate((ptask[keep], c_task))
         v = np.concatenate((v[keep], cv))
         e = np.concatenate((e[keep], ce))
-    return val_g, err_g, nev, ~needy
+    return val_g, err_g, nev
 
 
 # --------------------------------------------------------------------------
@@ -622,15 +639,9 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
         # a panel at a marked angle is graded three levels toward it, any
         # other panel is halved
         s_lo, s_hi = plo[sel], phi[sel]
-        at_lo = is_marked(s_lo, graded_all)
-        at_hi = is_marked(s_hi, graded_all) & ~at_lo
-        plain = ~(at_lo | at_hi)
-        rows = (_graded_rows(s_lo[at_lo], s_hi[at_lo], True, 3),
-                _graded_rows(s_lo[at_hi], s_hi[at_hi], False, 3),
-                np.column_stack((s_lo[plain], 0.5 * (s_lo[plain] + s_hi[plain]),
-                                 s_hi[plain])))
-        c_lo = np.concatenate([r[:, :-1].ravel() for r in rows])
-        c_hi = np.concatenate([r[:, 1:].ravel() for r in rows])
+        c_lo, c_hi, _ = _split_panels(s_lo, s_hi, is_marked(s_lo, graded_all),
+                                      is_marked(s_hi, graded_all),
+                                      0.5 * (s_lo + s_hi))
         cv, cr, cn, n2 = eval_batch(c_lo, c_hi)
         nev += n2
         keep = ~sel
@@ -803,7 +814,8 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, s: floa
     every time at which either ray crosses a kink surface, and at the
     distance along the ray to each singular point the ray passes close to;
     T0_k = max(last split, 2 t_in, 1).  Splits closer than 1e-12 (1 + t) to
-    the previous one kept are dropped, and panel ends at a split are graded.
+    the previous one kept are dropped.  Task ends at a split are graded, no
+    others: not t_in or T0, and not t = 0 (see _radial_batch).
     The table is direction-major: for each direction the inner task (in
     "subtract" mode), then its pieces in increasing t.
 
@@ -863,7 +875,7 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, s: floa
     k_col = np.broadcast_to(np.arange(K)[:, None], valid.shape)[valid]
     tasks = {
         "lo": E[:, :-1][valid], "hi": E[:, 1:][valid],
-        "gl": np.broadcast_to(j != p, valid.shape)[valid],
+        "gl": np.broadcast_to(j > p, valid.shape)[valid],
         "gh": ((j >= p) & (j < p + n[:, None]))[valid],
         "mode": np.broadcast_to((j < p).astype(np.int64), valid.shape)[valid],
         "theta": k_col, "group": k_col,
@@ -891,6 +903,16 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     ray point batches.  quad_coefs[k] is the exact quadratic coefficient
     subtracted on the inner segment for direction k (required in "subtract"
     mode).  The tolerances per direction default to the config's.
+
+    The closed-form inner quadratic, the compact tail constant and both
+    octave completions are computed first; their per-direction sum is the
+    offset of _run_tasks' relative target, which holds each direction to its
+    final value.  At a zero of the operator (alpha = s for a half-space
+    power) the main tasks alone are O(1), and a target on them would pass
+    directions that then miss.  The subtracted inner task [0, t_in] is not
+    graded toward 0: its integrand vanishes like t^{3-2s} there, and graded
+    panels would only resolve rounding noise (a difference of O(1)
+    quantities times t^{-1-2s}) whose G15 - G7 gap grows as they shrink.
     Returns (values, error_estimates, n_evals, converged) per direction.
     """
     K = thetas.shape[0]
@@ -904,8 +926,7 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     n_main = tasks["lo"].size
     # the evalf task table spans main tasks, then inner octave sources, then
     # tail octave sources
-    inner_hi, inner_group = inner_oct
-    tail_u_hi, tail_group = tail_oct
+    inner_group, tail_group = inner_oct[1], tail_oct[1]
     all_theta = np.concatenate((tasks["theta"], inner_group, tail_group))
     all_mode = np.concatenate((tasks["mode"],
                                np.zeros(inner_group.size, dtype=np.int64),
@@ -932,46 +953,33 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
         kern[tail] = ts[tail] ** (ts2 - 1.0)
         return X * kern
 
-    depth = _depth_for_tol(min(tol_r, tol_a))
     orders = _orders_for_tol(max(tol_a, tol_r / 30.0))
-    # the subtracted integrand vanishes like t^{3-2s} at the origin but is a
-    # difference of O(1) quantities, so below ~1e-3 of its span it is pure
-    # rounding noise amplified by t^{-1-2s}; keep those tasks shallow
-    sub = tasks["mode"] == 1
-    depth_t = np.where(sub, np.minimum(depth, 8), depth)
-    shift_t = np.where(sub, 12, depth + 10)
-    vals, errs, nev, ok = _run_tasks(
-        tasks["lo"], tasks["hi"], tasks["gl"], tasks["gh"], tasks["group"], K,
-        evalf, np.full(K, 0.5 * tol_a), np.full(K, 0.5 * tol_r),
-        depth_t, cfg.max_subdivisions, floor_shift=shift_t, orders=orders)
-
+    offset = np.zeros(K)
+    errs_rest = np.zeros(K)
+    nev = 0
+    first = n_main
+    for hi, grp in (inner_oct, tail_oct):
+        if hi.size:
+            ov, oe, n2 = _octave_batch(
+                evalf, hi, grp, K, np.full(K, 0.25 * tol_a),
+                task_ids=np.arange(first, first + hi.size, dtype=np.int64),
+                orders=orders)
+            offset += ov
+            errs_rest += oe
+            nev += n2
+        first += hi.size
     if inner_mode == "subtract":
-        # closed form of the subtracted quadratic on [0, t_in]
-        vals = vals + quad_coefs * t_in ** (2.0 - ts2) / (2.0 - ts2)
-    elif inner_hi.size:
-        iv, ie, n2 = _octave_batch(
-            evalf, inner_hi, inner_group, K, np.full(K, 0.25 * tol_a),
-            task_ids=np.arange(n_main, n_main + inner_hi.size, dtype=np.int64),
-            orders=orders)
-        vals = vals + iv
-        errs = errs + ie
-        nev += n2
-
+        offset += quad_coefs * t_in ** (2.0 - ts2) / (2.0 - ts2)
     if tail_mode == "compact":
-        vals = vals + analytic_const * T0 ** (-ts2) / ts2
-    elif tail_u_hi.size:
-        tv, te_, n2 = _octave_batch(
-            evalf, tail_u_hi, tail_group, K, np.full(K, 0.25 * tol_a),
-            task_ids=np.arange(n_main + inner_hi.size,
-                               n_main + inner_hi.size + tail_u_hi.size,
-                               dtype=np.int64),
-            orders=orders)
-        vals = vals + tv
-        errs = errs + te_
-        nev += n2
+        offset += analytic_const * T0 ** (-ts2) / ts2
 
-    ok = errs <= np.maximum(tol_a, tol_r * np.abs(vals))
-    return vals, errs, nev, ok
+    vals, errs, n2 = _run_tasks(
+        tasks["lo"], tasks["hi"], tasks["gl"], tasks["gh"], tasks["group"], K,
+        evalf, np.full(K, 0.5 * tol_a), np.full(K, 0.5 * tol_r), offset,
+        cfg.max_subdivisions, floor_shift=_depth_for_tol(min(tol_r, tol_a)) + 10,
+        orders=orders)
+    vals, errs = vals + offset, errs + errs_rest
+    return vals, errs, nev + n2, errs <= np.maximum(tol_a, tol_r * np.abs(vals))
 
 
 def radial_integral(f, x, theta, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, dblquad
 
 import conefrac as cf
-from conefrac import operators
-from conefrac.errors import DegenerateConstructionError, InputDomainError
+from conefrac import liouville, operators
+from conefrac.errors import (AccuracyError, DegenerateConstructionError,
+                             InputDomainError)
 from conefrac.liouville import _CutoffMassField, _L_field
 from conefrac.quadrature import DEFAULT_CONFIG
 
@@ -131,6 +132,16 @@ class TestScan:
         assert rows[0].regime == "not_constructed"
         assert not rows[0].certified
 
+    def test_error_row_names_the_exception(self, const2, cfg, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AccuracyError("budget exhausted")
+
+        monkeypatch.setattr(liouville, "construct_supersolution", fail)
+        rows = cf.liouville_scan(const2, 0.5, [1.5, 1.8], "halfspace", cfg)
+        assert rows[0].regime == "kelvin" and rows[0].error == ""
+        assert rows[1].regime == "error"
+        assert rows[1].error == "AccuracyError: budget exhausted"
+
 
 class TestGammaSearch:
     def test_full_aperture_cone(self, cfg):
@@ -191,6 +202,27 @@ class TestCutoffMassField:
         assert np.all(np.isfinite(ea)) and np.all(np.isfinite(es))
         ref, ref_err, _ = _L_field(const2, s, field.phia, X, loose)
         assert np.all(np.abs(va - ref) <= ea + ref_err)
+
+    def test_step_one_reports_the_error_of_each_sup_ratio(self, const2, cfg):
+        # same field as above (gamma0 = 0.5): the far-field completion puts
+        # an estimate of ~4.4 on L phi_alpha0 at the plateau, which the
+        # ratio's error must carry; the excision evaluator is the oracle
+        s, alpha0 = 0.5, 0.98
+        rep = cf.step_one_M(const2, s, alpha0, 0.5, cfg, audit=False)
+        bump = cf.Bump(2, s, center=(0.0, 0.5), r_in=0.75, r_out=1.0)
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        field = _CutoffMassField(const2, s, alpha0, bump, loose)
+        found = [r for r in rep.regions if r.n_points]
+        assert max(r.M_err for r in found) > 1.0
+        assert (rep.M_est, rep.M_err) in [(r.M_est, r.M_err) for r in found]
+        for r in found:
+            X = np.array([r.sup_x])
+            va, ea, _ = _L_field(const2, s, field.phia, X, loose)
+            vs, es, _ = _L_field(const2, s, field.phis, X, loose)
+            phis = field.phis.values(X)[0]
+            assert math.isfinite(r.M_err)
+            miss = abs((-va[0] - vs[0]) / phis - r.M_est)
+            assert miss <= r.M_err + (ea[0] + es[0]) / phis
 
 
 class TestRescaledRows:

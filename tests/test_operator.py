@@ -140,6 +140,56 @@ class TestEvaluationCost:
         assert abs(ev.value - self.BUMP_VALUE) <= ev.abs_error_estimate
         assert ev.n_evals <= 2_600_000
 
+    # reference from the same point at abs 1e-12, rel 1e-11 (estimate 5e-11)
+    PRODUCT_VALUE = -14.19888057618777
+
+    def test_product_point_within_evaluation_budget(self, const2, cfg):
+        # radial tasks start graded six levels deep and refine only the
+        # directions whose error needs it
+        f = cf.Product(cf.HalfSpacePower(2, S, alpha=0.3),
+                       cf.Bump(2, S, center=(0.0, 1.0), r_in=0.6, r_out=1.4))
+        ev = cf.apply_L(const2, S, f, (0.3, 0.9), cfg)
+        assert ev.converged
+        assert abs(ev.value - self.PRODUCT_VALUE) <= ev.abs_error_estimate
+        assert ev.n_evals <= 2_000_000
+
+
+class TestZeroValues:
+    @pytest.mark.parametrize(
+        "x", [(0.0, 0.1), (0.3 * math.sin(1.7), 0.1 + 4.9 / 19)],
+        ids=["on_axis", "off_axis"])
+    def test_alpha_equal_s_converges_to_zero(self, const2, cfg, x):
+        # the two criterion-02 points where L(x_N)_+^s = 0: every direction
+        # integrates to 0 while its panel sum alone does not, so a target
+        # taken against that partial sum would pass directions early
+        f = cf.HalfSpacePower(2, S, alpha=S)
+        ev = cf.apply_L(const2, S, f, x, cfg.with_tol(5e-9, 1e-7),
+                        force_numeric=True, strict=False)
+        assert ev.converged
+        assert abs(ev.value) <= ev.abs_error_estimate
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("density", ["const2", "cone2"])
+    def test_correction_of_two_halfspace_powers(self, request, cfg, density, k):
+        # l[g, h] = L(gh) - g Lh - h Lg, with gh = (x_N)_+^0.8 and all three
+        # operator values in closed form
+        a = request.getfixturevalue(density)
+        g = cf.HalfSpacePower(2, S, alpha=0.2)
+        h = cf.HalfSpacePower(2, S, alpha=0.6)
+        x = np.array([0.17, 2.0 ** -k])
+        corr = cf.correction_l(a, S, g, h, x, cfg)
+        Lgh, Lg, Lh = (cf.apply_L(a, S, cf.HalfSpacePower(2, S, alpha=al), x, cfg)
+                       for al in (0.8, 0.2, 0.6))
+        assert {Lgh.path, Lg.path, Lh.path} == {"closed_form"}
+        gx, hx = g.value(x), h.value(x)
+        ref = Lgh.value - gx * Lh.value - hx * Lg.value
+        budget = (corr.abs_error_estimate + Lgh.abs_error_estimate
+                  + abs(gx) * Lh.abs_error_estimate + abs(hx) * Lg.abs_error_estimate)
+        assert corr.converged
+        assert abs(corr.value - ref) <= budget
+
 
 class TestIdentities:
     def test_rescaling_identity(self, const2, fast_cfg):

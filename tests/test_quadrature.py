@@ -303,6 +303,29 @@ class TestRadialIntegral:
         assert res.converged
         assert abs(res.value - (near + far)) <= res.abs_error_estimate
 
+    def test_halfspace_power_against_c_alpha(self, cfg, rng):
+        # substituting t = x_N u / |theta_N| turns the both-ray integral of
+        # (x_N)_+^alpha into the 1-D kernel: c_alpha |theta_N|^{2s}
+        # x_N^{alpha - 2s}.  The sample has directions down to 0.05 rad from
+        # the plane and zero values (alpha = s)
+        misses = []
+        for _ in range(400):
+            s = float(rng.choice([0.3, 0.5, 0.7]))
+            alpha = float(rng.choice([0.2, 0.5, 0.8])) * 2.0 * s
+            x = np.array([rng.uniform(-1.0, 1.0),
+                          math.exp(rng.uniform(math.log(0.05), math.log(5.0)))])
+            phi = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, math.pi - 0.05)
+            theta = np.array([math.cos(phi), math.sin(phi)])
+            ca = cf.c_alpha(alpha, s, cfg)
+            geo = abs(theta[1]) ** (2.0 * s) * x[1] ** (alpha - 2.0 * s)
+            res = cf.radial_integral(cf.HalfSpacePower(2, s, alpha=alpha), x,
+                                     theta, s, cfg)
+            budget = res.abs_error_estimate + geo * ca.abs_error_estimate
+            if not res.converged or abs(res.value - ca.value * geo) > budget:
+                misses.append((s, alpha, tuple(x), phi, res.converged,
+                               abs(res.value - ca.value * geo) / budget))
+        assert not misses, (len(misses), misses[:5])
+
 
 class TestMonteCarlo:
     def test_ball_volume_within_three_sigma(self, cfg):
