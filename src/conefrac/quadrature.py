@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -46,7 +46,7 @@ class QuadratureConfig:
     t0_factor: inner split radius as a fraction of the local smoothness
         radius (distance to the nearest kink surface, capped at 1).
     sphere_panels: base panel count for the circle rule (N = 2).
-    polar_nodes / azimuthal_nodes: product rule resolution for N = 3.
+    azimuthal_nodes: azimuthal resolution of the product rule for N = 3.
     sphere_mc_samples: antithetic sample count for N >= 4.
     """
 
@@ -55,7 +55,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-7
     max_subdivisions: int = 10
     sphere_panels: int = 16
-    polar_nodes: int = 24
     azimuthal_nodes: int = 48
     sphere_mc_samples: int = 8192
     mc_seed: int = 20220
@@ -68,7 +67,7 @@ class QuadratureConfig:
             raise InputDomainError("tolerances must be positive")
         if self.max_subdivisions < 0:
             raise InputDomainError("max_subdivisions must be >= 0")
-        for name in ("sphere_panels", "polar_nodes", "azimuthal_nodes"):
+        for name in ("sphere_panels", "azimuthal_nodes"):
             v = getattr(self, name)
             if v < 4 or v % 2 != 0:
                 raise InputDomainError(f"{name} must be even and >= 4, got {v}")
@@ -219,7 +218,8 @@ def _initial_panels(task_lo: np.ndarray, task_hi: np.ndarray,
                     grade_lo: np.ndarray, grade_hi: np.ndarray):
     """First panel layout of every task, in task order: graded _MIN_DEPTH
     levels toward each flagged endpoint (toward both from the midpoint),
-    else two halves.  Returns panel (lo, hi, task) arrays."""
+    else two halves.  Returns panel (lo, hi, task) arrays and the graded-end
+    flags of each panel (at_lo, at_hi) for _run_tasks."""
     kind = grade_lo.astype(np.int64) + 2 * grade_hi.astype(np.int64)
     plo_p, phi_p, ptask_p = [], [], []
     for k in np.unique(kind):
@@ -239,7 +239,9 @@ def _initial_panels(task_lo: np.ndarray, task_hi: np.ndarray,
         ptask_p.append(np.repeat(idx, edges.shape[1] - 1))
     ptask = np.concatenate(ptask_p)
     order = np.argsort(ptask, kind="stable")
-    return np.concatenate(plo_p)[order], np.concatenate(phi_p)[order], ptask[order]
+    plo, phi, ptask = np.concatenate(plo_p)[order], np.concatenate(phi_p)[order], ptask[order]
+    return (plo, phi, ptask, grade_lo[ptask] & (plo == task_lo[ptask]),
+            grade_hi[ptask] & (phi == task_hi[ptask]))
 
 
 def _split_panels(lo: np.ndarray, hi: np.ndarray, at_lo: np.ndarray,
@@ -291,62 +293,67 @@ def _eval_panels(evalf, plo: np.ndarray, phi: np.ndarray, ptask: np.ndarray,
     return v2, np.abs(v2 - v1), plo.size * (n_lo + n_hi)
 
 
-def _run_tasks(task_lo: np.ndarray, task_hi: np.ndarray,
-               grade_lo: np.ndarray, grade_hi: np.ndarray,
-               group: np.ndarray, n_groups: int,
-               evalf: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               tol_abs: np.ndarray, tol_rel: np.ndarray, offset: np.ndarray,
-               max_rounds: int, floor_shift: int, orders: tuple[int, int]):
-    """Adaptive composite Gauss over a batch of 1-D tasks.
+def _run_tasks(plo: np.ndarray, phi: np.ndarray, ptask: np.ndarray,
+               at_lo: np.ndarray, at_hi: np.ndarray,
+               group: np.ndarray, n_groups: int, eval_panels,
+               tol_abs, tol_rel, offset, max_rounds: int,
+               floors: np.ndarray, max_panels: int, geometric: bool):
+    """Globally adaptive composite rule over a batch of 1-D tasks: the one
+    refine loop of the radial engine (one group of tasks per direction) and
+    of the circle rule (one task, one group).
 
-    evalf(ts, task_ids) evaluates the integrand; tasks are grouped (one group
-    per radial direction) and refined until each group's error surrogate
-    meets max(tol_abs, tol_rel |value + offset|), offset being what the
-    caller adds to the group's panel sum, or the budget runs out.  Tasks
-    start graded _MIN_DEPTH levels toward their flagged ends.  A refined
-    panel at a graded task end becomes a three-level graded row toward it,
-    as in the sphere rule; any other is bisected at its midpoint, or at the
-    geometric mean sqrt(lo hi) if lo > 0 and hi > 4 lo: a ray nearly
+    The caller gives the first layout: panels [plo, phi] of task ptask, with
+    at_lo / at_hi flagging a panel that ends at a graded task end, and the
+    group of each task.  eval_panels(lo, hi, task) returns per-panel values,
+    rule errors, node errors (the error the integrand values carry) and an
+    evaluation count.  A group stops once its error, rule plus node, meets
+    max(tol_abs, tol_rel |value + offset|), offset being what the caller
+    adds to the group's panel sum; it also stops once its rule error falls
+    below 0.3 of its node error, since splitting panels cannot help then.
+    Otherwise each of its panels whose rule error exceeds 0.15 of the
+    group's largest and whose width exceeds floors[task] is split: a flagged
+    panel becomes a three-level graded row toward its flagged end, and the
+    child at that end keeps the flag; any other is bisected at its midpoint,
+    or, if geometric, at sqrt(lo hi) when lo > 0 and hi > 4 lo: a ray nearly
     parallel to a kink plane meets it at t >> 1, and arithmetic bisection
     would need ~log2(hi) rounds to resolve an integrand that lives at t ~ lo.
-    Panels narrower than their task's span times 2^-floor_shift are not
-    split.  Returns the per-group panel sums, error surrogates and
-    evaluation count.  Deterministic by construction.
+    Refinement ends after max_rounds rounds or once more than max_panels
+    panels are live.  Returns the per-group values, errors (rule plus node)
+    and evaluation count.  Deterministic by construction.
     """
-    if task_lo.size == 0:
-        return np.zeros(n_groups), np.zeros(n_groups), 0
-    plo, phi, ptask = _initial_panels(task_lo, task_hi, grade_lo, grade_hi)
-    floors = (task_hi - task_lo) * 2.0 ** -float(floor_shift)
-
-    v, e, nev = _eval_panels(evalf, plo, phi, ptask, orders)
+    v, e, ne, nev = eval_panels(plo, phi, ptask)
     for rnd in range(max_rounds + 1):
         pg = group[ptask]
         val_g = np.bincount(pg, weights=v, minlength=n_groups)
-        err_g = np.bincount(pg, weights=e, minlength=n_groups)
-        needy = err_g > np.maximum(tol_abs, tol_rel * np.abs(val_g + offset))
+        rule_g = np.bincount(pg, weights=e, minlength=n_groups)
+        node_g = np.bincount(pg, weights=ne, minlength=n_groups)
+        err_g = rule_g + node_g
+        needy = ((err_g > np.maximum(tol_abs, tol_rel * np.abs(val_g + offset)))
+                 & (rule_g >= 0.3 * node_g))
         if rnd == max_rounds or not np.any(needy):
             break
         max_g = np.zeros(n_groups)
         np.maximum.at(max_g, pg, e)
-        wid = phi - plo
-        sel = needy[pg] & (e > 0.15 * max_g[pg]) & (wid > floors[ptask])
-        if not np.any(sel) or plo.size > 400_000:
+        sel = needy[pg] & (e > 0.15 * max_g[pg]) & (phi - plo > floors[ptask])
+        if not np.any(sel) or plo.size > max_panels:
             break
-        s_lo, s_hi, s_task = plo[sel], phi[sel], ptask[sel]
-        geo = (s_lo > 0.0) & (s_hi > 4.0 * s_lo)
-        c_lo, c_hi, parent = _split_panels(
-            s_lo, s_hi, grade_lo[s_task] & (s_lo == task_lo[s_task]),
-            grade_hi[s_task] & (s_hi == task_hi[s_task]),
-            np.where(geo, np.sqrt(s_lo * s_hi), 0.5 * (s_lo + s_hi)))
-        c_task = s_task[parent]
-        cv, ce, n2 = _eval_panels(evalf, c_lo, c_hi, c_task, orders)
+        s_lo, s_hi = plo[sel], phi[sel]
+        mid = 0.5 * (s_lo + s_hi)
+        if geometric:
+            mid = np.where((s_lo > 0.0) & (s_hi > 4.0 * s_lo), np.sqrt(s_lo * s_hi), mid)
+        c_lo, c_hi, parent = _split_panels(s_lo, s_hi, at_lo[sel], at_hi[sel], mid)
+        c_task = ptask[sel][parent]
+        cv, ce, cn, n2 = eval_panels(c_lo, c_hi, c_task)
         nev += n2
         keep = ~sel
+        at_lo = np.concatenate((at_lo[keep], at_lo[sel][parent] & (c_lo == s_lo[parent])))
+        at_hi = np.concatenate((at_hi[keep], at_hi[sel][parent] & (c_hi == s_hi[parent])))
         plo = np.concatenate((plo[keep], c_lo))
         phi = np.concatenate((phi[keep], c_hi))
         ptask = np.concatenate((ptask[keep], c_task))
         v = np.concatenate((v[keep], cv))
         e = np.concatenate((e[keep], ce))
+        ne = np.concatenate((ne[keep], cn))
     return val_g, err_g, nev
 
 
@@ -502,17 +509,6 @@ def _angles_of(vec: np.ndarray) -> float:
     return math.atan2(float(vec[1]), float(vec[0])) % _TWO_PI
 
 
-class _CheapNodeEval:
-    """Wrap a plain integrand g(thetas) -> values as a node evaluator."""
-
-    def __init__(self, g):
-        self.g = g
-
-    def __call__(self, thetas: np.ndarray):
-        vals = np.asarray(self.g(thetas), dtype=float)
-        return vals, np.zeros_like(vals), vals.size
-
-
 def _jump_angles_2d(a: SpectralDensity) -> list[float]:
     """Angles in [0, 2 pi) across which a 2-D density may jump: for each cap
     boundary cosine cos g, phi_axis +- g and phi_axis + pi +- g."""
@@ -528,21 +524,25 @@ def _jump_angles_2d(a: SpectralDensity) -> list[float]:
 
 def _sphere_breakpoints_2d(a: SpectralDensity,
                            kink_normals: Sequence[np.ndarray],
-                           graded_dirs: Sequence[np.ndarray]):
-    brk = _jump_angles_2d(a)
-    graded: list[float] = []
-    for w in kink_normals:
-        phi_w = _angles_of(np.asarray(w))
-        for off in (0.5 * math.pi, 1.5 * math.pi):
-            ang = (phi_w + off) % _TWO_PI
-            brk.append(ang)
-            graded.append(ang)
-    for d in graded_dirs:
-        for off in (0.0, math.pi):
-            ang = (_angles_of(np.asarray(d)) + off) % _TWO_PI
-            brk.append(ang)
-            graded.append(ang)
-    return brk, graded
+                           graded_dirs: Sequence[np.ndarray],
+                           strong_dirs: Sequence[np.ndarray]):
+    """Arc ends of the circle rule and its marked angles.
+
+    The marked angles are the kink-plane crossings, perpendicular to each
+    kink normal, and both angles along each graded and each strong
+    direction.  The arc ends are those and the jumps of a, from the first
+    break b0 to b0 + 2 pi, merged by _merge_edges.  Returns (arc ends,
+    marked angles, strong angles)."""
+    def angles(dirs, offs):
+        return [(_angles_of(np.asarray(d)) + off) % _TWO_PI
+                for d in dirs for off in offs]
+
+    strong = angles(strong_dirs, (0.0, math.pi))
+    marked = (angles(kink_normals, (0.5 * math.pi, 1.5 * math.pi))
+              + angles(graded_dirs, (0.0, math.pi)) + strong)
+    brk = _jump_angles_2d(a) + marked
+    b0 = min(brk, default=0.0)
+    return _merge_edges([brk], b0, b0 + _TWO_PI), np.asarray(marked), np.asarray(strong)
 
 
 def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
@@ -555,33 +555,16 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
     so the pair costs 2n+1 directions, not n + 2n+1.  Arc ends at kink-plane
     crossings and at directions toward sphere-kink centres start graded six
     levels deep; ends toward point singularities start _depth_for_tol + 6
-    levels deep.  Refinement then deepens only where the error needs it: a
-    selected panel that ends at such a marked angle is replaced by a
-    three-level graded row toward it, any other selected panel by its halves.
+    levels deep.  The panels at those marked angles carry the graded-end
+    flags of _run_tasks, which refines the circle as one task in one group:
+    a selected flagged panel becomes a three-level graded row toward its
+    marked end, any other selected panel is halved (angle 0 is arbitrary, so
+    no geometric split).  Refinement stops at the config's tolerances, or
+    when the rule error falls below 0.3 of the node errors node_eval
+    reports, which finer panels cannot reduce.
     """
-    brk, graded = _sphere_breakpoints_2d(a, kink_normals, graded_dirs)
-    strong = []
-    for d in strong_dirs:
-        for off in (0.0, math.pi):
-            ang = (_angles_of(np.asarray(d)) + off) % _TWO_PI
-            brk.append(ang)
-            strong.append(ang)
-    graded_all = np.asarray(sorted(set(graded) | set(strong)))
-    strong = np.asarray(strong)
-
-    if brk:
-        uniq = np.unique(np.asarray(sorted(brk)))
-        merged = [float(uniq[0])]
-        for v in uniq[1:]:
-            if v - merged[-1] > 1e-9:
-                merged.append(float(v))
-        arcs = []
-        for i, lo in enumerate(merged):
-            hi = merged[i + 1] if i + 1 < len(merged) else merged[0] + _TWO_PI
-            if hi - lo > 1e-9:
-                arcs.append((lo, hi))
-    else:
-        arcs = [(0.0, _TWO_PI)]
+    edges, marked, strong = _sphere_breakpoints_2d(a, kink_normals, graded_dirs,
+                                                   strong_dirs)
 
     def is_marked(angs, marks) -> np.ndarray:
         angs = np.asarray(angs, dtype=float)[..., None]
@@ -590,22 +573,20 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
 
     strong_depth = _depth_for_tol(cfg.rel_tol) + 6
     plo_parts, phi_parts = [], []
-    for lo, hi in arcs:
+    for lo, hi in zip(edges[:-1], edges[1:]):
         n_base = max(1, int(round(cfg.sphere_panels * (hi - lo) / _TWO_PI)))
-        edges = np.linspace(lo, hi, n_base + 1)
+        arc = np.linspace(lo, hi, n_base + 1)
         # grade the first/last sub-panel toward a marked arc endpoint; a
         # one-panel arc marked at both ends is graded toward both from its
         # midpoint
-        if is_marked(lo, graded_all):
+        if is_marked(lo, marked):
             d = strong_depth if is_marked(lo, strong) else _MIN_DEPTH
-            edges = np.concatenate(
-                (_graded_rows(edges[0], edges[1], True, d), edges[2:]))
-        if is_marked(hi, graded_all):
+            arc = np.concatenate((_graded_rows(arc[0], arc[1], True, d), arc[2:]))
+        if is_marked(hi, marked):
             d = strong_depth if is_marked(hi, strong) else _MIN_DEPTH
-            edges = np.concatenate(
-                (edges[:-2], _graded_rows(edges[-2], edges[-1], False, d)))
-        plo_parts.append(edges[:-1])
-        phi_parts.append(edges[1:])
+            arc = np.concatenate((arc[:-2], _graded_rows(arc[-2], arc[-1], False, d)))
+        plo_parts.append(arc[:-1])
+        phi_parts.append(arc[1:])
     plo = np.concatenate(plo_parts)
     phi = np.concatenate(phi_parts)
 
@@ -613,7 +594,7 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
     xk, wk, wg = _kronrod01(n_gauss)
     w_pair = np.column_stack((wk, wg))
 
-    def eval_batch(plo_b, phi_b):
+    def eval_panels(plo_b, phi_b, _task):
         wid = phi_b - plo_b
         angs = (plo_b[:, None] + wid[:, None] * xk[None, :]).ravel()
         thetas = np.stack((np.cos(angs), np.sin(angs)), axis=1)
@@ -623,37 +604,12 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
         ne = ((gerrs * avals).reshape(-1, xk.size) @ wk) * wid
         return vk, np.abs(vk - vg), np.abs(ne), n_inner
 
-    v, e_rule, e_node, nev = eval_batch(plo, phi)
-    rounds = 0
-    while rounds < cfg.max_subdivisions:
-        total = float(v.sum())
-        err = float(e_rule.sum() + e_node.sum())
-        if _tol_met(total, err, cfg.abs_tol, cfg.rel_tol):
-            break
-        if float(e_rule.sum()) < 0.3 * float(e_node.sum()):
-            break  # node errors dominate; splitting panels cannot help
-        emax = float(e_rule.max())
-        sel = (e_rule > 0.15 * emax) & ((phi - plo) > 1e-12)
-        if not np.any(sel) or plo.size > 20000:
-            break
-        # a panel at a marked angle is graded three levels toward it, any
-        # other panel is halved
-        s_lo, s_hi = plo[sel], phi[sel]
-        c_lo, c_hi, _ = _split_panels(s_lo, s_hi, is_marked(s_lo, graded_all),
-                                      is_marked(s_hi, graded_all),
-                                      0.5 * (s_lo + s_hi))
-        cv, cr, cn, n2 = eval_batch(c_lo, c_hi)
-        nev += n2
-        keep = ~sel
-        plo = np.concatenate((plo[keep], c_lo))
-        phi = np.concatenate((phi[keep], c_hi))
-        v = np.concatenate((v[keep], cv))
-        e_rule = np.concatenate((e_rule[keep], cr))
-        e_node = np.concatenate((e_node[keep], cn))
-        rounds += 1
-
-    total = float(v.sum())
-    err = float(e_rule.sum() + e_node.sum())
+    val, err, nev = _run_tasks(
+        plo, phi, np.zeros(plo.size, dtype=np.int64), is_marked(plo, marked),
+        is_marked(phi, marked), np.zeros(1, dtype=np.int64), 1, eval_panels,
+        cfg.abs_tol, cfg.rel_tol, 0.0, cfg.max_subdivisions, np.full(1, 1e-12),
+        20_000, False)
+    total, err = float(val[0]), float(err[0])
     return IntegralResult(total, err, nev, _tol_met(total, err, cfg.abs_tol, cfg.rel_tol))
 
 
@@ -755,20 +711,24 @@ def sphere_quadrature(a: SpectralDensity, g, cfg: QuadratureConfig = DEFAULT_CON
     that g loses smoothness on the great circle {theta . w = 0};
     ``graded_dirs`` lists directions toward point singularities of g.
     """
-    ev = node_eval if node_eval is not None else _CheapNodeEval(g)
+    if node_eval is None:
+        def node_eval(thetas: np.ndarray):
+            vals = np.asarray(g(thetas), dtype=float)
+            return vals, np.zeros_like(vals), vals.size
+
     dim = a.dim
     if dim == 1:
         thetas = np.asarray([[1.0], [-1.0]])
-        gv, ge, n = ev(thetas)
+        gv, ge, n = node_eval(thetas)
         av = a._eval_unit(thetas)
         val = float(np.sum(gv * av))
         err = float(np.sum(np.abs(av) * ge))
         return IntegralResult(val, err, n, _tol_met(val, err, cfg.abs_tol, cfg.rel_tol))
     if dim == 2:
-        return _sphere_integrate_2d(a, ev, cfg, kink_normals, graded_dirs, strong_dirs)
+        return _sphere_integrate_2d(a, node_eval, cfg, kink_normals, graded_dirs, strong_dirs)
     if dim == 3:
-        return _sphere_integrate_3d(a, ev, cfg, kink_normals)
-    return _sphere_integrate_mc(a, ev, cfg)
+        return _sphere_integrate_3d(a, node_eval, cfg, kink_normals)
+    return _sphere_integrate_mc(a, node_eval, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -973,11 +933,17 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     if tail_mode == "compact":
         offset += analytic_const * T0 ** (-ts2) / ts2
 
+    def eval_panels(lo, hi, task):
+        v, e, n2 = _eval_panels(evalf, lo, hi, task, orders)
+        return v, e, np.zeros_like(v), n2
+
+    floors = ((tasks["hi"] - tasks["lo"])
+              * 2.0 ** -float(_depth_for_tol(min(tol_r, tol_a)) + 10))
     vals, errs, n2 = _run_tasks(
-        tasks["lo"], tasks["hi"], tasks["gl"], tasks["gh"], tasks["group"], K,
-        evalf, np.full(K, 0.5 * tol_a), np.full(K, 0.5 * tol_r), offset,
-        cfg.max_subdivisions, floor_shift=_depth_for_tol(min(tol_r, tol_a)) + 10,
-        orders=orders)
+        *_initial_panels(tasks["lo"], tasks["hi"], tasks["gl"], tasks["gh"]),
+        tasks["group"], K, eval_panels, np.full(K, 0.5 * tol_a),
+        np.full(K, 0.5 * tol_r), offset, cfg.max_subdivisions, floors,
+        400_000, True)
     vals, errs = vals + offset, errs + errs_rest
     return vals, errs, nev + n2, errs <= np.maximum(tol_a, tol_r * np.abs(vals))
 

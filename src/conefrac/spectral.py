@@ -275,24 +275,17 @@ class EllipticityDiagnostics:
 
 def weighted_sphere_moment(a: SpectralDensity, s: float, cfg=None):
     """Integral of |theta_N|^{2s} a(theta) over the unit sphere."""
-    from . import quadrature
-
-    if not (0.0 < s < 1.0):
-        raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
-    cfg = cfg or quadrature.QuadratureConfig()
     e_last = np.zeros(a.dim)
     e_last[-1] = 1.0
-
-    def g(thetas: np.ndarray) -> np.ndarray:
-        return np.abs(thetas[:, -1]) ** (2.0 * s)
-
-    return quadrature.sphere_quadrature(a, g, cfg, kink_normals=(e_last,))
+    return directional_moment(a, s, e_last, cfg)
 
 
 def directional_moment(a: SpectralDensity, s: float, nu: Sequence[float], cfg=None):
     """Integral of |nu.theta|^{2s} a(theta) over the unit sphere."""
     from . import quadrature
 
+    if not (0.0 < s < 1.0):
+        raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
     cfg = cfg or quadrature.QuadratureConfig()
     nu_arr = np.asarray(_as_unit(nu))
 

@@ -1,7 +1,10 @@
 """Quadrature layer: the one-dimensional weight constant, sphere rules,
 radial integrals, Monte Carlo volumes."""
 
+import ast
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,10 @@ from scipy.special import binom
 
 import conefrac as cf
 from conefrac.errors import InputDomainError
-from conefrac.quadrature import (DEFAULT_CONFIG, _gauss01, _geom_edges,
-                                  _geometric_tail, _graded_rows, _kronrod01,
-                                  _merge_edges, _octave_batch)
+from conefrac.quadrature import (DEFAULT_CONFIG, QuadratureConfig, _eval_panels,
+                                  _gauss01, _geom_edges, _geometric_tail,
+                                  _graded_rows, _initial_panels, _kronrod01,
+                                  _merge_edges, _octave_batch, _run_tasks)
 
 
 def series_tail_oracle(a, s, d=0.1, T=50.0):
@@ -76,6 +80,16 @@ class TestConfig:
     def test_defaults_are_sane(self):
         assert DEFAULT_CONFIG.max_subdivisions >= 1
         assert DEFAULT_CONFIG.sphere_panels >= 4
+
+    def test_every_field_is_read(self):
+        # a knob that is validated but never read is dead: every field must
+        # be read as an attribute somewhere in the package
+        src = Path(cf.__file__).parent
+        read = {node.attr for path in src.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        unread = [f.name for f in fields(QuadratureConfig) if f.name not in read]
+        assert unread == []
 
 
 class TestGeometry:
@@ -242,7 +256,48 @@ class TestGeometricTail:
         assert abs(val[0] - (1.0 - a)) <= err[0] <= 1e-6
 
 
+class TestRunTasks:
+    def test_two_groups_converge_within_their_estimates(self):
+        # group 0: t^{-1/2} on [0, 1], graded toward 0, exact value 2;
+        # group 1: cos t on [0, 1], exact value sin 1.  The singular group
+        # reaches 1e-6 within ten rounds only because the end child of each
+        # graded row keeps its graded-end flag.
+        lo, hi = np.zeros(2), np.ones(2)
+        panels = _initial_panels(lo, hi, np.array([True, False]), np.zeros(2, bool))
+
+        def evalf(ts, task):
+            return np.where(task == 0, ts ** -0.5, np.cos(ts))
+
+        def eval_panels(plo, phi, ptask):
+            v, e, n = _eval_panels(evalf, plo, phi, ptask, (7, 15))
+            return v, e, np.zeros_like(v), n
+
+        val, err, nev = _run_tasks(
+            *panels, np.arange(2), 2, eval_panels, np.full(2, 1e-15),
+            np.full(2, 1e-6), np.zeros(2), 10, hi * 2.0 ** -50, 400_000, True)
+        exact = np.array([2.0, math.sin(1.0)])
+        assert np.all(err <= 1e-6 * np.abs(val))
+        assert np.all(np.abs(val - exact) <= err)
+        assert nev > 0
+
+
 class TestSphereQuadrature:
+    def test_circle_stops_when_node_errors_dominate(self, cfg):
+        # sqrt|theta_1| alone needs refinement, but finer panels cannot
+        # reduce node errors of 1e-3, so the rule stops after its first layout
+        calls = []
+
+        def node_eval(thetas):
+            calls.append(thetas.shape[0])
+            n = thetas.shape[0]
+            return np.sqrt(np.abs(thetas[:, 0])), np.full(n, 1e-3), n
+
+        res = cf.sphere_quadrature(cf.ConstantDensity(2), None, cfg,
+                                   node_eval=node_eval)
+        assert len(calls) == 1
+        assert not res.converged
+        assert res.abs_error_estimate >= 2.0 * math.pi * 1e-3
+
     def test_total_mass_all_dimensions(self, cfg):
         one = lambda th: np.ones(th.shape[0])
         for dim, exact in ((1, 2.0), (2, 2.0 * math.pi), (3, 4.0 * math.pi)):

@@ -159,6 +159,15 @@ class TestMoments:
         with pytest.raises(InputDomainError):
             cf.weighted_sphere_moment(cf.ConstantDensity(2), 1.0)
 
+    @pytest.mark.parametrize("s", [1.5, -0.3])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda a, s: cf.directional_moment(a, s, (1.0, 0.0)),
+                     id="directional_moment"),
+        pytest.param(cf.ellipticity_diagnostics, id="ellipticity_diagnostics")])
+    def test_public_moments_reject_s_outside_zero_one(self, call, s):
+        with pytest.raises(InputDomainError):
+            call(cf.ConstantDensity(2), s)
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.05, max_value=0.95))
     def test_moment_positive_for_positive_weight(self, s):
