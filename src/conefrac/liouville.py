@@ -580,24 +580,26 @@ def _cluster_edges(lo: float, hi: float, base_step: float, anchor: float,
 
 
 class _CutoffMassField:
-    """L of the plateau test functions by splitting against the pure power.
+    """L of the plateau test functions phi_alpha, both exponents (alpha0, s)
+    at once along a last array axis.
 
-    phi_alpha agrees with the half-space power on the bump plateau, so there
-    L phi_alpha(x) is the closed form of the power minus the mass of the
-    complement-weighted power, a nonsingular integral.  Outside the support
-    only the mass of phi_alpha itself reaches x.  Both masses run on
-    plane-aligned tensor plates at two resolutions; the unbounded complement
-    is finished by dyadic frame sums, whose remainder _geometric_tail
-    completes from the last three frames, at their measured ratio or, when
-    that is not clearly below one (alpha near 2s, or s near 0), at the
-    known asymptotic ratio 2^(alpha - 2s) of the frame sums.  Points in the
-    transition shell fall back to the excision evaluator."""
+    Plateau and exterior points share one path: a mass integral of z_N^alpha
+    against the kernel centered at x, on plane-aligned tensor plates at two
+    resolutions.  On the bump plateau phi_alpha agrees with the half-space
+    power, so L phi_alpha(x) is the closed form of the power minus the mass
+    of the complement-weighted power; outside the support only the mass of
+    phi_alpha itself reaches x.  The unbounded complement is finished by
+    dyadic frame sums, whose remainder _geometric_tail completes from the
+    last three frames, at their measured ratio or, when that is not clearly
+    below one (alpha near 2s, or s near 0), at the known asymptotic ratio
+    2^(alpha - 2s) of the frame sums.  Points in the transition shell fall
+    back to the excision evaluator."""
 
     def __init__(self, a: SpectralDensity, s: float, alpha0: float,
                  bump: Bump, cfg: QuadratureConfig):
         self.a = a
         self.s = s
-        self.alphas = (alpha0, s)
+        self.alphas = np.array([alpha0, s])
         self.bump = bump
         self.cfg = cfg
         self.c = np.asarray(bump.center, dtype=float)
@@ -605,15 +607,17 @@ class _CutoffMassField:
         self.r_out = bump.r_out
         self.phia = Product(HalfSpacePower(2, s, alpha=alpha0), bump)
         self.phis = Product(HalfSpacePower(2, s, alpha=s), bump)
-        self.W = {al: _weighted_difference_constant(a, s, al, cfg)[:2]
-                  for al in self.alphas}
+        # (value, error) of the weighted difference constant, row per exponent
+        self.W = np.array([_weighted_difference_constant(a, s, al, cfg)[:2]
+                           for al in (alpha0, s)])
         self.frames = [self._frame_mesh(4, 2.4, 3), self._frame_mesh(3, 3.2, 2)]
 
     def _frame_mesh(self, g: int, zn_ratio: float, n1p: int):
         """Quadrature nodes on the dyadic frames beyond the plate, frame by
         frame, their (m, 2) weight matrix (one column per exponent: the
-        complement weight, identically one out there, times z_N^alpha) and
-        the node index at which each frame starts, with m appended."""
+        complement weight, identically one out there, times z_N^alpha, each
+        column contiguous for _conv_L) and the node index at which each frame
+        starts, with m appended."""
         c1, cn = self.c
         zs, ws, starts = [], [], [0]
         for j in range(_N_FRAMES):
@@ -631,22 +635,17 @@ class _CutoffMassField:
             zs.append(z)
             ws.append(w)
             starts.append(sum(wi.size for wi in ws))
-        z = np.concatenate(zs)
-        w = np.concatenate(ws)
-        W = np.stack([w * z[:, 1] ** al for al in self.alphas])
-        return z, W.T, starts
+        z, w = np.concatenate(zs), np.concatenate(ws)
+        return z, (w * z[:, 1] ** self.alphas[:, None]).T, starts
 
     def _plate(self, x: np.ndarray, outside: bool, g: int, base: float,
-               h0: float, ratio: float, zn_ratio: float):
+               h0: float, ratio: float, zn_ratio: float) -> np.ndarray:
         """Mass integral of z_N^alpha times the complement (or, outside the
-        support, the bump itself) against the kernel centered at x."""
+        support, the bump itself) against the kernel centered at x, one
+        value per exponent."""
         c1, cn = self.c
-        if outside:
-            lo1, hi1 = c1 - self.r_out, c1 + self.r_out
-            top = cn + self.r_out
-        else:
-            lo1, hi1 = c1 - _PLATE_SPAN, c1 + _PLATE_SPAN
-            top = cn + _PLATE_SPAN
+        span = self.r_out if outside else _PLATE_SPAN
+        lo1, hi1, top = c1 - span, c1 + span, cn + span
         a1 = min(max(x[0], lo1), hi1)
         an = min(max(x[1], _PLANE_EPS), top)
         z1e = _cluster_edges(lo1, hi1, base, a1, h0, ratio)
@@ -660,94 +659,63 @@ class _CutoffMassField:
         prof = prof if outside else 1.0 - prof
         keep = prof > 0.0
         z, w = z[keep], w[keep] * prof[keep]
-        W = np.stack([w * z[:, 1] ** al for al in self.alphas])
-        G = operators._conv_L(self.a, self.s, z, W.T, x[None, :])[0]
-        return {al: float(v) for al, v in zip(self.alphas, G)}
+        W = (w * z[:, 1] ** self.alphas[:, None]).T
+        return operators._conv_L(self.a, self.s, z, W, x[None, :])[0]
 
-    def _frame_sums(self, x: np.ndarray, mesh):
+    def _frame_sums(self, X: np.ndarray, mesh):
+        """Mass of the frames beyond the plate at each row of X, completed
+        by _geometric_tail: (n, 2) values and errors."""
         z, W, starts = mesh
-        frame_sums = np.stack([
-            operators._conv_L(self.a, self.s, z[i:j], W[i:j], x[None, :])[0]
-            for i, j in zip(starts[:-1], starts[1:])])
+        S = np.stack([operators._conv_L(self.a, self.s, z[i:j], W[i:j], X)
+                      for i, j in zip(starts[:-1], starts[1:])], axis=-1)
+        S = S.reshape(-1, len(starts) - 1)
         rem, err = _geometric_tail(
-            frame_sums[-3:].T, 2.0 ** (np.array(self.alphas) - 2.0 * self.s))
-        return {al: (float(S.sum() + r), float(e))
-                for al, S, r, e in zip(self.alphas, frame_sums.T, rem, err)}
-
-    def _plane_remainder(self, clearance: float) -> dict:
-        """Mass below the lowest tensor node, bounded along the plane."""
-        ts2 = 2.0 * self.s
-        line = 2.0 * (1.0 + 1.0 / (1.0 + ts2)) * clearance ** (-1.0 - ts2)
-        aU = 2.0 * self.a.upper_bound
-        return {al: _PLANE_EPS ** (1.0 + al) / (1.0 + al) * aU * line
-                for al in self.alphas}
-
-    def _interior(self, X: np.ndarray):
-        """Plateau points: closed form of the power minus complement mass."""
-        n = X.shape[0]
-        va, ea = np.empty(n), np.empty(n)
-        vs, es = np.empty(n), np.empty(n)
-        al0 = self.alphas[0]
-        for i, x in enumerate(X):
-            clr = self.r_in - float(np.linalg.norm(x - self.c))
-            h0 = max(clr / 6.0, 2e-3)
-            fine = self._plate(x, False, 4, 0.4, h0, 1.7, 2.2)
-            coarse = self._plate(x, False, 3, 0.55, 2.0 * h0, 2.1, 3.0)
-            tf = self._frame_sums(x, self.frames[0])
-            tc = self._frame_sums(x, self.frames[1])
-            rem = self._plane_remainder(clr)
-            out = {}
-            for al in self.alphas:
-                W, We = self.W[al]
-                pw = x[1] ** (al - 2.0 * self.s)
-                G = fine[al] + tf[al][0]
-                Gc = coarse[al] + tc[al][0]
-                out[al] = (W * pw - G,
-                           abs(Gc - G) + tf[al][1] + rem[al] + We * abs(pw))
-            va[i], ea[i] = out[al0]
-            vs[i], es[i] = out[self.s]
-        return va, ea, vs, es
-
-    def _exterior(self, X: np.ndarray):
-        """Points clear of the support: only the mass of phi_alpha arrives."""
-        n = X.shape[0]
-        va, ea = np.empty(n), np.empty(n)
-        vs, es = np.empty(n), np.empty(n)
-        al0 = self.alphas[0]
-        for i, x in enumerate(X):
-            clr = float(np.linalg.norm(x - self.c)) - self.r_out
-            h0 = max(clr / 6.0, 2e-3)
-            fine = self._plate(x, True, 4, 0.16, h0, 1.7, 2.2)
-            coarse = self._plate(x, True, 3, 0.23, 2.0 * h0, 2.1, 3.0)
-            rem = self._plane_remainder(clr)
-            va[i] = fine[al0]
-            ea[i] = abs(fine[al0] - coarse[al0]) + rem[al0]
-            vs[i] = fine[self.s]
-            es[i] = abs(fine[self.s] - coarse[self.s]) + rem[self.s]
-        return va, ea, vs, es
+            S[:, -3:], np.tile(2.0 ** (self.alphas - 2.0 * self.s), X.shape[0]))
+        return (S.sum(axis=1) + rem).reshape(-1, 2), err.reshape(-1, 2)
 
     def L_pair(self, X: np.ndarray):
-        """(L phi_alpha0, L phi_s) with error estimates at each point."""
+        """(L phi_alpha0, its error, L phi_s, its error) at each row of X.
+
+        Each plateau or exterior point gets a fine and a coarse plate, graded
+        toward it from h0 = max(clearance / 6, 2e-3), and the mass below the
+        lowest node, bounded along the plane.  Plateau points add the frame
+        sums of the whole batch and subtract the result from the closed form
+        W x_N^(alpha - 2s); the error sums the fine-coarse gap, the frame
+        completion, the plane remainder and the closed form's own error."""
         n = X.shape[0]
-        va, ea = np.empty(n), np.empty(n)
-        vs, es = np.empty(n), np.empty(n)
         rho = np.linalg.norm(X - self.c[None, :], axis=1)
         plateau = self.r_in - rho >= 0.044
         outer = rho - self.r_out >= 0.034
         shell = ~plateau & ~outer
+        # fine plates in V, coarse ones in Vc
+        V, Vc, clr = np.zeros((n, 2)), np.zeros((n, 2)), np.ones(n)
+        for i in np.nonzero(~shell)[0]:
+            x, out = X[i], bool(outer[i])
+            d = float(np.linalg.norm(x - self.c))
+            clr[i] = d - self.r_out if out else self.r_in - d
+            h0 = max(clr[i] / 6.0, 2e-3)
+            V[i] = self._plate(x, out, 4, 0.16 if out else 0.4, h0, 1.7, 2.2)
+            Vc[i] = self._plate(x, out, 3, 0.23 if out else 0.55, 2.0 * h0,
+                                2.1, 3.0)
+        ts2 = 2.0 * self.s
+        line = 2.0 * (1.0 + 1.0 / (1.0 + ts2)) * clr ** (-1.0 - ts2)
+        plane = (_PLANE_EPS ** (1.0 + self.alphas) / (1.0 + self.alphas)
+                 * (2.0 * self.a.upper_bound) * line[:, None])
+        E = np.abs(Vc - V) + plane
         if np.any(plateau):
-            out = self._interior(X[plateau])
-            va[plateau], ea[plateau], vs[plateau], es[plateau] = out
-        if np.any(outer):
-            out = self._exterior(X[outer])
-            va[outer], ea[outer], vs[outer], es[outer] = out
+            P = X[plateau]
+            tf, tf_err = self._frame_sums(P, self.frames[0])
+            tc, _ = self._frame_sums(P, self.frames[1])
+            G = V[plateau] + tf
+            pw = P[:, 1:] ** (self.alphas - ts2)
+            V[plateau] = self.W[:, 0] * pw - G
+            E[plateau] = (np.abs(Vc[plateau] + tc - G) + tf_err
+                          + plane[plateau] + self.W[:, 1] * np.abs(pw))
         if np.any(shell):
-            pts = X[shell]
-            v1, e1, _ = _L_field(self.a, self.s, self.phia, pts, self.cfg)
-            v2, e2, _ = _L_field(self.a, self.s, self.phis, pts, self.cfg)
-            va[shell], ea[shell] = v1, e1
-            vs[shell], es[shell] = v2, e2
-        return va, ea, vs, es
+            for k, phi in enumerate((self.phia, self.phis)):
+                V[shell, k], E[shell, k], _ = _L_field(self.a, self.s, phi,
+                                                       X[shell], self.cfg)
+        return V[:, 0], E[:, 0], V[:, 1], E[:, 1]
 
 
 def _step_one_samples(h: float, r_in: float, k: int) -> np.ndarray:

@@ -200,12 +200,9 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
                                       base.converged)
         if (isinstance(core, KelvinHalfSpacePower) and a.is_constant
                 and x[-1] > 0.0):
-            C, C_err, nev = _weighted_difference_constant(a, s, core.alpha,
-                                                          cfg)
-            r = float(np.linalg.norm(x))
-            geom = x[-1] ** (core.alpha - 2.0 * s) / r ** core.radial_exponent
-            return OperatorEvaluation(scale * C * geom,
-                                      abs(scale * geom) * C_err,
+            v, e, nev = _kelvin_closed_batch(a, s, core, x[None, :], cfg)
+            return OperatorEvaluation(float(scale * v[0]),
+                                      float(abs(scale) * e[0]),
                                       "closed_form", tuple(float(c) for c in x),
                                       nev, True)
 
@@ -730,13 +727,8 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
     loose = cfg.with_tol(abs_tol=max(cfg.abs_tol, 2e-6),
                          rel_tol=max(cfg.rel_tol, 2e-5))
 
-    if u is v:
-        edges = _support_edges(v, 6, 12)
-        val, err, nev = _integrate_weighted(a, s, v, v, edges, 4, loose, conv)
-        return PairingResult(val, val, 0.0, err + bound, nev, bound)
-
-    conv_u = None
-    if u.support_ball is not None:
+    conv_u = conv if u is v else None
+    if conv_u is None and u.support_ball is not None:
         conv_u = {"fine": _conv_source(u, True),
                   "coarse": _conv_source(u, False)}
 
@@ -747,6 +739,8 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
     vu_c, _, n2 = _integrate_weighted(a, s, v, u, e_c, 3, loose, conv_u)
     I_vLu = vu_f
     err_vLu = abs(vu_f - vu_c) + vu_fe
+    if u is v:
+        return PairingResult(I_vLu, I_vLu, 0.0, err_vLu + bound, n1 + n2, bound)
 
     # side 2: u times Lv over the whole box; the grid is refined across the
     # support block where Lv swings on the scale of the cutoff shell

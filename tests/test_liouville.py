@@ -225,6 +225,36 @@ class TestCutoffMassField:
             assert miss <= r.M_err + (ea[0] + es[0]) / phis
 
 
+    def test_exterior_points_against_the_excision_evaluator(self, const2, cfg):
+        # points clear of the support take the plate-mass path; the
+        # excision evaluator _L_field is an independent route to both columns
+        s, alpha0, h = 0.5, 0.75, 0.75
+        bump = cf.Bump(2, s, center=(0.0, h), r_in=0.875, r_out=1.0)
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        field = _CutoffMassField(const2, s, alpha0, bump, loose)
+        X = np.array([[0.0, h + 1.04], [1.1, 0.9], [-1.6, 0.4], [0.5, h + 2.2]])
+        rho = np.linalg.norm(X - field.c, axis=1)
+        assert np.all(rho - bump.r_out >= 0.034)
+        va, ea, vs, es = field.L_pair(X)
+        for v, e, phi in ((va, ea, field.phia), (vs, es, field.phis)):
+            ref, ref_err, _ = _L_field(const2, s, phi, X, loose)
+            assert np.all(np.abs(v - ref) <= e + ref_err)
+
+    def test_rows_do_not_depend_on_the_batch(self, const2, cfg):
+        # plateau (two of them near the plane), shell and exterior points:
+        # the frame sums run over the whole batch at once
+        s, alpha0, h = 0.5, 0.75, 0.75
+        bump = cf.Bump(2, s, center=(0.0, h), r_in=0.875, r_out=1.0)
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        field = _CutoffMassField(const2, s, alpha0, bump, loose)
+        X = np.array([[0.0, h], [0.3, 0.9], [0.2, 0.05], [-0.4, 0.1],
+                      [0.0, h + 0.94], [1.1, 0.9]])
+        batch = np.stack(field.L_pair(X))
+        for i in range(X.shape[0]):
+            one = np.stack(field.L_pair(X[i:i + 1]))[:, 0]
+            assert np.all(np.abs(batch[:, i] - one) <= 1e-13 * np.abs(one))
+
+
 class TestRescaledRows:
     def test_zero_candidate_gives_exact_zero_rows(self, const2, cfg):
         rows = cf.rescaled_inequality_experiment(

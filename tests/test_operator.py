@@ -290,6 +290,15 @@ class TestPairing:
         assert rep.residual == 0.0
         assert rep.I_uLv == pytest.approx(-24.1342539, rel=1e-6)
 
+    def test_symmetric_case_estimate_covers_a_refined_reference(self, const2, cfg):
+        # reference: the same route (v times Lv over the support of v) on
+        # _support_edges(v, 16, 30) with 6-point Gauss nodes, 166 M
+        # evaluations; the default grid misses it by 0.047
+        v = cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                       cf.Bump(2, S, center=(0.0, 1.0), r_in=0.25, r_out=0.5))
+        rep = cf.pairing(const2, S, v, v, 50.0, cfg)
+        assert abs(rep.I_uLv - (-24.0869119)) <= rep.abs_error_estimate
+
     def test_disjoint_bumps_against_convolution_oracle(self, const2, cfg):
         # supports separated by more than both diameters: the pairing reduces
         # to a double integral of u(x) v(y) k(x - y), evaluated independently
