@@ -50,9 +50,10 @@ from .quadrature import (  # noqa: F401
     sphere_surface_area,
 )
 # the mass sums call operators._conv_L through its module, so a hook on that
-# one name sees every mass kernel of both modules
+# one name sees every mass kernel of both modules; apply_L stays bound for
+# its per-module hook, as c_alpha does
 from . import operators
-from .operators import (_L_field, _tensor_nodes,
+from .operators import (_L_field, _tensor_nodes,  # noqa: F401
                         _weighted_difference_constant, apply_L)
 
 __all__ = [
@@ -289,31 +290,21 @@ def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
 
 def _operator_batch(a: SpectralDensity, s: float, u: CatalogFunction,
                     pts: np.ndarray, cfg: QuadratureConfig):
-    """Lu with per-point error, splitting off points below the boundary
-    plane where only the mass of a half-space-supported u contributes."""
+    """Lu with per-point error: points below the boundary plane of a u that
+    vanishes on the lower half-space and has decay metadata (N <= 2) get the
+    mass-only form, every other point the route table of _L_field."""
     n = pts.shape[0]
     vals = np.empty(n)
     errs = np.empty(n)
     nev = 0
-    upper = pts[:, -1] > 0.0
-    if np.any(upper):
-        v, e, k = _L_field(a, s, u, pts[upper], cfg)
-        vals[upper], errs[upper] = v, e
+    mass = (pts[:, -1] < 0.0) & (u.vanishes_lower_halfspace
+                                 and u.far_field is not None
+                                 and pts.shape[1] <= 2)
+    if not np.all(mass):
+        vals[~mass], errs[~mass], nev = _L_field(a, s, u, pts[~mass], cfg)
+    if np.any(mass):
+        vals[mass], errs[mass], k = _mass_only_L(a, s, u, pts[mass])
         nev += k
-    rest = ~upper
-    if np.any(rest):
-        below = rest & (pts[:, -1] < 0.0)
-        if (np.array_equal(below, rest) and u.vanishes_lower_halfspace
-                and u.far_field is not None and pts.shape[1] <= 2):
-            v, e, k = _mass_only_L(a, s, u, pts[rest])
-            vals[rest], errs[rest] = v, e
-            nev += k
-        else:
-            for i in np.nonzero(rest)[0]:
-                r = apply_L(a, s, u, pts[i], cfg, strict=False)
-                vals[i] = r.value
-                errs[i] = r.abs_error_estimate
-                nev += r.n_evals
     return vals, errs, nev
 
 

@@ -179,32 +179,18 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
             ) -> OperatorEvaluation:
     """Evaluate Lf(x) = int [f(x+y)+f(x-y)-2f(x)] a(y/|y|) |y|^{-N-2s} dy.
 
-    Dispatches to closed forms where they exist (constants, half-space powers
-    for any density, the decaying half-space power for constant densities);
-    otherwise integrates the polar decomposition.  force_numeric skips the
-    dispatch, strict=False returns unconverged results instead of raising.
+    Uses the closed form where one exists (see _closed_rows); otherwise
+    integrates the polar decomposition.  force_numeric skips the closed
+    form, strict=False returns unconverged results instead of raising.
     """
     _check_match(a, s, f)
     x = _point(x, f.dim)
-    scale, core = _unwrap_scale(f)
 
     if not force_numeric:
-        if isinstance(core, (Zero, Constant)) or scale == 0.0:
-            return OperatorEvaluation(0.0, 0.0, "closed_form",
-                                      tuple(float(c) for c in x))
-        if isinstance(core, HalfSpacePower) and x[-1] > 0.0:
-            base = apply_L_halfspace_power(a, s, core.alpha, x, cfg)
-            return OperatorEvaluation(scale * base.value,
-                                      abs(scale) * base.abs_error_estimate,
-                                      "closed_form", base.x, base.n_evals,
-                                      base.converged)
-        if (isinstance(core, KelvinHalfSpacePower) and a.is_constant
-                and x[-1] > 0.0):
-            v, e, nev = _kelvin_closed_batch(a, s, core, x[None, :], cfg)
-            return OperatorEvaluation(float(scale * v[0]),
-                                      float(abs(scale) * e[0]),
-                                      "closed_form", tuple(float(c) for c in x),
-                                      nev, True)
+        hit, v, e, nev = _closed_rows(a, s, f, x[None, :], cfg)
+        if hit[0]:
+            return OperatorEvaluation(float(v[0]), float(e[0]), "closed_form",
+                                      tuple(float(c) for c in x), nev)
 
     kinks = _KinkSet.of(f)
     _refuse_near(kinks, x, _REFUSE_FACTOR * _local_scale(x))
@@ -246,10 +232,9 @@ def apply_L_halfspace_power(a: SpectralDensity, s: float, alpha: float, x,
     if not x[-1] > 0.0:
         raise InputDomainError(
             "closed form needs a point in the open upper half-space")
-    C, C_err, nev = _weighted_difference_constant(a, s, alpha, cfg)
-    pw = x[-1] ** (alpha - 2.0 * s)
-    return OperatorEvaluation(C * pw, abs(pw) * C_err, "closed_form",
-                              tuple(float(c) for c in x), nev, True)
+    v, e, nev = _kelvin_closed_batch(a, s, alpha, x[None, :], cfg)
+    return OperatorEvaluation(float(v[0]), float(e[0]), "closed_form",
+                              tuple(float(c) for c in x), nev)
 
 
 def _weighted_difference_constant(a: SpectralDensity, s: float, alpha: float,
@@ -402,8 +387,6 @@ def _conv_source(v: CatalogFunction, fine: bool):
     ball = v.support_ball
     c = np.asarray(ball.center, dtype=float)
     r = float(ball.radius)
-    if v.dim != 2:
-        raise InputDomainError("the pairing check is two-dimensional")
     nr, na = (40, 96) if fine else (24, 56)
     RA, W = _tensor_nodes([np.linspace(0.0, r, nr // 4 + 1),
                            np.linspace(0.0, 2.0 * math.pi, na // 4 + 1)], 4)
@@ -462,15 +445,36 @@ def _tt_kelvin_parts(f: CatalogFunction):
     return None
 
 
-def _kelvin_closed_batch(a: SpectralDensity, s: float,
-                         k: KelvinHalfSpacePower, X: np.ndarray,
-                         cfg: QuadratureConfig):
-    """Closed-form L of the decaying half-space power at upper points,
-    vectorized; constant densities only."""
-    C, C_err, nev = _weighted_difference_constant(a, s, k.alpha, cfg)
-    r = np.linalg.norm(X, axis=1)
-    geom = X[:, -1] ** (k.alpha - 2.0 * s) / r ** k.radial_exponent
+def _kelvin_closed_batch(a: SpectralDensity, s: float, alpha: float,
+                         X: np.ndarray, cfg: QuadratureConfig, q: float = 0.0):
+    """C_alpha x_N^(alpha - 2s) |x|^(-q) at upper points, vectorized: L of
+    the half-space power (q = 0, any density) and of the decaying half-space
+    power (q its radial exponent, constant densities only)."""
+    C, C_err, nev = _weighted_difference_constant(a, s, alpha, cfg)
+    geom = X[:, -1] ** (alpha - 2.0 * s) / np.linalg.norm(X, axis=1) ** q
     return C * geom, np.abs(geom) * C_err, nev
+
+
+def _closed_rows(a: SpectralDensity, s: float, f: CatalogFunction,
+                 X: np.ndarray, cfg: QuadratureConfig):
+    """The rows of X where Lf has an exact closed form, with their values,
+    errors and evaluations: every row of a constant or of a zero multiple,
+    the upper rows of a half-space power and, for a constant density, of the
+    decaying half-space power."""
+    scale, core = _unwrap_scale(f)
+    n = X.shape[0]
+    if isinstance(core, (Zero, Constant)) or scale == 0.0:
+        return np.ones(n, dtype=bool), np.zeros(n), np.zeros(n), 0
+    q = None
+    if isinstance(core, HalfSpacePower):
+        q = 0.0
+    elif isinstance(core, KelvinHalfSpacePower) and a.is_constant:
+        q = core.radial_exponent
+    hit = (X[:, -1] > 0.0) & (q is not None)
+    if not np.any(hit):
+        return hit, np.empty(0), np.empty(0), 0
+    v, e, nev = _kelvin_closed_batch(a, s, core.alpha, X[hit], cfg, q)
+    return hit, scale * v, abs(scale) * e, nev
 
 
 _SLAB_SPAN = 600.0
@@ -501,7 +505,8 @@ def _tt_kelvin_L(a: SpectralDensity, s: float, scale: float,
     shift = np.zeros(X.shape[1])
     shift[-1] = 1.0
     Xs = X + shift[None, :]
-    base, base_err, nev = _kelvin_closed_batch(a, s, k, Xs, cfg)
+    base, base_err, nev = _kelvin_closed_batch(a, s, k.alpha, Xs, cfg,
+                                               k.radial_exponent)
     zf, wf = _slab_source(k, True)
     zc, wc = _slab_source(k, False)
     gf = _conv_L(a, s, zf, wf, Xs)
@@ -516,27 +521,25 @@ def _tt_kelvin_L(a: SpectralDensity, s: float, scale: float,
 
 def _angular_panel_edges(a: SpectralDensity, per_half_turn: int) -> np.ndarray:
     """Panel edges on [0, 2 pi] aligned with the density's jump circles."""
-    brk = sorted({0.0, *_jump_angles_2d(a)}) + [2.0 * math.pi]
-    return np.unique(np.concatenate(
+    two_pi = 2.0 * math.pi
+    brk = _merge_edges([_jump_angles_2d(a)], 0.0, two_pi)
+    return _merge_edges(
         [np.linspace(lo, hi, max(2, int(per_half_turn * (hi - lo) / math.pi)))
-         for lo, hi in zip(brk[:-1], brk[1:]) if hi - lo > 1e-12]))
+         for lo, hi in zip(brk[:-1], brk[1:])], 0.0, two_pi)
 
 
 def _density_angular_moments(a: SpectralDensity):
-    """Total mass and second moment matrix of the density on the circle,
-    by composite Gauss split at declared jumps."""
-    if a.dim != 2:
-        raise InputDomainError("the pairing check is two-dimensional")
-    ang, wts = _gauss_on_panels(_angular_panel_edges(a, 24), 6)
-    th = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    av = a._eval_unit(th)
-    mass = float(np.sum(wts * av))
-    Q = np.einsum("k,ki,kj->ij", wts * av, th, th)
-    return mass, Q
+    """Second moment matrix Q of the density on the circle, by the sphere
+    rule at the default tolerances, and its total mass Q_11 + Q_22."""
+    Q = np.empty((2, 2))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        Q[i, j] = Q[j, i] = sphere_quadrature(
+            a, lambda th, i=i, j=j: th[:, i] * th[:, j], DEFAULT_CONFIG).value
+    return Q[0, 0] + Q[1, 1], Q
 
 
 def _excised_L_compact(a: SpectralDensity, s: float, f: CatalogFunction,
-                       X: np.ndarray, mass: float, Q: np.ndarray):
+                       X: np.ndarray):
     """Lf at points where f is twice differentiable, for compact f: the ball
     |y| < delta contributes its Hessian quadratic in closed form, the rest is
     an x-centered polar integral of f(z) - f(x), with the analytic tail
@@ -553,6 +556,7 @@ def _excised_L_compact(a: SpectralDensity, s: float, f: CatalogFunction,
             # node fell exactly on a smooth scale marker; step off it
             rows.append(f.hessian(x + 5e-10 * (1.0 + np.abs(x))))
     H = np.stack(rows)
+    mass, Q = _density_angular_moments(a)
     hq = np.einsum("kij,ij->k", H, Q)
     ts2 = 2.0 * s
 
@@ -585,53 +589,58 @@ def _excised_L_compact(a: SpectralDensity, s: float, f: CatalogFunction,
 
 def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
              cfg: QuadratureConfig, conv=None):
-    """Lf at a batch of points: closed forms and convolution/excision forms
-    where they apply, the full polar evaluation elsewhere."""
+    """Lf at a batch of points, in any dimension, upper and lower mixed.
+
+    Each point takes the first route that applies to it:
+    1. the exact closed form (_closed_rows), as in apply_L;
+    2. the slab-corrected closed form (_tt_kelvin_L): upper points of a
+       translate-truncated decaying power, for a constant density;
+    3. the convolution form: points of a compact f at least 0.35 support
+       radii outside it, given the sources conv (the pairing check, N = 2);
+    4. the excision form (_excised_L_compact): other points of a compact f
+       in N = 2 farther than 0.1 from every kink plane;
+    5. the polar evaluation, apply_L(..., strict=False), point by point.
+    A route's kernel runs only when some point takes it.  Returns (values,
+    error estimates, evaluations)."""
     n = X.shape[0]
     vals = np.empty(n)
     errs = np.empty(n)
-    nev = 0
-    tt = _tt_kelvin_parts(f)
-    if tt is not None and a.is_constant and np.all(X[:, -1] > 0.0):
-        return _tt_kelvin_L(a, s, tt[0], tt[1], X, cfg)
-    sc, core = _unwrap_scale(f)
-    if (isinstance(core, KelvinHalfSpacePower) and a.is_constant
-            and np.all(X[:, -1] > 0.0)):
-        base, base_err, nb = _kelvin_closed_batch(a, s, core, X, cfg)
-        return sc * base, abs(sc) * base_err, nb
     done = np.zeros(n, dtype=bool)
-    if f.support_ball is not None:
-        ball = f.support_ball
+    nev = 0
+
+    def take(rows, v, e, k):
+        nonlocal nev
+        vals[rows], errs[rows] = v, e
+        done[rows] = True
+        nev += k
+
+    take(*_closed_rows(a, s, f, X, cfg))
+    tt = _tt_kelvin_parts(f)
+    if tt is not None and a.is_constant:
+        rows = ~done & (X[:, -1] > 0.0)
+        if np.any(rows):
+            take(rows, *_tt_kelvin_L(a, s, tt[0], tt[1], X[rows], cfg))
+    ball = f.support_ball
+    if ball is not None and conv is not None:
         c = np.asarray(ball.center, dtype=float)
-        if conv is not None:
-            dist = np.linalg.norm(X - c[None, :], axis=1) - ball.radius
-            far = dist >= 0.35 * ball.radius
-            if np.any(far):
-                zf, wf = conv["fine"]
-                zc, wc = conv["coarse"]
-                vf = _conv_L(a, s, zf, wf, X[far])
-                vc = _conv_L(a, s, zc, wc, X[far])
-                vals[far] = vf
-                errs[far] = np.abs(vf - vc)
-                nev += int(far.sum()) * (wf.size + wc.size)
-                done |= far
-        # remaining points: the excision form needs two derivatives on a
-        # small ball clear of any kink plane (smooth scale markers are fine)
+        dist = np.linalg.norm(X - c[None, :], axis=1) - ball.radius
+        rows = ~done & (dist >= 0.35 * ball.radius)
+        if np.any(rows):
+            zf, wf = conv["fine"]
+            zc, wc = conv["coarse"]
+            vf = _conv_L(a, s, zf, wf, X[rows])
+            vc = _conv_L(a, s, zc, wc, X[rows])
+            take(rows, vf, np.abs(vf - vc),
+                 int(rows.sum()) * (wf.size + wc.size))
+    if ball is not None and X.shape[1] == 2:
         kinks = _KinkSet.of(f)
-        clear = ~done & np.all(
+        rows = ~done & np.all(
             kinks.distances(X)[:, :len(kinks.planes)] > 0.1, axis=1)
-        if np.any(clear):
-            mass, Q = _density_angular_moments(a)
-            v3, e3, n3 = _excised_L_compact(a, s, f, X[clear], mass, Q)
-            vals[clear] = v3
-            errs[clear] = e3
-            nev += n3
-            done |= clear
+        if np.any(rows):
+            take(rows, *_excised_L_compact(a, s, f, X[rows]))
     for i in np.nonzero(~done)[0]:
         r = apply_L(a, s, f, X[i], cfg, strict=False)
-        vals[i] = r.value
-        errs[i] = r.abs_error_estimate
-        nev += r.n_evals
+        take(i, r.value, r.abs_error_estimate, r.n_evals)
     return vals, errs, nev
 
 

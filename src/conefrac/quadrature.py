@@ -46,8 +46,6 @@ class QuadratureConfig:
     t0_factor: inner split radius as a fraction of the local smoothness
         radius (distance to the nearest kink surface, capped at 1).
     sphere_panels: base panel count for the circle rule (N = 2).
-    azimuthal_nodes: azimuthal resolution of the product rule for N = 3.
-    sphere_mc_samples: antithetic sample count for N >= 4.
     """
 
     t0_factor: float = 0.5
@@ -55,8 +53,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-7
     max_subdivisions: int = 10
     sphere_panels: int = 16
-    azimuthal_nodes: int = 48
-    sphere_mc_samples: int = 8192
     mc_seed: int = 20220
     mc_samples: int = 40000
 
@@ -67,13 +63,12 @@ class QuadratureConfig:
             raise InputDomainError("tolerances must be positive")
         if self.max_subdivisions < 0:
             raise InputDomainError("max_subdivisions must be >= 0")
-        for name in ("sphere_panels", "azimuthal_nodes"):
-            v = getattr(self, name)
-            if v < 4 or v % 2 != 0:
-                raise InputDomainError(f"{name} must be even and >= 4, got {v}")
+        if self.sphere_panels < 4 or self.sphere_panels % 2 != 0:
+            raise InputDomainError(
+                f"sphere_panels must be even and >= 4, got {self.sphere_panels}")
         if not (0 <= self.mc_seed < 2 ** 64):
             raise InputDomainError("mc_seed must fit in an unsigned 64-bit word")
-        if self.mc_samples < 16 or self.sphere_mc_samples < 16:
+        if self.mc_samples < 16:
             raise InputDomainError("sample counts must be at least 16")
 
     def with_tol(self, abs_tol: float, rel_tol: float) -> "QuadratureConfig":
@@ -104,6 +99,8 @@ def _tol_met(value: float, err: float, abs_tol: float, rel_tol: float) -> bool:
 # --------------------------------------------------------------------------
 
 _N_LOW, _N_HIGH = 7, 15
+# azimuthal nodes of the N = 3 product rule, samples of the N >= 4 rule
+_AZIMUTHAL_NODES, _SPHERE_MC_SAMPLES = 48, 8192
 
 
 def _orders_for_tol(tol: float) -> tuple[int, int]:
@@ -674,8 +671,8 @@ def _sphere_integrate_3d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
         node_err = float(np.sum(wts * np.abs(avals) * gerrs))
         return val, node_err, n_inner
 
-    v_fine, ne_fine, n1 = run(_N_HIGH, cfg.azimuthal_nodes)
-    v_coarse, _, n2 = run(_N_LOW, cfg.azimuthal_nodes // 2)
+    v_fine, ne_fine, n1 = run(_N_HIGH, _AZIMUTHAL_NODES)
+    v_coarse, _, n2 = run(_N_LOW, _AZIMUTHAL_NODES // 2)
     err = abs(v_fine - v_coarse) + ne_fine
     return IntegralResult(v_fine, err, n1 + n2,
                           _tol_met(v_fine, err, cfg.abs_tol, cfg.rel_tol))
@@ -684,7 +681,7 @@ def _sphere_integrate_3d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
 def _sphere_integrate_mc(a: SpectralDensity, node_eval, cfg: QuadratureConfig):
     dim = a.dim
     rng = np.random.Generator(np.random.PCG64(cfg.mc_seed))
-    k = cfg.sphere_mc_samples // 2
+    k = _SPHERE_MC_SAMPLES // 2
     raw = rng.standard_normal(size=(k, dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     thetas = np.concatenate((raw, -raw), axis=0)
@@ -764,7 +761,7 @@ def mc_region_volume(predicate, center: Sequence[float], radius: float,
 # radial integrals along both rays of a direction
 # --------------------------------------------------------------------------
 
-def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, s: float,
+def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
                      cfg: QuadratureConfig, *, inner_mode: str, tail_mode: str):
     """Build the task table for both-ray radial integration along K directions.
 
@@ -881,7 +878,7 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     tol_r = cfg.rel_tol if tol_rel_node is None else tol_rel_node
 
     tasks, inner_oct, tail_oct, T0, t_in = _assemble_radial(
-        kinks, x, thetas, s, cfg, inner_mode=inner_mode, tail_mode=tail_mode)
+        kinks, x, thetas, cfg, inner_mode=inner_mode, tail_mode=tail_mode)
 
     n_main = tasks["lo"].size
     # the evalf task table spans main tasks, then inner octave sources, then

@@ -1,5 +1,6 @@
 """Command line driver: parsing, precedence, artifacts, exit codes."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import conefrac
-from conefrac.cli import main
+from conefrac.cli import _QUAD, _Run, main
+from conefrac.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
 def run_cli(tmp_path, *argv):
@@ -153,6 +155,18 @@ class TestScanSubcommand:
         code, _ = run_cli(tmp_path, "scan", "--s", "0.5",
                           "--p", "1.8", "--expect", "certified=false")
         assert code == 3
+
+
+class TestQuadKeys:
+    def test_every_config_field_has_a_key(self):
+        # doubling every quad.* default must move every QuadratureConfig
+        # field: a field no key reaches cannot be set from the CLI
+        doubled = {k: str(2 * int(v)) if v.isdigit() else repr(2 * float(v))
+                   for k, v in _QUAD.items()}
+        got = _Run("calpha", doubled).quad_config()
+        moved = {f.name for f in dataclasses.fields(QuadratureConfig)
+                 if getattr(got, f.name) != getattr(DEFAULT_CONFIG, f.name)}
+        assert moved == {f.name for f in dataclasses.fields(QuadratureConfig)}
 
 
 class TestPrecedence:

@@ -98,6 +98,18 @@ class TestCertification:
         assert rep.min_margin == pytest.approx(-3.383271e-3, rel=1e-3)
         assert tuple(rep.argmin) == pytest.approx((0.0, 10.0), abs=1e-9)
 
+    def test_compact_member_in_one_dimension(self, cfg):
+        # the excision form is two-dimensional; a compact member in N = 1
+        # takes the polar route at each point instead of raising
+        a = cf.ConstantDensity(1)
+        f = cf.Bump(1, 0.5, center=(2.0,), r_in=0.5, r_out=1.0)
+        X = np.array([[2.1], [2.7]])
+        rep = cf.certify(a, 0.5, 2.0, f, X, cfg)
+        margins = [-cf.apply_L(a, 0.5, f, x, cfg).value - f.value(x) ** 2.0
+                   for x in X]
+        assert rep.min_margin == min(margins)
+        assert rep.certified
+
     def test_default_point_sets(self):
         half = cf.default_certification_points(2, "halfspace")
         whole = cf.default_certification_points(2, "wholespace")

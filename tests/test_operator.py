@@ -13,7 +13,7 @@ import conefrac as cf
 from conefrac.errors import (AccuracyError, InputDomainError,
                              NonsmoothPointError, TruncationError)
 from conefrac.liouville import _mass_only_L
-from conefrac.operators import _conv_L
+from conefrac.operators import _conv_L, _L_field
 
 S = 0.5
 
@@ -280,6 +280,51 @@ class TestMassKernel:
                              * (t - x) ** (-1.0 - 2.0 * s), 0.0, np.inf,
                              epsabs=1e-14, epsrel=1e-13, limit=200)
             assert abs(v - oracle) <= e <= 0.05 * abs(oracle)
+
+
+class TestRouteTable:
+    """_L_field gives each point the first route that applies to it, and a
+    point's value does not depend on the rest of its batch."""
+
+    @pytest.mark.parametrize("a,f,X", [
+        (cf.ConstantDensity(1), cf.Bump(1, S, center=(2.0,), r_in=0.5, r_out=1.0),
+         [[2.1], [2.7]]),
+        (cf.ConstantDensity(3),
+         cf.Product(cf.HalfSpacePower(3, S, alpha=0.4),
+                    cf.Bump(3, S, center=(0.0, 0.0, 2.0), r_in=0.5, r_out=1.0)),
+         [[0.1, 0.0, 2.1]]),
+    ], ids=["N1_bump", "N3_product"])
+    def test_compact_member_off_two_dimensions(self, cfg, a, f, X):
+        # the excision form is two-dimensional; elsewhere a compact member
+        # takes the polar route instead of raising
+        X = np.array(X)
+        vals, errs, nev = _L_field(a, S, f, X, cfg)
+        total = 0
+        for x, v, e in zip(X, vals, errs):
+            ev = cf.apply_L(a, S, f, x, cfg)
+            assert ev.converged
+            assert (v, e) == (ev.value, ev.abs_error_estimate)
+            total += ev.n_evals
+        assert nev == total
+
+    @pytest.mark.parametrize("f", [
+        cf.ScalarMultiple(-2.7, cf.kelvin(0.25, 2, S)),
+        cf.HalfSpacePower(2, S, alpha=0.3),
+    ], ids=["scaled_kelvin", "halfspace_power"])
+    def test_mixed_batch_rows_match_single_points(self, const2, fast_cfg, f):
+        # upper points take the closed form, lower ones the polar route, in
+        # one batch
+        X = np.array([[0.3, 0.8], [-0.4, -0.6], [1.1, 0.2], [0.7, -1.3]])
+        vals, errs, _ = _L_field(const2, S, f, X, fast_cfg)
+        for i, x in enumerate(X):
+            alone, alone_err, _ = _L_field(const2, S, f, X[i:i + 1], fast_cfg)
+            assert (vals[i], errs[i]) == (alone[0], alone_err[0])
+            ev = cf.apply_L(const2, S, f, x, fast_cfg, strict=False)
+            assert ev.path == ("closed_form" if x[-1] > 0.0 else "numeric")
+            if ev.path == "closed_form":
+                assert abs(vals[i] - ev.value) <= np.spacing(abs(ev.value))
+            else:
+                assert abs(vals[i] - ev.value) <= errs[i] + ev.abs_error_estimate
 
 
 class TestPairing:
