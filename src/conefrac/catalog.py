@@ -11,7 +11,7 @@ envelopes depend on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,11 +55,9 @@ class SphereKink:
 
 @dataclass(frozen=True)
 class SupportBall:
-    """f vanishes outside this ball (intersected with the open upper
-    half-space when halfspace_clipped)."""
+    """f vanishes outside this ball."""
     center: tuple
     radius: float
-    halfspace_clipped: bool = False
 
 
 def _as_tuple(v, dim: int) -> tuple:
@@ -585,13 +583,8 @@ class Product(CatalogFunction):
     def support_ball(self) -> Optional[SupportBall]:
         fb, gb = self.f.support_ball, self.g.support_ball
         if fb is not None and (gb is None or fb.radius <= gb.radius):
-            small = fb
-        else:
-            small = gb
-        if small is None:
-            return None
-        clipped = small.halfspace_clipped or self.vanishes_lower_halfspace
-        return SupportBall(small.center, small.radius, clipped)
+            return fb
+        return gb
 
     @property
     def growth(self) -> GrowthBound:
@@ -738,7 +731,7 @@ class Rescale(CatalogFunction):
         if sb is None:
             return None
         c = tuple(ci * self.R for ci in sb.center)
-        return SupportBall(c, sb.radius * self.R, sb.halfspace_clipped)
+        return SupportBall(c, sb.radius * self.R)
 
     @property
     def growth(self) -> GrowthBound:
@@ -828,7 +821,7 @@ class TranslateTruncate(CatalogFunction):
         if sb is None:
             return None
         c = tuple(np.asarray(sb.center) - self._shift())
-        return SupportBall(c, sb.radius, halfspace_clipped=True)
+        return SupportBall(c, sb.radius)
 
     @property
     def growth(self) -> GrowthBound:

@@ -22,8 +22,7 @@ from . import __version__
 from .catalog import (Bump, Constant, HalfSpacePower, Product, Rescale,
                       ScalarMultiple, Zero, kelvin, translate_truncate)
 from .errors import (AccuracyError, ConefracError, DegenerateDensityError,
-                     ExpectationFailedError, InputDomainError,
-                     SearchFailureError)
+                     ExpectationFailedError, SearchFailureError)
 from .liouville import (certify, construct_supersolution,
                         default_certification_points, gamma_search,
                         liouville_scan, rescaled_inequality_experiment,

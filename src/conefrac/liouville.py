@@ -29,32 +29,24 @@ from .catalog import (
     Bump,
     CatalogFunction,
     HalfSpacePower,
-    KelvinHalfSpacePower,
     Product,
     Rescale,
     ScalarMultiple,
     TranslateTruncate,
-    _KinkSet,
     kelvin,
 )
-# c_alpha is not called here; the name stays bound so that per-module hooks
-# on it (bench/tracing.py) keep resolving
-from .quadrature import (  # noqa: F401
+from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _geom_edges,
     _geometric_tail,
     _merge_edges,
-    c_alpha,
     mc_region_volume,
-    sphere_surface_area,
 )
-# the mass sums call operators._conv_L through its module, so a hook on that
-# one name sees every mass kernel of both modules; apply_L stays bound for
-# its per-module hook, as c_alpha does
+# the cutoff mass sums call operators._conv_L through its module, so one
+# name reaches every mass kernel of both modules
 from . import operators
-from .operators import (_L_field, _tensor_nodes,  # noqa: F401
-                        _weighted_difference_constant, apply_L)
+from .operators import _L_field, _tensor_nodes, _weighted_difference_constant
 
 __all__ = [
     "critical_exponents",
@@ -249,65 +241,6 @@ def default_certification_points(N: int, mode: str = "halfspace") -> np.ndarray:
     return np.concatenate([pts, mirror, axis_low], axis=0)
 
 
-def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
-                 X: np.ndarray):
-    """Lu at points strictly below a vanishing half-space: only the mass of u
-    reaches them, so Lu(x) = 2 integral of u(z) K(z - x) over the support,
-    evaluated on a graded grid at two resolutions, with an edge at each
-    kink sphere's extent along each axis and the analytic far tail bounded
-    from the decay metadata."""
-    ff = u.far_field
-    N = X.shape[1]
-    far_x = 2.0 * float(np.max(np.linalg.norm(X, axis=1)))
-    if ff.coef == 0.0:
-        span = max(ff.radius * 1.05, far_x, 1.0)
-        tail = 0.0
-    else:
-        span = max(600.0, 2.0 * ff.radius, far_x)
-        tail = (2.0 * a.upper_bound * ff.coef * sphere_surface_area(N)
-                * 2.0 ** (N + 2.0 * s)
-                * span ** (-(ff.rate + 2.0 * s)) / (ff.rate + 2.0 * s))
-
-    kinks = _KinkSet.of(u)
-    r = kinks.radii[:, None]
-    ext = np.concatenate((kinks.centers - r, kinks.centers + r))
-
-    def run(ratio, g):
-        ze = _geom_edges(1e-6, span, ratio, 6)
-        edges = [_merge_edges([-ze, [0.0], ze, ext[:, i]], -span, span)
-                 for i in range(N - 1)]
-        edges.append(_merge_edges([ze, ext[:, -1]], 1e-6, span))
-        Z, W = _tensor_nodes(edges, g)
-        uv = u.values(Z)
-        keep = uv != 0.0
-        Z, W = Z[keep], W[keep] * uv[keep]
-        return operators._conv_L(a, s, Z, W, X), Z.shape[0] * X.shape[0]
-
-    vf, n1 = run(1.35, 3)
-    vc, n2 = run(1.8, 2)
-    return vf, np.abs(vf - vc) + tail, n1 + n2
-
-
-def _operator_batch(a: SpectralDensity, s: float, u: CatalogFunction,
-                    pts: np.ndarray, cfg: QuadratureConfig):
-    """Lu with per-point error: points below the boundary plane of a u that
-    vanishes on the lower half-space and has decay metadata (N <= 2) get the
-    mass-only form, every other point the route table of _L_field."""
-    n = pts.shape[0]
-    vals = np.empty(n)
-    errs = np.empty(n)
-    nev = 0
-    mass = (pts[:, -1] < 0.0) & (u.vanishes_lower_halfspace
-                                 and u.far_field is not None
-                                 and pts.shape[1] <= 2)
-    if not np.all(mass):
-        vals[~mass], errs[~mass], nev = _L_field(a, s, u, pts[~mass], cfg)
-    if np.any(mass):
-        vals[mass], errs[mass], k = _mass_only_L(a, s, u, pts[mass])
-        nev += k
-    return vals, errs, nev
-
-
 def certify(a: SpectralDensity, s: float, p: float, u: CatalogFunction,
             points, cfg: QuadratureConfig = DEFAULT_CONFIG, *,
             tolerance: float = 1e-6) -> CertificationReport:
@@ -330,7 +263,7 @@ def certify(a: SpectralDensity, s: float, p: float, u: CatalogFunction,
         raise InputDomainError("sample points must form a nonempty (n, dim) array")
     if not np.all(np.isfinite(pts)):
         raise InputDomainError("sample points must be finite")
-    Lvals, Lerrs, _ = _operator_batch(a, s, u, pts, cfg)
+    Lvals, Lerrs, _ = _L_field(a, s, u, pts, cfg)
     margins = -Lvals - u.values(pts) ** p
     order = np.argsort(margins)
     worst = tuple(

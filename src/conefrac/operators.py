@@ -407,7 +407,8 @@ def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
     with one weight column per integral; the result is (n,) or (n, k).  A
     constant density needs no directions: its kernel is a.value r^{-N-2s}.
     Columns stored contiguously (a (k, m) array transposed) keep the sum
-    over the nodes fast.
+    over the nodes fast.  Each row is summed on its own, so a point's value
+    does not depend on the rest of X.
     """
     dim = X.shape[1]
     out = np.empty((X.shape[0],) + wv.shape[1:])
@@ -427,10 +428,26 @@ def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
         if not a.is_constant:
             unit = (d / np.sqrt(r2)[None, :, :]).reshape(dim, -1).T
             kern *= a._eval_unit(np.ascontiguousarray(unit)).reshape(r2.shape)
-        # numpy's own loops, not a threaded BLAS call: the sum stays fast
-        # and bit-reproducible when other processes hold the cores
-        out[i:i + step] = np.einsum("pm,m...->p...", kern, wv)
+        # a row sum per weight column, not einsum (which sums a one-row
+        # block in another order) and not a threaded BLAS call (which is not
+        # bit-reproducible when other processes hold the cores)
+        if wv.ndim == 1:
+            kern *= wv
+            out[i:i + step] = kern.sum(axis=1)
+        else:
+            for k in range(wv.shape[1]):
+                out[i:i + step, k] = (kern * wv[:, k]).sum(axis=1)
     return 2.0 * (a.value if a.is_constant else 1.0) * out
+
+
+def _mass_pair(a: SpectralDensity, s: float, sources, X: np.ndarray):
+    """The mass sum _conv_L at the rows of X from a (fine, coarse) pair of
+    quadratures (z, wv) of one source: the fine values, their gap to the
+    coarse ones as the error, and the node-point pairs summed."""
+    (zf, wf), (zc, wc) = sources
+    vf = _conv_L(a, s, zf, wf, X)
+    vc = _conv_L(a, s, zc, wc, X)
+    return vf, np.abs(vf - vc), X.shape[0] * (zf.shape[0] + zc.shape[0])
 
 
 def _tt_kelvin_parts(f: CatalogFunction):
@@ -507,16 +524,51 @@ def _tt_kelvin_L(a: SpectralDensity, s: float, scale: float,
     Xs = X + shift[None, :]
     base, base_err, nev = _kelvin_closed_batch(a, s, k.alpha, Xs, cfg,
                                                k.radial_exponent)
-    zf, wf = _slab_source(k, True)
-    zc, wc = _slab_source(k, False)
-    gf = _conv_L(a, s, zf, wf, Xs)
-    gc = _conv_L(a, s, zc, wc, Xs)
+    slab, slab_err, n_slab = _mass_pair(
+        a, s, (_slab_source(k, True), _slab_source(k, False)), Xs)
     q = k.dim - 2.0 * k.s + 2.0 * k.alpha
     tail = (4.0 * a.upper_bound * 2.0 ** (k.dim + 2.0 * s)
             / (k.alpha + 1.0)) * _SLAB_SPAN ** (-(q + 2.0 * s)) / (q + 2.0 * s)
-    vals = scale * (base - gf)
-    errs = abs(scale) * (base_err + np.abs(gf - gc) + tail)
-    return vals, errs, nev + X.shape[0] * (wf.size + wc.size)
+    vals = scale * (base - slab)
+    errs = abs(scale) * (base_err + slab_err + tail)
+    return vals, errs, nev + n_slab
+
+
+def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
+                 X: np.ndarray):
+    """Lu at points strictly below a vanishing half-space: only the mass of u
+    reaches them, so Lu(x) = 2 integral of u(z) K(z - x) over the support,
+    evaluated on a graded grid at two resolutions, with an edge at each
+    kink sphere's extent along each axis and the analytic far tail bounded
+    from the decay metadata."""
+    ff = u.far_field
+    N = X.shape[1]
+    far_x = 2.0 * float(np.max(np.linalg.norm(X, axis=1)))
+    if ff.coef == 0.0:
+        span = max(ff.radius * 1.05, far_x, 1.0)
+        tail = 0.0
+    else:
+        span = max(600.0, 2.0 * ff.radius, far_x)
+        tail = (2.0 * a.upper_bound * ff.coef * sphere_surface_area(N)
+                * 2.0 ** (N + 2.0 * s)
+                * span ** (-(ff.rate + 2.0 * s)) / (ff.rate + 2.0 * s))
+
+    kinks = _KinkSet.of(u)
+    r = kinks.radii[:, None]
+    ext = np.concatenate((kinks.centers - r, kinks.centers + r))
+
+    def source(ratio, g):
+        ze = _geom_edges(1e-6, span, ratio, 6)
+        edges = [_merge_edges([-ze, [0.0], ze, ext[:, i]], -span, span)
+                 for i in range(N - 1)]
+        edges.append(_merge_edges([ze, ext[:, -1]], 1e-6, span))
+        Z, W = _tensor_nodes(edges, g)
+        uv = u.values(Z)
+        keep = uv != 0.0
+        return Z[keep], W[keep] * uv[keep]
+
+    vals, errs, nev = _mass_pair(a, s, (source(1.35, 3), source(1.8, 2)), X)
+    return vals, errs + tail, nev
 
 
 def _angular_panel_edges(a: SpectralDensity, per_half_turn: int) -> np.ndarray:
@@ -595,11 +647,14 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
     1. the exact closed form (_closed_rows), as in apply_L;
     2. the slab-corrected closed form (_tt_kelvin_L): upper points of a
        translate-truncated decaying power, for a constant density;
-    3. the convolution form: points of a compact f at least 0.35 support
-       radii outside it, given the sources conv (the pairing check, N = 2);
-    4. the excision form (_excised_L_compact): other points of a compact f
+    3. the mass-only form (_mass_only_L): points with x_N < 0 of an f that
+       vanishes on the lower half-space and has far-field metadata, N <= 2;
+    4. the convolution form: points of a compact f at least 0.35 support
+       radii outside it, given the (fine, coarse) sources conv (the pairing
+       check, N = 2);
+    5. the excision form (_excised_L_compact): other points of a compact f
        in N = 2 farther than 0.1 from every kink plane;
-    5. the polar evaluation, apply_L(..., strict=False), point by point.
+    6. the polar evaluation, apply_L(..., strict=False), point by point.
     A route's kernel runs only when some point takes it.  Returns (values,
     error estimates, evaluations)."""
     n = X.shape[0]
@@ -620,18 +675,18 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
         rows = ~done & (X[:, -1] > 0.0)
         if np.any(rows):
             take(rows, *_tt_kelvin_L(a, s, tt[0], tt[1], X[rows], cfg))
+    if (f.vanishes_lower_halfspace and f.far_field is not None
+            and X.shape[1] <= 2):
+        rows = ~done & (X[:, -1] < 0.0)
+        if np.any(rows):
+            take(rows, *_mass_only_L(a, s, f, X[rows]))
     ball = f.support_ball
     if ball is not None and conv is not None:
         c = np.asarray(ball.center, dtype=float)
         dist = np.linalg.norm(X - c[None, :], axis=1) - ball.radius
         rows = ~done & (dist >= 0.35 * ball.radius)
         if np.any(rows):
-            zf, wf = conv["fine"]
-            zc, wc = conv["coarse"]
-            vf = _conv_L(a, s, zf, wf, X[rows])
-            vc = _conv_L(a, s, zc, wc, X[rows])
-            take(rows, vf, np.abs(vf - vc),
-                 int(rows.sum()) * (wf.size + wc.size))
+            take(rows, *_mass_pair(a, s, conv, X[rows]))
     if ball is not None and X.shape[1] == 2:
         kinks = _KinkSet.of(f)
         rows = ~done & np.all(
@@ -724,8 +779,8 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
     if np.any(np.abs(c[:-1]) + r > W) or c[-1] + r > W:
         raise InputDomainError("the box must contain the weight's support")
 
-    conv = {"fine": _conv_source(v, True), "coarse": _conv_source(v, False)}
-    v_l1 = float(np.sum(np.abs(conv["fine"][1])))
+    conv = (_conv_source(v, True), _conv_source(v, False))
+    v_l1 = float(np.sum(np.abs(conv[0][1])))
 
     bound = _truncation_bound(a, u, v_l1, s, W)
     if not (bound <= truncation_tol):
@@ -738,8 +793,7 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
 
     conv_u = conv if u is v else None
     if conv_u is None and u.support_ball is not None:
-        conv_u = {"fine": _conv_source(u, True),
-                  "coarse": _conv_source(u, False)}
+        conv_u = (_conv_source(u, True), _conv_source(u, False))
 
     # side 1: v times Lu over the support of v
     e_f = _support_edges(v, 6, 12)

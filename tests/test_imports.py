@@ -1,0 +1,33 @@
+"""Every name a conefrac module imports is used in that module.
+
+A binding kept only so that something outside the package can rebind it
+(a tracer hook, say) is dead code to the package itself; this test keeps
+such bindings, and plain unused imports, from coming back."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import conefrac
+
+PACKAGE = Path(conefrac.__file__).resolve().parent
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(tree: ast.Module) -> list:
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    assert unused_imports(tree) == []

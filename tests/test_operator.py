@@ -12,8 +12,7 @@ from scipy.special import roots_legendre
 import conefrac as cf
 from conefrac.errors import (AccuracyError, InputDomainError,
                              NonsmoothPointError, TruncationError)
-from conefrac.liouville import _mass_only_L
-from conefrac.operators import _conv_L, _L_field
+from conefrac.operators import _conv_L, _L_field, _mass_only_L
 
 S = 0.5
 
@@ -312,8 +311,9 @@ class TestRouteTable:
         cf.HalfSpacePower(2, S, alpha=0.3),
     ], ids=["scaled_kelvin", "halfspace_power"])
     def test_mixed_batch_rows_match_single_points(self, const2, fast_cfg, f):
-        # upper points take the closed form, lower ones the polar route, in
-        # one batch
+        # upper points take the closed form, lower ones the mass-only route
+        # (kelvin) or the polar route (the half-space power, whose far field
+        # is unknown), in one batch
         X = np.array([[0.3, 0.8], [-0.4, -0.6], [1.1, 0.2], [0.7, -1.3]])
         vals, errs, _ = _L_field(const2, S, f, X, fast_cfg)
         for i, x in enumerate(X):
@@ -325,6 +325,31 @@ class TestRouteTable:
                 assert abs(vals[i] - ev.value) <= np.spacing(abs(ev.value))
             else:
                 assert abs(vals[i] - ev.value) <= errs[i] + ev.abs_error_estimate
+
+    def test_lower_kelvin_points_against_polar_quad(self, const2, cfg):
+        # below the plane only the mass of u = x_N^a |x|^(-q) reaches x; in
+        # polar coordinates about the origin u = r^(a-q) sin^a(psi), so
+        # Lu(x) = 2 int_0^pi sin^a(psi) int_0^inf r^(1+a-q) |z - x|^(-2-2s)
+        alpha = 0.25
+        q = 2.0 - 2.0 * S + 2.0 * alpha
+
+        def oracle(x):
+            def ray(psi):
+                c = x[0] * math.cos(psi) + x[1] * math.sin(psi)
+                val, _ = quad(lambda r: r ** (1.0 + alpha - q)
+                              * (r * r - 2.0 * r * c + x @ x) ** (-1.0 - S),
+                              0.0, math.inf, epsabs=1e-13, epsrel=1e-12,
+                              limit=200)
+                return math.sin(psi) ** alpha * val
+            val, _ = quad(ray, 0.0, math.pi, epsabs=1e-12, epsrel=1e-11,
+                          limit=200)
+            return 2.0 * val
+
+        X = np.array([[0.7, -1.3], [-0.4, -0.6]])
+        vals, errs, nev = _L_field(const2, S, cf.kelvin(alpha, 2, S), X, cfg)
+        for x, v, e in zip(X, vals, errs):
+            assert abs(v - oracle(x)) <= e <= 0.005 * abs(v)
+        assert nev < 300_000
 
 
 class TestPairing:
