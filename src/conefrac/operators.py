@@ -540,24 +540,23 @@ def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
     reaches them, so Lu(x) = 2 integral of u(z) K(z - x) over the support,
     evaluated on a graded grid at two resolutions, with an edge at each
     kink sphere's extent along each axis and the analytic far tail bounded
-    from the decay metadata."""
+    from the decay metadata.  A compact u's grid covers its support; else a
+    row's grid spans max(600, 2 radius, the power of two at or above 2|x|),
+    so the tail bound holds at x, and rows of one span share a grid: a row's
+    value does not depend on the rest of its batch."""
     ff = u.far_field
     N = X.shape[1]
-    far_x = 2.0 * float(np.max(np.linalg.norm(X, axis=1)))
     if ff.coef == 0.0:
-        span = max(ff.radius * 1.05, far_x, 1.0)
-        tail = 0.0
+        spans = np.full(X.shape[0], max(ff.radius * 1.05, 1.0))
     else:
-        span = max(600.0, 2.0 * ff.radius, far_x)
-        tail = (2.0 * a.upper_bound * ff.coef * sphere_surface_area(N)
-                * 2.0 ** (N + 2.0 * s)
-                * span ** (-(ff.rate + 2.0 * s)) / (ff.rate + 2.0 * s))
+        spans = np.maximum(max(600.0, 2.0 * ff.radius), np.exp2(np.ceil(
+            np.log2(2.0 * np.linalg.norm(X, axis=1)))))
 
     kinks = _KinkSet.of(u)
     r = kinks.radii[:, None]
     ext = np.concatenate((kinks.centers - r, kinks.centers + r))
 
-    def source(ratio, g):
+    def source(span, ratio, g):
         ze = _geom_edges(1e-6, span, ratio, 6)
         edges = [_merge_edges([-ze, [0.0], ze, ext[:, i]], -span, span)
                  for i in range(N - 1)]
@@ -567,8 +566,17 @@ def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
         keep = uv != 0.0
         return Z[keep], W[keep] * uv[keep]
 
-    vals, errs, nev = _mass_pair(a, s, (source(1.35, 3), source(1.8, 2)), X)
-    return vals, errs + tail, nev
+    vals, errs = np.empty(X.shape[0]), np.empty(X.shape[0])
+    nev = 0
+    for span in np.unique(spans):
+        rows = spans == span
+        vals[rows], errs[rows], n2 = _mass_pair(
+            a, s, (source(span, 1.35, 3), source(span, 1.8, 2)), X[rows])
+        errs[rows] += (2.0 * a.upper_bound * ff.coef * sphere_surface_area(N)
+                       * 2.0 ** (N + 2.0 * s)
+                       * span ** (-(ff.rate + 2.0 * s)) / (ff.rate + 2.0 * s))
+        nev += n2
+    return vals, errs, nev
 
 
 def _angular_panel_edges(a: SpectralDensity, per_half_turn: int) -> np.ndarray:

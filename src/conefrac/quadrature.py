@@ -386,51 +386,43 @@ _OCTAVE_CHUNK, _MAX_OCTAVES = 12, 64
 
 
 def _octave_batch(evalf, hi: np.ndarray, group: np.ndarray, n_groups: int,
-                  tol_abs: np.ndarray, task_ids: np.ndarray,
-                  orders: tuple[int, int]):
+                  tol: float, task_ids: np.ndarray, orders: tuple[int, int]):
     """Integrate sum_j int_{hi 2^{-j-1}}^{hi 2^{-j}} f for each source down to
     0, summed per group; source k hands task_ids[k] to evalf.
 
     The integrand is assumed to behave like a power u^{kappa-1} near 0 with
-    kappa > 0.  Every source is finished once, from its own last three
-    octaves, by _geometric_tail: the measured-ratio remainder with the ratio
-    drift folded into the error, or no remainder and an infinite error when
-    those octaves do not decay geometrically.  A source that stopped early
-    already carries its stop charge, so that infinite error is kept only for
-    a source that ran out of octaves.
+    kappa > 0, so its octaves decay geometrically.  One rule finishes and
+    stops each source: after every chunk of octaves, _geometric_tail
+    completes the source from its last three octaves (the measured-ratio
+    remainder with the ratio drift folded into the error, or no remainder
+    and an infinite error when those octaves do not decay geometrically),
+    and the source stops once that error is at most tol.  A source that runs
+    out of octaves keeps its last completion, whatever its error.
     """
-    vals = np.zeros(n_groups)
-    errs = np.zeros(n_groups)
+    n = hi.size
+    sums, rule, rem, rem_err = np.zeros((4, n))
+    last3 = np.zeros((n, 3))
     nev = 0
-    last3 = np.zeros((hi.size, 3))
-    j0 = 0
-    active = np.ones(hi.size, dtype=bool)
-    while j0 < _MAX_OCTAVES and np.any(active):
+    active = np.ones(n, dtype=bool)
+    for j0 in range(0, _MAX_OCTAVES, _OCTAVE_CHUNK):
+        idx = np.nonzero(active)[0]
+        if not idx.size:
+            break
         js = np.arange(j0, min(j0 + _OCTAVE_CHUNK, _MAX_OCTAVES))
-        act_idx = np.nonzero(active)[0]
-        lo = hi[act_idx, None] * 2.0 ** -(js[None, :] + 1.0)
-        up = hi[act_idx, None] * 2.0 ** -js[None, :].astype(float)
+        lo = hi[idx, None] * 2.0 ** -(js[None, :] + 1.0)
+        up = hi[idx, None] * 2.0 ** -js[None, :].astype(float)
         v, e, n2 = _eval_panels(evalf, lo.ravel(), up.ravel(),
-                                np.repeat(task_ids[act_idx], js.size), orders)
+                                np.repeat(task_ids[idx], js.size), orders)
         nev += n2
-        v = v.reshape(act_idx.size, js.size)
-        e = e.reshape(act_idx.size, js.size)
-        last3[act_idx] = np.concatenate((last3[act_idx], v), axis=1)[:, -3:]
-        np.add.at(vals, group[act_idx], v.sum(axis=1))
-        np.add.at(errs, group[act_idx], e.sum(axis=1))
-        # a source may stop once its last octave is negligible against its
-        # group tolerance and decaying at ratio <= 1/2, which bounds the
-        # remaining sum by the last octave itself
-        last = np.abs(last3[act_idx, 2])
-        tolg = tol_abs[group[act_idx]]
-        done = (last <= 0.02 * tolg) & (last <= 0.5 * np.abs(last3[act_idx, 1]))
-        np.add.at(errs, group[act_idx[done]], 2.0 * last[done])
-        active[act_idx[done]] = False
-        j0 += js.size
-    rem, rem_err = _geometric_tail(last3)
-    rem_err = np.where(active | np.isfinite(rem_err), rem_err, 0.0)
-    np.add.at(vals, group, rem)
-    np.add.at(errs, group, rem_err)
+        v = v.reshape(idx.size, js.size)
+        sums[idx] += v.sum(axis=1)
+        rule[idx] += e.reshape(idx.size, js.size).sum(axis=1)
+        last3[idx] = np.concatenate((last3[idx], v), axis=1)[:, -3:]
+        rem[idx], rem_err[idx] = _geometric_tail(last3[idx])
+        active[idx] = rem_err[idx] > tol
+    vals, errs = np.zeros((2, n_groups))
+    np.add.at(vals, group, sums + rem)
+    np.add.at(errs, group, rule + rem_err)
     return vals, errs, nev
 
 
@@ -736,8 +728,9 @@ def mc_region_volume(predicate, center: Sequence[float], radius: float,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Volume of {y in ball(center, radius) : predicate(y)} by seeded sampling.
 
-    The error estimate is three binomial standard errors; the result is a
-    deterministic function of (predicate, center, radius, mc_seed, mc_samples).
+    The error estimate is three binomial standard errors, and the result is
+    converged when that meets the config's tolerances; it is a deterministic
+    function of (predicate, center, radius, mc_seed, mc_samples).
     """
     center = np.asarray(center, dtype=float)
     if radius <= 0.0:
@@ -754,7 +747,7 @@ def mc_region_volume(predicate, center: Sequence[float], radius: float,
     vol_ball = ball_volume(dim, radius)
     value = phat * vol_ball
     err = 3.0 * math.sqrt(max(phat * (1.0 - phat), 0.0) / n) * vol_ball
-    return IntegralResult(value, err, n, True)
+    return IntegralResult(value, err, n, _tol_met(value, err, cfg.abs_tol, cfg.rel_tol))
 
 
 # --------------------------------------------------------------------------
@@ -783,8 +776,10 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
     "u_map" (map [T0, inf) by t = 1/u and integrate octaves), "none".
 
     Returns the task arrays (lo, hi, grading flags gl/gh, mode 1 for the
-    subtracted inner task and 0 otherwise, direction theta, group), the inner
-    and tail octave sources as (upper end, direction), T0 and t_in.
+    subtracted inner task and 0 otherwise, direction theta, group), one
+    octave table of the sources _octave_batch integrates toward 0 (upper end
+    hi, direction theta, mode 0 for the open inner range (0, t_in] and 2 for
+    the u-mapped tail (0, 1/T0]; inner sources first), T0 and t_in.
     """
     K = thetas.shape[0]
     if inner_mode == "subtract":
@@ -837,11 +832,11 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
         "mode": np.broadcast_to((j < p).astype(np.int64), valid.shape)[valid],
         "theta": k_col, "group": k_col,
     }
-    dirs = np.arange(K, dtype=np.int64)
-    none = (np.empty(0), np.empty(0, dtype=np.int64))
-    inner_oct = (np.full(K, t_in), dirs) if inner_mode != "subtract" else none
-    tail_oct = (1.0 / T0, dirs) if tail_mode == "u_map" else none
-    return tasks, inner_oct, tail_oct, T0, t_in
+    use = np.repeat([inner_mode != "subtract", tail_mode == "u_map"], K)
+    octaves = {"hi": np.concatenate((np.full(K, t_in), 1.0 / T0))[use],
+               "theta": np.tile(np.arange(K), 2)[use],
+               "mode": np.repeat(np.array([0, 2], dtype=np.int64), K)[use]}
+    return tasks, octaves, T0, t_in
 
 
 def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
@@ -861,15 +856,18 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     subtracted on the inner segment for direction k (required in "subtract"
     mode).  The tolerances per direction default to the config's.
 
-    The closed-form inner quadratic, the compact tail constant and both
-    octave completions are computed first; their per-direction sum is the
-    offset of _run_tasks' relative target, which holds each direction to its
-    final value.  At a zero of the operator (alpha = s for a half-space
-    power) the main tasks alone are O(1), and a target on them would pass
-    directions that then miss.  The subtracted inner task [0, t_in] is not
-    graded toward 0: its integrand vanishes like t^{3-2s} there, and graded
-    panels would only resolve rounding noise (a difference of O(1)
-    quantities times t^{-1-2s}) whose G15 - G7 gap grows as they shrink.
+    The closed-form inner quadratic, the compact tail constant and the
+    octave sources of _assemble_radial's one octave table (the open inner
+    range and the u-mapped tail) are computed first, the sources in one
+    _octave_batch call that stops each once its completion error is at most
+    0.25 tol_abs.  Their per-direction sum is the offset of _run_tasks'
+    relative target, which holds each direction to its final value.  At a
+    zero of the operator (alpha = s for a half-space power) the main tasks
+    alone are O(1), and a target on them would pass directions that then
+    miss.  The subtracted inner task [0, t_in] is not graded toward 0: its
+    integrand vanishes like t^{3-2s} there, and graded panels would only
+    resolve rounding noise (a difference of O(1) quantities times
+    t^{-1-2s}) whose G15 - G7 gap grows as they shrink.
     Returns (values, error_estimates, n_evals, converged) per direction.
     """
     K = thetas.shape[0]
@@ -877,17 +875,13 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     tol_a = cfg.abs_tol if tol_abs_node is None else tol_abs_node
     tol_r = cfg.rel_tol if tol_rel_node is None else tol_rel_node
 
-    tasks, inner_oct, tail_oct, T0, t_in = _assemble_radial(
+    tasks, octaves, T0, t_in = _assemble_radial(
         kinks, x, thetas, cfg, inner_mode=inner_mode, tail_mode=tail_mode)
 
     n_main = tasks["lo"].size
-    # the evalf task table spans main tasks, then inner octave sources, then
-    # tail octave sources
-    inner_group, tail_group = inner_oct[1], tail_oct[1]
-    all_theta = np.concatenate((tasks["theta"], inner_group, tail_group))
-    all_mode = np.concatenate((tasks["mode"],
-                               np.zeros(inner_group.size, dtype=np.int64),
-                               np.full(tail_group.size, 2, dtype=np.int64)))
+    # the evalf task table spans the main tasks, then the octave sources
+    all_theta = np.concatenate((tasks["theta"], octaves["theta"]))
+    all_mode = np.concatenate((tasks["mode"], octaves["mode"]))
     if quad_coefs is None:
         quad_coefs = np.zeros(K)
     qq = quad_coefs[all_theta]
@@ -911,20 +905,9 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
         return X * kern
 
     orders = _orders_for_tol(max(tol_a, tol_r / 30.0))
-    offset = np.zeros(K)
-    errs_rest = np.zeros(K)
-    nev = 0
-    first = n_main
-    for hi, grp in (inner_oct, tail_oct):
-        if hi.size:
-            ov, oe, n2 = _octave_batch(
-                evalf, hi, grp, K, np.full(K, 0.25 * tol_a),
-                task_ids=np.arange(first, first + hi.size, dtype=np.int64),
-                orders=orders)
-            offset += ov
-            errs_rest += oe
-            nev += n2
-        first += hi.size
+    offset, errs_rest, nev = _octave_batch(
+        evalf, octaves["hi"], octaves["theta"], K, 0.25 * tol_a,
+        task_ids=n_main + np.arange(octaves["hi"].size), orders=orders)
     if inner_mode == "subtract":
         offset += quad_coefs * t_in ** (2.0 - ts2) / (2.0 - ts2)
     if tail_mode == "compact":

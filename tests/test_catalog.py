@@ -271,7 +271,7 @@ class TestKinkSet:
         x = np.array([0.2, 0.3])
         phi = rng.uniform(0.0, 2.0 * math.pi, 50)
         thetas = np.stack((np.cos(phi), np.sin(phi)), axis=1)
-        tasks, _, _, T0, t_in = _assemble_radial(
+        tasks, _, T0, t_in = _assemble_radial(
             kinks, x, thetas, DEFAULT_CONFIG, inner_mode="subtract",
             tail_mode="u_map")
         for k, th in enumerate(thetas):

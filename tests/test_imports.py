@@ -5,6 +5,7 @@ A binding kept only so that something outside the package can rebind it
 such bindings, and plain unused imports, from coming back."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,19 @@ def unused_imports(tree: ast.Module) -> list:
 def test_every_imported_name_is_used(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert unused_imports(tree) == []
+
+
+def test_tracer_hook_targets_resolve():
+    # bench/tracing.py counts each layer by rebinding the functions HOOKS
+    # names, and reads 0 for a target that no longer resolves.  The four
+    # absent ones left liouville when mass-only became a route of _L_field;
+    # any other target that stops resolving silently zeroes a metric
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    absent = {target for target, _, _ in tracing.HOOKS
+              if not tracer._targets(target)}
+    assert absent == {"liouville:_mass_only_L", "liouville:_operator_batch",
+                      "liouville:apply_L", "liouville:c_alpha"}

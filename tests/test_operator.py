@@ -326,6 +326,22 @@ class TestRouteTable:
             else:
                 assert abs(vals[i] - ev.value) <= errs[i] + ev.abs_error_estimate
 
+    @pytest.mark.parametrize("f,X", [
+        (cf.translate_truncate(cf.kelvin(0.25, 2, S)), [[0.7, -1.3], [0.0, -1000.0]]),
+        (cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                    cf.Bump(2, S, center=(0.0, 1.0), r_in=0.3, r_out=0.6)),
+         [[0.7, -1.3], [0.0, -5.0]]),
+    ], ids=["decaying", "compact"])
+    def test_mass_only_rows_do_not_depend_on_a_far_row(self, const2, cfg, f, X):
+        # a far lower row beside a near one must not widen the near row's
+        # grid: the decaying member's span is set per row, the compact
+        # member's grid covers its support only
+        X = np.array(X)
+        vals, errs, _ = _L_field(const2, S, f, X, cfg)
+        for i in range(X.shape[0]):
+            alone, alone_err, _ = _L_field(const2, S, f, X[i:i + 1], cfg)
+            assert (vals[i], errs[i]) == (alone[0], alone_err[0])
+
     def test_lower_kelvin_points_against_polar_quad(self, const2, cfg):
         # below the plane only the mass of u = x_N^a |x|^(-q) reaches x; in
         # polar coordinates about the origin u = r^(a-q) sin^a(psi), so

@@ -218,9 +218,11 @@ class TestGeometricTail:
 
     def test_octave_source_does_not_depend_on_its_batch(self):
         # int_0^1 kappa t^(kappa - 1) dt = 1.  The kappa = 1.5 source stops
-        # after two chunks; batched with a slowly decaying kappa = 0.05
-        # source, which runs on, it must still be completed the same way
-        kappa = np.array([1.5, 0.05])
+        # after one chunk; batched with a kappa = 0.02 source, whose octave
+        # ratio 2^-0.02 ~ 0.986 is above the 0.97 cut, so that it runs all
+        # _MAX_OCTAVES octaves and ends with an infinite error, it must still
+        # be completed the same way
+        kappa = np.array([1.5, 0.02])
 
         def evalf(ts, ids):
             k = kappa[ids]
@@ -228,8 +230,7 @@ class TestGeometricTail:
 
         def run(n):
             ids = np.arange(n)
-            return _octave_batch(evalf, np.ones(n), ids, n, np.full(n, 1e-8), ids,
-                                 (7, 15))
+            return _octave_batch(evalf, np.ones(n), ids, n, 1e-8, ids, (7, 15))
 
         alone, alone_err, _ = run(1)
         both, both_err, _ = run(2)
@@ -237,11 +238,24 @@ class TestGeometricTail:
         assert both[0] == alone[0] and both_err[0] == alone_err[0]
         assert abs(both[1] - 1.0) <= both_err[1]
 
-    def test_stopped_source_keeps_its_stop_charge(self):
+    def test_slow_power_stops_once_its_completion_meets_tol(self):
+        # 0.3 t^-0.7 on (0, 1]: the octaves decay at 2^-0.3 ~ 0.81, so the
+        # last octave is never below 1/2 of the one before, but the first
+        # chunk's completion is already far inside the tolerance
+        def evalf(ts, ids):
+            return 0.3 * ts ** -0.7
+
+        one = np.zeros(1, dtype=np.int64)
+        val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, 1e-8, one,
+                                      (7, 15))
+        assert nev == 12 * (7 + 15)
+        assert abs(val[0] - 1.0) <= err[0] <= 1e-8
+
+    def test_source_with_a_zero_octave_runs_on(self):
         # F(t) = t^2 - a t^3 with a = 6 / (7 u0): the octave [u0/2, u0],
         # u0 = 2^-9, integrates to 0, so the last three octaves of the first
-        # chunk are not geometric although the source stops after it; its
-        # stop charge bounds the rest, 2^-24 - a 2^-36
+        # chunk are not geometric and their completion error is infinite;
+        # the source runs a second chunk, whose last octaves decay at ~1/4
         u0 = 2.0 ** -9
         a = 6.0 / (7.0 * u0)
 
@@ -249,11 +263,12 @@ class TestGeometricTail:
             return 2.0 * ts - 3.0 * a * ts ** 2
 
         one = np.zeros(1, dtype=np.int64)
-        val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, np.full(1, 1e-5),
-                                      one, (7, 15))
-        assert nev == 12 * (7 + 15)
-        assert math.isfinite(err[0])
-        assert abs(val[0] - (1.0 - a)) <= err[0] <= 1e-6
+        val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, 1e-5, one,
+                                      (7, 15))
+        assert nev == 24 * (7 + 15)
+        assert err[0] <= 1e-6
+        # no estimate in the engine carries rounding: allow a few ulp
+        assert abs(val[0] - (1.0 - a)) <= err[0] + 4.0 * np.spacing(abs(1.0 - a))
 
 
 class TestRunTasks:
@@ -387,6 +402,15 @@ class TestMonteCarlo:
         pred = lambda pts: np.linalg.norm(pts, axis=-1) <= 1.0
         res = cf.mc_region_volume(pred, (0.0, 0.0), 1.5, cfg)
         assert abs(res.value - math.pi) <= 3.0 * res.abs_error_estimate
+
+    def test_converged_flag_follows_the_tolerances(self, cfg):
+        # the 3 sigma spread of 40,000 samples is about 0.05 here: far
+        # outside the default tolerances, inside (0.1, 0.1)
+        pred = lambda pts: np.linalg.norm(pts, axis=-1) <= 1.0
+        res = cf.mc_region_volume(pred, (0.0, 0.0), 1.5, cfg)
+        assert 0.01 < res.abs_error_estimate < 0.1 and not res.converged
+        assert cf.mc_region_volume(pred, (0.0, 0.0), 1.5,
+                                   cfg.with_tol(0.1, 0.1)).converged
 
     def test_fixed_seed_is_reproducible(self, cfg):
         pred = lambda pts: np.linalg.norm(pts, axis=-1) <= 1.0
