@@ -39,7 +39,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _geom_edges,
-    _geometric_tail,
+    _epsilon_limit,
     _merge_edges,
     mc_region_volume,
 )
@@ -246,18 +246,11 @@ def certify(a: SpectralDensity, s: float, p: float, u: CatalogFunction,
             tolerance: float = 1e-6) -> CertificationReport:
     """Check -Lu >= u^p at every sample point, within the stated tolerance
     plus the per-point evaluation error budget."""
-    if not (0.0 < s < 1.0):
-        raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
+    operators._check_match(a, s, u)
     if not math.isfinite(p) or p < 1.0:
         raise InputDomainError(f"power must be finite and >= 1, got {p}")
     if tolerance < 0.0:
         raise InputDomainError("tolerance must be nonnegative")
-    if u.dim != a.dim:
-        raise InputDomainError(
-            f"function dimension {u.dim} does not match density dimension {a.dim}")
-    if not math.isclose(u.s, s, rel_tol=1e-12):
-        raise InputDomainError(
-            f"function order {u.s} does not match requested order {s}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != a.dim or pts.shape[0] == 0:
         raise InputDomainError("sample points must form a nonempty (n, dim) array")
@@ -484,7 +477,7 @@ class StepOneReport:
 
 # shared geometry of the cutoff mass integrals: the plate is the L-infinity
 # ball of this radius around the bump center, clipped to the upper
-# half-plane; dyadic frames beyond it feed the geometric tail completion
+# half-plane; dyadic frames beyond it feed the tail completion
 _PLATE_SPAN = 4.0
 _N_FRAMES = 12
 _PLANE_EPS = 1e-8
@@ -513,11 +506,8 @@ class _CutoffMassField:
     power, so L phi_alpha(x) is the closed form of the power minus the mass
     of the complement-weighted power; outside the support only the mass of
     phi_alpha itself reaches x.  The unbounded complement is finished by
-    dyadic frame sums, whose remainder _geometric_tail completes from the
-    last three frames, at their measured ratio or, when that is not clearly
-    below one (alpha near 2s, or s near 0), at the known asymptotic ratio
-    2^(alpha - 2s) of the frame sums.  Points in the transition shell fall
-    back to the excision evaluator."""
+    dyadic frame sums, whose cumulative sums _epsilon_limit completes.
+    Points in the transition shell fall back to the excision evaluator."""
 
     def __init__(self, a: SpectralDensity, s: float, alpha0: float,
                  bump: Bump, cfg: QuadratureConfig):
@@ -588,14 +578,12 @@ class _CutoffMassField:
 
     def _frame_sums(self, X: np.ndarray, mesh):
         """Mass of the frames beyond the plate at each row of X, completed
-        by _geometric_tail: (n, 2) values and errors."""
+        by _epsilon_limit: (n, 2) values and errors."""
         z, W, starts = mesh
         S = np.stack([operators._conv_L(self.a, self.s, z[i:j], W[i:j], X)
                       for i, j in zip(starts[:-1], starts[1:])], axis=-1)
-        S = S.reshape(-1, len(starts) - 1)
-        rem, err = _geometric_tail(
-            S[:, -3:], np.tile(2.0 ** (self.alphas - 2.0 * self.s), X.shape[0]))
-        return (S.sum(axis=1) + rem).reshape(-1, 2), err.reshape(-1, 2)
+        val, err = _epsilon_limit(np.cumsum(S.reshape(-1, len(starts) - 1), axis=1))
+        return val.reshape(-1, 2), err.reshape(-1, 2)
 
     def L_pair(self, X: np.ndarray):
         """(L phi_alpha0, its error, L phi_s, its error) at each row of X.
@@ -790,13 +778,9 @@ def rescaled_inequality_experiment(a: SpectralDensity, s: float, p: float,
     candidates near zero; the first radial panel bounds the remainder below
     the innermost node.
     """
-    if a.dim != 2 or u.dim != 2:
+    operators._check_match(a, s, u)
+    if a.dim != 2:
         raise InputDomainError("the rescaled comparison is two-dimensional")
-    if not (0.0 < s < 1.0):
-        raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
-    if not math.isclose(u.s, s, rel_tol=1e-12):
-        raise InputDomainError(
-            f"function order {u.s} does not match requested order {s}")
     if not math.isfinite(p) or p < 1.0:
         raise InputDomainError(f"power must be finite and >= 1, got {p}")
     if not (M >= 0.0) or not math.isfinite(M):

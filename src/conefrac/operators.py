@@ -326,9 +326,9 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
 
     g_comp = g.support_ball is not None
     h_comp = h.support_ball is not None
-    if (g_comp and g0 == 0.0) or (h_comp and h0 == 0.0):
-        tail_mode, const = "none", 0.0
-    elif g_comp and h_comp:
+    # beyond the last split the numerator is the constant 2 g0 h0 when both
+    # factors are compact, and 0 when a compact factor vanishes at x
+    if (g_comp and h_comp) or (g_comp and g0 == 0.0) or (h_comp and h0 == 0.0):
         tail_mode, const = "compact", 2.0 * g0 * h0
     else:
         dg_growth = 2.0 * s if g_comp else g.growth.delta

@@ -5,8 +5,8 @@ The radial kernel is 1/t^{1+2s} without any s-dependent normalisation
 constant.  Hypersingular behaviour at t = 0 is removed by subtracting the
 quadratic Taylor term and integrating it in closed form; algebraic endpoint
 singularities are resolved on geometrically graded panels; slowly decaying
-tails are mapped by t = 1/u and finished with a measured-ratio geometric
-completion.
+tails are mapped by t = 1/u, integrated on dyadic octaves and finished by
+Wynn's epsilon algorithm.
 """
 
 from __future__ import annotations
@@ -355,34 +355,42 @@ def _run_tasks(plo: np.ndarray, phi: np.ndarray, ptask: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# octave integration with geometric-series completion
+# octave integration with an epsilon-algorithm completion
 # --------------------------------------------------------------------------
 
-def _geometric_tail(last3, ratio=None) -> tuple[np.ndarray, np.ndarray]:
-    """Remainder after the last term of each row of last3 (a series' last
-    three terms v_{L-2}, v_{L-1}, v_L) and its error.  With r1 = v_L / v_{L-1}
-    and r2 = v_{L-1} / v_{L-2} both below 0.97 in size the remainder is
-    v_L r1 / (1 - r1), charged 3 |r1 - r2| / (1 - |r1|) of itself, at most
-    all of it.  Other rows are completed at their known asymptotic ratio q
-    (|q| < 1, one or one per row) if given, charged 3 max(|q - r1|,
-    |q - r2|) / (1 - |q|) uncapped; else they get no remainder and an
-    infinite error.  A row ending in 0 needs nothing."""
-    v2, v1, v = np.asarray(last3, dtype=float).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1, r2 = v / v1, v1 / v2
-        good = (np.abs(r1) < 0.97) & (np.abs(r2) < 0.97)
-        q = np.where(good, r1, 0.0 if ratio is None else ratio)
-        rem = v * q / (1.0 - q)
-        drift = (np.maximum(np.abs(q - r1), np.abs(q - r2))
-                 / np.maximum(1.0 - np.abs(q), 1e-3))
-        err = np.abs(rem) * np.minimum(3.0 * drift + 1e-12,
-                                       np.where(good, 1.0, np.inf))
-    err = np.where(good | ((ratio is not None) & ~np.isnan(err)), err, np.inf)
-    return rem, np.where(v == 0.0, 0.0, err)
+def _epsilon_limit(S) -> tuple[np.ndarray, np.ndarray]:
+    """Limit of each row of partial sums S (n, m) and its error, by Wynn's
+    epsilon algorithm, which is exact for a sum of k geometric sequences in
+    its column 2k.  Each even column from 2 on with three or more entries
+    offers its last entry e, charged 3 (|e - e'| + |e - e''|) over the two
+    entries before it plus |e - the last entry of the next-lower even
+    column|; the row takes the least-charged finite offer.  A row whose last
+    two terms are exactly 0 is finished at zero error, and a row that no
+    column finishes keeps its last sum with an infinite error."""
+    S = np.asarray(S, dtype=float)
+    done = (S[:, -1] == S[:, -2]) & (S[:, -2] == S[:, -3])
+    best, err = S[:, -1].copy(), np.where(done, 0.0, np.inf)
+    prev, col, lower = np.zeros((S.shape[0], S.shape[1] + 1)), S, S[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, S.shape[1] - 2):
+            inc = 1.0 / np.diff(col, axis=1)
+            # between two infinite entries the column below converged exactly
+            inc[np.isinf(col[:, 1:]) & np.isinf(col[:, :-1])] = 0.0
+            prev, col = col, prev[:, 1:-1] + inc
+            if k % 2:
+                continue
+            e = col[:, -1]
+            charge = (3.0 * (np.abs(e - col[:, -2]) + np.abs(e - col[:, -3]))
+                      + np.abs(e - lower))
+            take = charge < err
+            best, err = np.where(take, e, best), np.where(take, charge, err)
+            lower = e
+    return best, err
 
 
-# octaves per evalf call, and the most octaves a source gets
-_OCTAVE_CHUNK, _MAX_OCTAVES = 12, 64
+# octaves per evalf call, the most octaves a source gets, and the partial
+# sums each completion reads
+_OCTAVE_CHUNK, _MAX_OCTAVES, _EPS_TERMS = 12, 64, 11
 
 
 def _octave_batch(evalf, hi: np.ndarray, group: np.ndarray, n_groups: int,
@@ -390,18 +398,17 @@ def _octave_batch(evalf, hi: np.ndarray, group: np.ndarray, n_groups: int,
     """Integrate sum_j int_{hi 2^{-j-1}}^{hi 2^{-j}} f for each source down to
     0, summed per group; source k hands task_ids[k] to evalf.
 
-    The integrand is assumed to behave like a power u^{kappa-1} near 0 with
-    kappa > 0, so its octaves decay geometrically.  One rule finishes and
-    stops each source: after every chunk of octaves, _geometric_tail
-    completes the source from its last three octaves (the measured-ratio
-    remainder with the ratio drift folded into the error, or no remainder
-    and an infinite error when those octaves do not decay geometrically),
-    and the source stops once that error is at most tol.  A source that runs
-    out of octaves keeps its last completion, whatever its error.
+    The integrand is assumed to behave like a sum of powers u^{kappa-1} near
+    0 with kappa > 0, so its octaves are a sum of geometric sequences.  One
+    rule finishes and stops each source: after every chunk of octaves,
+    _epsilon_limit completes the source from its last _EPS_TERMS partial
+    sums, and the source stops once that completion's error is at most tol.
+    A source that runs out of octaves keeps its last completion, whatever
+    its error.
     """
     n = hi.size
-    sums, rule, rem, rem_err = np.zeros((4, n))
-    last3 = np.zeros((n, 3))
+    V = np.zeros((n, _MAX_OCTAVES))
+    rule, lim, lim_err = np.zeros((3, n))
     nev = 0
     active = np.ones(n, dtype=bool)
     for j0 in range(0, _MAX_OCTAVES, _OCTAVE_CHUNK):
@@ -414,15 +421,14 @@ def _octave_batch(evalf, hi: np.ndarray, group: np.ndarray, n_groups: int,
         v, e, n2 = _eval_panels(evalf, lo.ravel(), up.ravel(),
                                 np.repeat(task_ids[idx], js.size), orders)
         nev += n2
-        v = v.reshape(idx.size, js.size)
-        sums[idx] += v.sum(axis=1)
+        V[idx[:, None], js] = v.reshape(idx.size, js.size)
         rule[idx] += e.reshape(idx.size, js.size).sum(axis=1)
-        last3[idx] = np.concatenate((last3[idx], v), axis=1)[:, -3:]
-        rem[idx], rem_err[idx] = _geometric_tail(last3[idx])
-        active[idx] = rem_err[idx] > tol
+        S = np.cumsum(V[idx, :js[-1] + 1], axis=1)
+        lim[idx], lim_err[idx] = _epsilon_limit(S[:, -_EPS_TERMS:])
+        active[idx] = lim_err[idx] > tol
     vals, errs = np.zeros((2, n_groups))
-    np.add.at(vals, group, sums + rem)
-    np.add.at(errs, group, rule + rem_err)
+    np.add.at(vals, group, lim)
+    np.add.at(errs, group, rule + lim_err)
     return vals, errs, nev
 
 
@@ -772,8 +778,8 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
     inner_mode: "subtract" (quadratic Taylor subtraction on [0, t_in]) or
     "open" (no subtraction; the inner range is integrated on octaves toward 0,
     for integrable endpoint singularities at a kinked base point).
-    tail_mode: "compact" (integrand constant beyond the last split),
-    "u_map" (map [T0, inf) by t = 1/u and integrate octaves), "none".
+    tail_mode: "compact" (integrand constant beyond the last split) or
+    "u_map" (map [T0, inf) by t = 1/u and integrate octaves).
 
     Returns the task arrays (lo, hi, grading flags gl/gh, mode 1 for the
     subtracted inner task and 0 otherwise, direction theta, group), one
@@ -847,7 +853,7 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
                   tol_abs_node: float = None, tol_rel_node: float = None):
     """Integrate numer(plus_points, minus_points) / t^{1+2s} dt over (0, inf)
     for each direction, with Taylor subtraction, kink splitting, tail mapping
-    and measured-ratio completion.
+    and an epsilon-algorithm completion of the octave sources.
 
     thetas (K, dim) are unit directions; kinks is the _KinkSet of every
     function in the numerator, which places the inner segment and the splits

@@ -195,11 +195,11 @@ class TestStepOneValidation:
 
 
 class TestCutoffMassField:
-    def test_frames_near_alpha_two_s_complete_at_the_known_ratio(self, const2, cfg):
+    def test_frames_near_alpha_two_s_complete_with_a_finite_error(self, const2, cfg):
         # with alpha0 = 0.98 and s = 0.5 the frame sums decay at
-        # 2^(alpha0 - 2s) ~ 0.986, too close to 1 for the measured ratio; the
-        # far field beyond the last frame is ~70 times its sum and must be
-        # completed at the known ratio, with a finite error
+        # 2^(alpha0 - 2s) ~ 0.986; the far field beyond the last frame is
+        # ~70 times its sum, and the epsilon table must complete it with a
+        # finite error that covers the excision evaluator's value
         s, alpha0 = 0.5, 0.98
         bump = cf.Bump(2, s, center=(0.0, 0.5), r_in=0.75, r_out=1.0)
         loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
@@ -216,16 +216,19 @@ class TestCutoffMassField:
         assert np.all(np.abs(va - ref) <= ea + ref_err)
 
     def test_step_one_reports_the_error_of_each_sup_ratio(self, const2, cfg):
-        # same field as above (gamma0 = 0.5): the far-field completion puts
-        # an estimate of ~4.4 on L phi_alpha0 at the plateau, which the
-        # ratio's error must carry; the excision evaluator is the oracle
+        # same field as above (gamma0 = 0.5): the far-field completion's
+        # error on L phi_alpha0 at the plateau must be carried by the ratio's
+        # error; the excision evaluator is the oracle
         s, alpha0 = 0.5, 0.98
         rep = cf.step_one_M(const2, s, alpha0, 0.5, cfg, audit=False)
         bump = cf.Bump(2, s, center=(0.0, 0.5), r_in=0.75, r_out=1.0)
         loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
         field = _CutoffMassField(const2, s, alpha0, bump, loose)
         found = [r for r in rep.regions if r.n_points]
-        assert max(r.M_err for r in found) > 1.0
+        # the completed frames leave the plateau's sup within 0.2% (a
+        # single-ratio completion charged it 12 of 74)
+        interior = next(r for r in found if r.region == "interior")
+        assert interior.M_err <= 2e-3 * interior.M_est
         assert (rep.M_est, rep.M_err) in [(r.M_est, r.M_err) for r in found]
         for r in found:
             X = np.array([r.sup_x])

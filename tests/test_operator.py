@@ -169,16 +169,24 @@ class TestZeroValues:
 
 
 class TestCalibration:
-    @pytest.mark.parametrize("k", [1, 3, 5])
-    @pytest.mark.parametrize("density", ["const2", "cone2"])
-    def test_correction_of_two_halfspace_powers(self, request, cfg, density, k):
+    @pytest.mark.parametrize("density, k, tols", [
+        pytest.param(d, k, tols, id=f"{d}-{k}" + ("-tight" if tols else ""))
+        for tols in (None, (1e-12, 1e-11)) for d in ("cone2", "const2")
+        for k in (1, 3, 5)])
+    def test_correction_of_two_halfspace_powers(self, request, cfg, density, k,
+                                                tols):
         # l[g, h] = L(gh) - g Lh - h Lg, with gh = (x_N)_+^0.8 and all three
-        # operator values in closed form
+        # operator values in closed form.  The tail of the numerator is a sum
+        # of powers (kappa = 0.2 and 0.4), so its completion must cover both
+        # at the tight tolerance too, where the octave panels' own rule
+        # errors keep k = 1 and 3 (and the cone's k = 5) short of converging
         a = request.getfixturevalue(density)
+        if tols:
+            cfg = cfg.with_tol(*tols)
         g = cf.HalfSpacePower(2, S, alpha=0.2)
         h = cf.HalfSpacePower(2, S, alpha=0.6)
         x = np.array([0.17, 2.0 ** -k])
-        corr = cf.correction_l(a, S, g, h, x, cfg)
+        corr = cf.correction_l(a, S, g, h, x, cfg, strict=False)
         Lgh, Lg, Lh = (cf.apply_L(a, S, cf.HalfSpacePower(2, S, alpha=al), x, cfg)
                        for al in (0.8, 0.2, 0.6))
         assert {Lgh.path, Lg.path, Lh.path} == {"closed_form"}
@@ -186,7 +194,7 @@ class TestCalibration:
         ref = Lgh.value - gx * Lh.value - hx * Lg.value
         budget = (corr.abs_error_estimate + Lgh.abs_error_estimate
                   + abs(gx) * Lh.abs_error_estimate + abs(hx) * Lg.abs_error_estimate)
-        assert corr.converged
+        assert corr.converged or tols
         assert abs(corr.value - ref) <= budget
 
 

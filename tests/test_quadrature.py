@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import binom
 
 import conefrac as cf
 from conefrac.errors import InputDomainError
 from conefrac.quadrature import (DEFAULT_CONFIG, QuadratureConfig, _eval_panels,
-                                  _gauss01, _geom_edges, _geometric_tail,
+                                  _epsilon_limit, _gauss01, _geom_edges,
                                   _graded_rows, _initial_panels, _kronrod01,
                                   _merge_edges, _octave_batch, _run_tasks)
 
@@ -185,43 +187,58 @@ class TestPanelEdges:
 
 
 class TestGeometricTail:
+    """_epsilon_limit, which completes every geometric tail: the octave
+    sources of _octave_batch and the frame sums of the cutoff mass field."""
+
     @pytest.mark.parametrize("r", [0.5, -0.5])
     def test_geometric_rows_are_completed_exactly(self, r):
-        v = 0.3 * r ** np.arange(3.0)
-        rem, err = _geometric_tail(v[None, :])
-        exact = v[-1] * r / (1.0 - r)
-        assert rem[0] == pytest.approx(exact, rel=1e-14)
-        assert err[0] <= 1e-11 * abs(exact)
+        S = np.cumsum(0.3 * r ** np.arange(11.0))
+        val, err = _epsilon_limit(S[None, :])
+        assert val[0] == pytest.approx(0.3 / (1.0 - r), rel=1e-15)
+        assert err[0] <= 1e-14
 
-    @pytest.mark.parametrize("row", [0.99 ** np.arange(3.0), [1.0, 0.0, 1e-3],
-                                     [0.0, 1e-3, 1e-4]])
+    @pytest.mark.parametrize("c, r", [((0.3, 2.0), (0.5, 0.8)),
+                                      ((1.0, -0.7), (-0.6, 0.9))])
+    def test_two_geometric_components_are_completed_exactly(self, c, r):
+        # column 2k of the table is exact for k geometric components
+        c, r = np.array(c), np.array(r)
+        S = np.cumsum(c @ r[:, None] ** np.arange(11.0))
+        val, err = _epsilon_limit(S[None, :])
+        assert abs(val[0] - np.sum(c / (1.0 - r))) <= 8.0 * np.spacing(np.abs(S).max())
+        assert err[0] <= 1e-12
+
+    @pytest.mark.parametrize("row", [np.arange(1.0, 12.0),
+                                     np.r_[np.ones(10), np.nan],
+                                     np.r_[np.arange(1.0, 11.0), np.inf]])
     def test_no_geometric_decay_gives_an_infinite_error(self, row):
-        rem, err = _geometric_tail(np.asarray(row)[None, :])
-        assert rem[0] == 0.0 and err[0] == math.inf
-
-    def test_known_ratio_completes_slow_rows(self):
-        # measured ratios at or above 0.97 fall back to the known ratio;
-        # a term that does not follow it costs an infinite error
-        q = np.array([0.99, 0.5])
-        rows = np.array([0.99 ** np.arange(3.0), [1.0, 0.0, 1e-3]])
-        rem, err = _geometric_tail(rows, q)
-        assert rem[0] == pytest.approx(0.99 ** 3 / 0.01, rel=1e-12)
-        assert err[0] <= 1e-10 * rem[0]
-        assert err[1] == math.inf
-        # a fast row keeps its measured ratio whatever the known one
-        v = 0.3 * 0.5 ** np.arange(3.0)
-        assert _geometric_tail(v[None, :], 0.9)[0][0] == _geometric_tail(v[None, :])[0][0]
+        # partial sums 1, 2, 3, ...: no column of the table is finite
+        val, err = _epsilon_limit(row[None, :])
+        assert val[0] == row[-1] or np.isnan(row[-1])
+        assert err[0] == math.inf
 
     def test_row_ending_in_zero_needs_nothing(self):
-        rem, err = _geometric_tail(np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0]]))
-        assert np.array_equal(rem, [0.0, 0.0]) and np.array_equal(err, [0.0, 0.0])
+        val, err = _epsilon_limit(np.array([[1.0, 1.5, 1.75, 1.75, 1.75],
+                                            [0.0, 0.0, 0.0, 0.0, 0.0]]))
+        assert np.array_equal(val, [1.75, 0.0]) and np.array_equal(err, [0.0, 0.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-0.9, 0.9)),
+                    min_size=1, max_size=2))
+    def test_sums_of_two_geometric_sequences_are_covered(self, comps):
+        c, r = np.array(comps).T
+        S = np.cumsum(c @ r[:, None] ** np.arange(11.0))
+        val, err = _epsilon_limit(S[None, :])
+        parts = c / (1.0 - r)
+        # the exact sum is rounded at the size of its parts, and the table
+        # carries the rounding of S
+        slack = 64.0 * np.spacing(max(np.abs(S).max(), np.abs(parts).max()))
+        assert abs(val[0] - np.sum(parts)) <= err[0] + slack
 
     def test_octave_source_does_not_depend_on_its_batch(self):
         # int_0^1 kappa t^(kappa - 1) dt = 1.  The kappa = 1.5 source stops
-        # after one chunk; batched with a kappa = 0.02 source, whose octave
-        # ratio 2^-0.02 ~ 0.986 is above the 0.97 cut, so that it runs all
-        # _MAX_OCTAVES octaves and ends with an infinite error, it must still
-        # be completed the same way
+        # after one chunk; batched with a kappa = 0.02 source, whose octaves
+        # decay only at 2^-0.02 ~ 0.986 (it too completes after one chunk,
+        # with a finite error), it must still be completed the same way
         kappa = np.array([1.5, 0.02])
 
         def evalf(ts, ids):
@@ -239,23 +256,30 @@ class TestGeometricTail:
         assert abs(both[1] - 1.0) <= both_err[1]
 
     def test_slow_power_stops_once_its_completion_meets_tol(self):
-        # 0.3 t^-0.7 on (0, 1]: the octaves decay at 2^-0.3 ~ 0.81, so the
-        # last octave is never below 1/2 of the one before, but the first
-        # chunk's completion is already far inside the tolerance
-        def evalf(ts, ids):
-            return 0.3 * ts ** -0.7
-
+        # sum_i c_i kappa_i t^(kappa_i - 1) on (0, 1], exact value sum_i c_i:
+        # the octaves are a sum of geometric sequences at ratios 2^-kappa_i,
+        # as slow as 0.93, and the first chunk's completion already meets
+        # the tolerance.  A single-ratio completion under-reports the sums
+        # of two powers (miss / estimate 1.38, 3.80 and 1.29)
         one = np.zeros(1, dtype=np.int64)
-        val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, 1e-8, one,
-                                      (7, 15))
-        assert nev == 12 * (7 + 15)
-        assert abs(val[0] - 1.0) <= err[0] <= 1e-8
+        for kappa, c, tol in [((0.3,), (1.0,), 1e-8),
+                              ((0.2, 0.4), (1.0, 1.0), 2.5e-9),
+                              ((0.1, 0.15), (1.0, 1.0), 2.5e-9),
+                              ((0.5, 0.6), (1.0, 3.0), 2.5e-9)]:
+            def evalf(ts, ids):
+                return sum(ci * ki * ts ** (ki - 1.0) for ci, ki in zip(c, kappa))
+
+            val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, tol, one,
+                                          (7, 15))
+            assert nev == 12 * (7 + 15)
+            assert abs(val[0] - sum(c)) <= err[0] <= tol
 
     def test_source_with_a_zero_octave_runs_on(self):
         # F(t) = t^2 - a t^3 with a = 6 / (7 u0): the octave [u0/2, u0],
-        # u0 = 2^-9, integrates to 0, so the last three octaves of the first
-        # chunk are not geometric and their completion error is infinite;
-        # the source runs a second chunk, whose last octaves decay at ~1/4
+        # u0 = 2^-9, integrates to 0 inside the first chunk.  The octaves
+        # are still a sum of two geometric sequences (ratios 1/4 and 1/8):
+        # the epsilon table runs on past the zero octave and finishes the
+        # source from that chunk
         u0 = 2.0 ** -9
         a = 6.0 / (7.0 * u0)
 
@@ -265,7 +289,7 @@ class TestGeometricTail:
         one = np.zeros(1, dtype=np.int64)
         val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, 1e-5, one,
                                       (7, 15))
-        assert nev == 24 * (7 + 15)
+        assert nev == 12 * (7 + 15)
         assert err[0] <= 1e-6
         # no estimate in the engine carries rounding: allow a few ulp
         assert abs(val[0] - (1.0 - a)) <= err[0] + 4.0 * np.spacing(abs(1.0 - a))
