@@ -488,9 +488,9 @@ def _run_stepone(run: _Run):
     rows = []
     for r in rep.regions:
         sup = r.sup_x if r.sup_x else (float("nan"),) * 2
-        rows.append((r.region, r.M_est, *sup, rep.stability))
-    rows.append(("all", rep.M_est, *rep.sup_x, rep.stability))
-    head = ["region", "M_est", "sup_x1", "sup_x2", "stability"]
+        rows.append((r.region, r.M_est, r.M_err, *sup, rep.stability))
+    rows.append(("all", rep.M_est, rep.M_err, *rep.sup_x, rep.stability))
+    head = ["region", "M_est", "M_err", "sup_x1", "sup_x2", "stability"]
     idx = list(range(len(rows)))
     return head, rows, (idx, [r[1] for r in rows], "region", "M_est")
 

@@ -608,14 +608,11 @@ def _excised_L_compact(a: SpectralDensity, s: float, f: CatalogFunction,
     c = np.asarray(ball.center, dtype=float)
     rmax = float(np.max(np.linalg.norm(X - c[None, :], axis=1))) + ball.radius
     f0 = f.values(X)
-    rows = []
-    for x in X:
-        try:
-            rows.append(f.hessian(x))
-        except NonsmoothPointError:
-            # node fell exactly on a smooth scale marker; step off it
-            rows.append(f.hessian(x + 5e-10 * (1.0 + np.abs(x))))
-    H = np.stack(rows)
+    # _hess, not hessian, whose kink check would refuse a node on a kink
+    # sphere: the only ones are Bump's C-infinity scale markers, where _hess
+    # is exact (0), and route 5 of _L_field keeps X 0.1 from every kink plane
+    H = np.stack([f._hess(x) for x in X])
+    H = 0.5 * (H + H.transpose(0, 2, 1))
     mass, Q = _density_angular_moments(a)
     hq = np.einsum("kij,ij->k", H, Q)
     ts2 = 2.0 * s

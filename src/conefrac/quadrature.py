@@ -6,7 +6,8 @@ constant.  Hypersingular behaviour at t = 0 is removed by subtracting the
 quadratic Taylor term and integrating it in closed form; algebraic endpoint
 singularities are resolved on geometrically graded panels; slowly decaying
 tails are mapped by t = 1/u, integrated on dyadic octaves and finished by
-Wynn's epsilon algorithm.
+Wynn's epsilon algorithm.  Every radial, octave and circle panel is one
+nested Gauss-Kronrod pair G_n / K_2n+1 with |K_2n+1 - G_n| as its error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy import integrate as _sc_integrate
 from scipy.special import gammaln
 
@@ -103,14 +104,14 @@ _N_LOW, _N_HIGH = 7, 15
 _AZIMUTHAL_NODES, _SPHERE_MC_SAMPLES = 48, 8192
 
 
-def _orders_for_tol(tol: float) -> tuple[int, int]:
-    """Low/high Gauss orders for the paired panel rule.  Loose targets get
-    short rules; the default tight tolerances keep the full pair."""
+def _order_for_tol(tol: float) -> int:
+    """Gauss order n of the nested G_n / K_2n+1 panel pair of _kronrod01.
+    Loose targets get short rules; the default tight tolerances get G7/K15."""
     if tol >= 3e-6:
-        return 4, 9
+        return 4
     if tol >= 3e-8:
-        return 5, 11
-    return _N_LOW, _N_HIGH
+        return 5
+    return 7
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +128,9 @@ def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the embedded G_n nodes (every odd index) and are zero elsewhere, so one
     set of 2n+1 values gives both rules.  The Kronrod-Jacobi matrix comes
     from Laurie's algorithm (Math. Comp. 66, 1997) applied to the Legendre
-    recurrence; its eigen-decomposition gives nodes and weights as in
-    Golub-Welsch, symmetrised about the midpoint.
+    recurrence; its eigenvalues, symmetrised about the midpoint, are the
+    nodes, and the Kronrod weights solve their Legendre moment equations
+    (Golub-Welsch's b0 v0^2 misses the K15 moments by up to 9e-16).
     """
     m = (3 * n + 1) // 2 + 1
     k = np.arange(m, dtype=float)
@@ -160,10 +162,9 @@ def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s, t = t, s
     a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
     off = np.sqrt(b[1:])
-    x, vec = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
-    w = b[0] * vec[0] ** 2
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
     x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
+    w = np.linalg.solve(legvander(x, 2 * n).T, 2.0 * np.eye(2 * n + 1)[0])
     wg = np.zeros(2 * n + 1)
     wg[1::2] = _gauss01(n)[1]
     return 0.5 * (x + 1.0), 0.5 * w, wg
@@ -264,30 +265,25 @@ _PANEL_CHUNK = 512
 
 
 def _eval_panels(evalf, plo: np.ndarray, phi: np.ndarray, ptask: np.ndarray,
-                 orders: tuple[int, int]):
-    """Return per-panel high-order values and |high - low| error surrogates.
+                 n: int):
+    """Return per-panel values K_2n+1, rule errors |K_2n+1 - G_n| and the
+    evaluation count of the nested pair _kronrod01(n), 2n+1 values a panel.
 
     The integrand is pointwise, so evaluating the panels in chunks gives the
     same numbers as one call over all of them."""
-    n_lo, n_hi = orders
-    x1, w1 = _gauss01(n_lo)
-    x2, w2 = _gauss01(n_hi)
+    xk, wk, wg = _kronrod01(n)
+    w_pair = np.column_stack((wk, wg))
     wid = phi - plo
-    v1 = np.empty(plo.size)
-    v2 = np.empty(plo.size)
+    vk, vg = np.empty((2, plo.size))
     for a in range(0, plo.size, _PANEL_CHUNK):
         b = min(a + _PANEL_CHUNK, plo.size)
-        pl, wd, pt = plo[a:b], wid[a:b], ptask[a:b]
-        t1 = (pl[:, None] + wd[:, None] * x1[None, :]).ravel()
-        t2 = (pl[:, None] + wd[:, None] * x2[None, :]).ravel()
-        vals = evalf(np.concatenate((t1, t2)),
-                     np.concatenate((np.repeat(pt, n_lo), np.repeat(pt, n_hi))))
+        wd = wid[a:b]
+        vals = evalf((plo[a:b, None] + wd[:, None] * xk).ravel(),
+                     np.repeat(ptask[a:b], xk.size))
         if not np.all(np.isfinite(vals)):
             raise AccuracyError("integrand produced non-finite values")
-        n1 = t1.size
-        v1[a:b] = (vals[:n1].reshape(-1, n_lo) @ w1) * wd
-        v2[a:b] = (vals[n1:].reshape(-1, n_hi) @ w2) * wd
-    return v2, np.abs(v2 - v1), plo.size * (n_lo + n_hi)
+        vk[a:b], vg[a:b] = (vals.reshape(-1, xk.size) @ w_pair).T * wd
+    return vk, np.abs(vk - vg), plo.size * xk.size
 
 
 def _run_tasks(plo: np.ndarray, phi: np.ndarray, ptask: np.ndarray,
@@ -365,8 +361,10 @@ def _epsilon_limit(S) -> tuple[np.ndarray, np.ndarray]:
     offers its last entry e, charged 3 (|e - e'| + |e - e''|) over the two
     entries before it plus |e - the last entry of the next-lower even
     column|; the row takes the least-charged finite offer.  A row whose last
-    two terms are exactly 0 is finished at zero error, and a row that no
-    column finishes keeps its last sum with an infinite error."""
+    two terms are exactly 0 is finished at zero error.  A row that no column
+    finishes, or whose last term is not smaller in magnitude than the one
+    before it (a growing or oscillating row), keeps its last sum with an
+    infinite error."""
     S = np.asarray(S, dtype=float)
     done = (S[:, -1] == S[:, -2]) & (S[:, -2] == S[:, -3])
     best, err = S[:, -1].copy(), np.where(done, 0.0, np.inf)
@@ -385,7 +383,9 @@ def _epsilon_limit(S) -> tuple[np.ndarray, np.ndarray]:
             take = charge < err
             best, err = np.where(take, e, best), np.where(take, charge, err)
             lower = e
-    return best, err
+    d = np.abs(np.diff(S[:, -3:], axis=1))
+    grow = ~done & (d[:, 1] >= d[:, 0])
+    return np.where(grow, S[:, -1], best), np.where(grow, np.inf, err)
 
 
 # octaves per evalf call, the most octaves a source gets, and the partial
@@ -394,13 +394,15 @@ _OCTAVE_CHUNK, _MAX_OCTAVES, _EPS_TERMS = 12, 64, 11
 
 
 def _octave_batch(evalf, hi: np.ndarray, group: np.ndarray, n_groups: int,
-                  tol: float, task_ids: np.ndarray, orders: tuple[int, int]):
+                  tol: float, task_ids: np.ndarray, order: int):
     """Integrate sum_j int_{hi 2^{-j-1}}^{hi 2^{-j}} f for each source down to
     0, summed per group; source k hands task_ids[k] to evalf.
 
     The integrand is assumed to behave like a sum of powers u^{kappa-1} near
-    0 with kappa > 0, so its octaves are a sum of geometric sequences.  One
-    rule finishes and stops each source: after every chunk of octaves,
+    0 with kappa > 0, so its octaves are a sum of geometric sequences.  Each
+    octave is one _eval_panels panel at the given order (2 order + 1
+    evaluations), whose |K - G| gap adds to the source's error.  One stop
+    rule finishes each source: after every chunk of octaves,
     _epsilon_limit completes the source from its last _EPS_TERMS partial
     sums, and the source stops once that completion's error is at most tol.
     A source that runs out of octaves keeps its last completion, whatever
@@ -419,7 +421,7 @@ def _octave_batch(evalf, hi: np.ndarray, group: np.ndarray, n_groups: int,
         lo = hi[idx, None] * 2.0 ** -(js[None, :] + 1.0)
         up = hi[idx, None] * 2.0 ** -js[None, :].astype(float)
         v, e, n2 = _eval_panels(evalf, lo.ravel(), up.ravel(),
-                                np.repeat(task_ids[idx], js.size), orders)
+                                np.repeat(task_ids[idx], js.size), order)
         nev += n2
         V[idx[:, None], js] = v.reshape(idx.size, js.size)
         rule[idx] += e.reshape(idx.size, js.size).sum(axis=1)
@@ -545,9 +547,9 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
     """Adaptive panel rule on the circle.  The weight a(theta) multiplies the
     node values; panels never straddle a declared jump of a.
 
-    Each panel is one nested Gauss-Kronrod pair: node_eval runs on the 2n+1
-    Kronrod directions and the embedded G_n nodes give the low-order value,
-    so the pair costs 2n+1 directions, not n + 2n+1.  Arc ends at kink-plane
+    Each panel is the nested Gauss-Kronrod pair of _eval_panels, n from
+    _order_for_tol: node_eval runs on the 2n+1 Kronrod directions, whose
+    weighted values give K_2n+1 and the embedded G_n.  Arc ends at kink-plane
     crossings and at directions toward sphere-kink centres start graded six
     levels deep; ends toward point singularities start _depth_for_tol + 6
     levels deep.  The panels at those marked angles carry the graded-end
@@ -585,8 +587,7 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
     plo = np.concatenate(plo_parts)
     phi = np.concatenate(phi_parts)
 
-    n_gauss, _ = _orders_for_tol(max(cfg.abs_tol, cfg.rel_tol / 30.0))
-    xk, wk, wg = _kronrod01(n_gauss)
+    xk, wk, wg = _kronrod01(_order_for_tol(max(cfg.abs_tol, cfg.rel_tol / 30.0)))
     w_pair = np.column_stack((wk, wg))
 
     def eval_panels(plo_b, phi_b, _task):
@@ -873,7 +874,7 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     miss.  The subtracted inner task [0, t_in] is not graded toward 0: its
     integrand vanishes like t^{3-2s} there, and graded panels would only
     resolve rounding noise (a difference of O(1) quantities times
-    t^{-1-2s}) whose G15 - G7 gap grows as they shrink.
+    t^{-1-2s}) whose K15 - G7 gap grows as they shrink.
     Returns (values, error_estimates, n_evals, converged) per direction.
     """
     K = thetas.shape[0]
@@ -910,17 +911,17 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
         kern[tail] = ts[tail] ** (ts2 - 1.0)
         return X * kern
 
-    orders = _orders_for_tol(max(tol_a, tol_r / 30.0))
+    order = _order_for_tol(max(tol_a, tol_r / 30.0))
     offset, errs_rest, nev = _octave_batch(
         evalf, octaves["hi"], octaves["theta"], K, 0.25 * tol_a,
-        task_ids=n_main + np.arange(octaves["hi"].size), orders=orders)
+        task_ids=n_main + np.arange(octaves["hi"].size), order=order)
     if inner_mode == "subtract":
         offset += quad_coefs * t_in ** (2.0 - ts2) / (2.0 - ts2)
     if tail_mode == "compact":
         offset += analytic_const * T0 ** (-ts2) / ts2
 
     def eval_panels(lo, hi, task):
-        v, e, n2 = _eval_panels(evalf, lo, hi, task, orders)
+        v, e, n2 = _eval_panels(evalf, lo, hi, task, order)
         return v, e, np.zeros_like(v), n2
 
     floors = ((tasks["hi"] - tasks["lo"])

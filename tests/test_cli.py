@@ -157,6 +157,20 @@ class TestScanSubcommand:
         assert code == 3
 
 
+class TestStepOneSubcommand:
+    def test_region_rows_carry_their_error(self, tmp_path):
+        code, out = run_cli(tmp_path, "stepone", "--s", "0.5")
+        assert code == 0
+        header, rows, _ = read_csv(out / "stepone.csv")
+        assert header[:3] == ["region", "M_est", "M_err"]
+        assert rows[-1][0] == "all"
+        # alpha0 defaults to (s + min(1, 2s)) / 2
+        rep = conefrac.step_one_M(conefrac.ConstantDensity(2), 0.5, 0.75, 0.25,
+                                 DEFAULT_CONFIG)
+        assert (float(rows[-1][1]), float(rows[-1][2])) == (rep.M_est, rep.M_err)
+        assert all(math.isfinite(float(r[2])) for r in rows)
+
+
 class TestQuadKeys:
     def test_every_config_field_has_a_key(self):
         # doubling every quad.* default must move every QuadratureConfig

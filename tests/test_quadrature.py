@@ -130,7 +130,7 @@ class TestKronrod:
     def test_exact_for_polynomials_of_degree_3n_plus_1(self, n):
         x, wk, _ = _kronrod01(n)
         for d in range(3 * n + 2):
-            assert abs(wk @ x ** d - 1.0 / (d + 1)) <= 1e-14
+            assert abs(wk @ x ** d - 1.0 / (d + 1)) <= 2.5e-16
 
     def test_matches_quadpack_qk15(self):
         x, wk, _ = _kronrod01(7)
@@ -209,9 +209,14 @@ class TestGeometricTail:
 
     @pytest.mark.parametrize("row", [np.arange(1.0, 12.0),
                                      np.r_[np.ones(10), np.nan],
-                                     np.r_[np.arange(1.0, 11.0), np.inf]])
+                                     np.r_[np.arange(1.0, 11.0), np.inf],
+                                     2.0 ** np.arange(11.0),
+                                     np.arange(11.0) % 2 == 0])
     def test_no_geometric_decay_gives_an_infinite_error(self, row):
-        # partial sums 1, 2, 3, ...: no column of the table is finite
+        # partial sums 1, 2, 3, ...: no column of the table is finite.  The
+        # table does extrapolate 1, 2, 4, ... (to 0) and 1, 0, 1, ... (to
+        # 1/2), but their terms do not shrink
+        row = row.astype(float)
         val, err = _epsilon_limit(row[None, :])
         assert val[0] == row[-1] or np.isnan(row[-1])
         assert err[0] == math.inf
@@ -247,7 +252,7 @@ class TestGeometricTail:
 
         def run(n):
             ids = np.arange(n)
-            return _octave_batch(evalf, np.ones(n), ids, n, 1e-8, ids, (7, 15))
+            return _octave_batch(evalf, np.ones(n), ids, n, 1e-8, ids, 7)
 
         alone, alone_err, _ = run(1)
         both, both_err, _ = run(2)
@@ -269,9 +274,8 @@ class TestGeometricTail:
             def evalf(ts, ids):
                 return sum(ci * ki * ts ** (ki - 1.0) for ci, ki in zip(c, kappa))
 
-            val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, tol, one,
-                                          (7, 15))
-            assert nev == 12 * (7 + 15)
+            val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, tol, one, 7)
+            assert nev == 12 * 15
             assert abs(val[0] - sum(c)) <= err[0] <= tol
 
     def test_source_with_a_zero_octave_runs_on(self):
@@ -287,9 +291,8 @@ class TestGeometricTail:
             return 2.0 * ts - 3.0 * a * ts ** 2
 
         one = np.zeros(1, dtype=np.int64)
-        val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, 1e-5, one,
-                                      (7, 15))
-        assert nev == 12 * (7 + 15)
+        val, err, nev = _octave_batch(evalf, np.ones(1), one, 1, 1e-5, one, 7)
+        assert nev == 12 * 15
         assert err[0] <= 1e-6
         # no estimate in the engine carries rounding: allow a few ulp
         assert abs(val[0] - (1.0 - a)) <= err[0] + 4.0 * np.spacing(abs(1.0 - a))
@@ -308,7 +311,7 @@ class TestRunTasks:
             return np.where(task == 0, ts ** -0.5, np.cos(ts))
 
         def eval_panels(plo, phi, ptask):
-            v, e, n = _eval_panels(evalf, plo, phi, ptask, (7, 15))
+            v, e, n = _eval_panels(evalf, plo, phi, ptask, 7)
             return v, e, np.zeros_like(v), n
 
         val, err, nev = _run_tasks(
