@@ -39,12 +39,9 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _geom_edges,
-    _epsilon_limit,
     _merge_edges,
     mc_region_volume,
 )
-# the cutoff mass sums call operators._conv_L through its module, so one
-# name reaches every mass kernel of both modules
 from . import operators
 from .operators import _L_field, _tensor_nodes, _weighted_difference_constant
 
@@ -469,165 +466,11 @@ class StepOneReport:
     n_samples: int
     regions: tuple
     audit_max: float
+    audit_err: float
     audit_argmax: tuple
     audit_n: int
     alpha0: float
     gamma0: float
-
-
-# shared geometry of the cutoff mass integrals: the plate is the L-infinity
-# ball of this radius around the bump center, clipped to the upper
-# half-plane; dyadic frames beyond it feed the tail completion
-_PLATE_SPAN = 4.0
-_N_FRAMES = 12
-_PLANE_EPS = 1e-8
-
-
-def _cluster_edges(lo: float, hi: float, base_step: float, anchor: float,
-                   h0: float, ratio: float) -> np.ndarray:
-    """Edges on [lo, hi]: uniform coverage plus geometric accumulation
-    toward the anchor, starting at offset h0."""
-    n = max(2, int(math.ceil((hi - lo) / base_step)))
-    offs = [h0]
-    while offs[-1] < 0.45 * (hi - lo):
-        offs.append(offs[-1] * ratio)
-    offs = np.asarray(offs)
-    return _merge_edges([np.linspace(lo, hi, n + 1), anchor - offs, anchor + offs],
-                        lo, hi)
-
-
-class _CutoffMassField:
-    """L of the plateau test functions phi_alpha, both exponents (alpha0, s)
-    at once along a last array axis.
-
-    Plateau and exterior points share one path: a mass integral of z_N^alpha
-    against the kernel centered at x, on plane-aligned tensor plates at two
-    resolutions.  On the bump plateau phi_alpha agrees with the half-space
-    power, so L phi_alpha(x) is the closed form of the power minus the mass
-    of the complement-weighted power; outside the support only the mass of
-    phi_alpha itself reaches x.  The unbounded complement is finished by
-    dyadic frame sums, whose cumulative sums _epsilon_limit completes.
-    Points in the transition shell fall back to the excision evaluator."""
-
-    def __init__(self, a: SpectralDensity, s: float, alpha0: float,
-                 bump: Bump, cfg: QuadratureConfig):
-        self.a = a
-        self.s = s
-        self.alphas = np.array([alpha0, s])
-        self.bump = bump
-        self.cfg = cfg
-        self.c = np.asarray(bump.center, dtype=float)
-        self.r_in = bump.r_in
-        self.r_out = bump.r_out
-        self.phia = Product(HalfSpacePower(2, s, alpha=alpha0), bump)
-        self.phis = Product(HalfSpacePower(2, s, alpha=s), bump)
-        # (value, error) of the weighted difference constant, row per exponent
-        self.W = np.array([_weighted_difference_constant(a, s, al, cfg)[:2]
-                           for al in (alpha0, s)])
-        self.frames = [self._frame_mesh(4, 2.4, 3), self._frame_mesh(3, 3.2, 2)]
-
-    def _frame_mesh(self, g: int, zn_ratio: float, n1p: int):
-        """Quadrature nodes on the dyadic frames beyond the plate, frame by
-        frame, their (m, 2) weight matrix (one column per exponent: the
-        complement weight, identically one out there, times z_N^alpha, each
-        column contiguous for _conv_L) and the node index at which each frame
-        starts, with m appended."""
-        c1, cn = self.c
-        zs, ws, starts = [], [], [0]
-        for j in range(_N_FRAMES):
-            r0 = _PLATE_SPAN * 2.0 ** j
-            r1 = 2.0 * r0
-            zn_col = _geom_edges(_PLANE_EPS, cn + r1, zn_ratio)
-            for sgn in (-1.0, 1.0):
-                z1 = c1 + sgn * np.geomspace(r0, r1, n1p + 1)
-                z, w = _tensor_nodes([np.sort(z1), zn_col], g)
-                zs.append(z)
-                ws.append(w)
-            z1_top = np.linspace(c1 - r0, c1 + r0, 2 * n1p + 3)
-            zn_top = np.geomspace(cn + r0, cn + r1, n1p + 1)
-            z, w = _tensor_nodes([z1_top, zn_top], g)
-            zs.append(z)
-            ws.append(w)
-            starts.append(sum(wi.size for wi in ws))
-        z, w = np.concatenate(zs), np.concatenate(ws)
-        return z, (w * z[:, 1] ** self.alphas[:, None]).T, starts
-
-    def _plate(self, x: np.ndarray, outside: bool, g: int, base: float,
-               h0: float, ratio: float, zn_ratio: float) -> np.ndarray:
-        """Mass integral of z_N^alpha times the complement (or, outside the
-        support, the bump itself) against the kernel centered at x, one
-        value per exponent."""
-        c1, cn = self.c
-        span = self.r_out if outside else _PLATE_SPAN
-        lo1, hi1, top = c1 - span, c1 + span, cn + span
-        a1 = min(max(x[0], lo1), hi1)
-        an = min(max(x[1], _PLANE_EPS), top)
-        z1e = _cluster_edges(lo1, hi1, base, a1, h0, ratio)
-        zne = _merge_edges([
-            _geom_edges(_PLANE_EPS, 0.5, zn_ratio),
-            _cluster_edges(0.5, top, base, an, h0, ratio),
-            _cluster_edges(_PLANE_EPS, min(0.5 + h0, top), 0.5, an, h0, ratio),
-        ], _PLANE_EPS, top)
-        z, w = _tensor_nodes([z1e, zne], g)
-        prof = self.bump.values(z)
-        prof = prof if outside else 1.0 - prof
-        keep = prof > 0.0
-        z, w = z[keep], w[keep] * prof[keep]
-        W = (w * z[:, 1] ** self.alphas[:, None]).T
-        return operators._conv_L(self.a, self.s, z, W, x[None, :])[0]
-
-    def _frame_sums(self, X: np.ndarray, mesh):
-        """Mass of the frames beyond the plate at each row of X, completed
-        by _epsilon_limit: (n, 2) values and errors."""
-        z, W, starts = mesh
-        S = np.stack([operators._conv_L(self.a, self.s, z[i:j], W[i:j], X)
-                      for i, j in zip(starts[:-1], starts[1:])], axis=-1)
-        val, err = _epsilon_limit(np.cumsum(S.reshape(-1, len(starts) - 1), axis=1))
-        return val.reshape(-1, 2), err.reshape(-1, 2)
-
-    def L_pair(self, X: np.ndarray):
-        """(L phi_alpha0, its error, L phi_s, its error) at each row of X.
-
-        Each plateau or exterior point gets a fine and a coarse plate, graded
-        toward it from h0 = max(clearance / 6, 2e-3), and the mass below the
-        lowest node, bounded along the plane.  Plateau points add the frame
-        sums of the whole batch and subtract the result from the closed form
-        W x_N^(alpha - 2s); the error sums the fine-coarse gap, the frame
-        completion, the plane remainder and the closed form's own error."""
-        n = X.shape[0]
-        rho = np.linalg.norm(X - self.c[None, :], axis=1)
-        plateau = self.r_in - rho >= 0.044
-        outer = rho - self.r_out >= 0.034
-        shell = ~plateau & ~outer
-        # fine plates in V, coarse ones in Vc
-        V, Vc, clr = np.zeros((n, 2)), np.zeros((n, 2)), np.ones(n)
-        for i in np.nonzero(~shell)[0]:
-            x, out = X[i], bool(outer[i])
-            d = float(np.linalg.norm(x - self.c))
-            clr[i] = d - self.r_out if out else self.r_in - d
-            h0 = max(clr[i] / 6.0, 2e-3)
-            V[i] = self._plate(x, out, 4, 0.16 if out else 0.4, h0, 1.7, 2.2)
-            Vc[i] = self._plate(x, out, 3, 0.23 if out else 0.55, 2.0 * h0,
-                                2.1, 3.0)
-        ts2 = 2.0 * self.s
-        line = 2.0 * (1.0 + 1.0 / (1.0 + ts2)) * clr ** (-1.0 - ts2)
-        plane = (_PLANE_EPS ** (1.0 + self.alphas) / (1.0 + self.alphas)
-                 * (2.0 * self.a.upper_bound) * line[:, None])
-        E = np.abs(Vc - V) + plane
-        if np.any(plateau):
-            P = X[plateau]
-            tf, tf_err = self._frame_sums(P, self.frames[0])
-            tc, _ = self._frame_sums(P, self.frames[1])
-            G = V[plateau] + tf
-            pw = P[:, 1:] ** (self.alphas - ts2)
-            V[plateau] = self.W[:, 0] * pw - G
-            E[plateau] = (np.abs(Vc[plateau] + tc - G) + tf_err
-                          + plane[plateau] + self.W[:, 1] * np.abs(pw))
-        if np.any(shell):
-            for k, phi in enumerate((self.phia, self.phis)):
-                V[shell, k], E[shell, k], _ = _L_field(self.a, self.s, phi,
-                                                       X[shell], self.cfg)
-        return V[:, 0], E[:, 0], V[:, 1], E[:, 1]
 
 
 def _step_one_samples(h: float, r_in: float, k: int) -> np.ndarray:
@@ -681,9 +524,11 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
     the boundary plane, and their corner, on two refinements; the relative
     change is reported as stability.  M_err (per region too) is the error
     of the ratio at the sup point, (e_alpha0 + e_s) / phi_s from the error
-    estimates of both operator values.  Outside the ball both test functions
-    vanish, so the numerator drops to a nonpositive pure mass term; the
-    audit checks that sign at a ring of exterior points.
+    estimates of both operator values, which the route table _L_field
+    returns.  Outside the ball both test functions vanish, so the numerator
+    drops to a nonpositive pure mass term; the audit checks that sign at a
+    ring of exterior points and reports the error of the largest numerator
+    as audit_err.
     """
     if a.dim != 2:
         raise InputDomainError("the comparison-constant experiment is "
@@ -699,15 +544,22 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
             f"contact parameter must lie in (0, 1), got {gamma0}")
     h = 1.0 - gamma0
     phi = Bump(2, s, center=(0.0, h), r_in=1.0 - 0.5 * gamma0, r_out=1.0)
+    phia = Product(HalfSpacePower(2, s, alpha=alpha0), phi)
+    phis = Product(HalfSpacePower(2, s, alpha=s), phi)
     loose = cfg.with_tol(abs_tol=max(cfg.abs_tol, 2e-5),
                          rel_tol=max(cfg.rel_tol, 1e-4))
-    field = _CutoffMassField(a, s, alpha0, phi, loose)
+
+    def numerator(pts):
+        """-L phi_alpha0 - L phi_s at each point, and its error."""
+        va, ea, _ = _L_field(a, s, phia, pts, loose)
+        vs, es, _ = _L_field(a, s, phis, pts, loose)
+        return -va - vs, ea + es
 
     def sup_pass(k):
         pts = _step_one_samples(h, phi.r_in, k)
-        va, ea, vs, es = field.L_pair(pts)
-        phis = field.phis.values(pts)
-        return pts, (-va - vs) / phis, (ea + es) / phis
+        numer, err = numerator(pts)
+        den = phis.values(pts)
+        return pts, numer / den, err / den
 
     pts_b, ratios_b, _ = sup_pass(2)
     pts_d, ratios_d, errs_d = sup_pass(4)
@@ -726,7 +578,7 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
             region=name, M_est=float(ratios_d[j]), M_err=float(errs_d[j]),
             sup_x=tuple(pts_d[j]), n_points=int(mask.sum())))
     i0 = int(np.argmax(ratios_d))
-    audit_max, audit_arg, audit_n = -math.inf, (), 0
+    audit_max, audit_err, audit_arg, audit_n = -math.inf, 0.0, (), 0
     if audit:
         tc = math.sqrt(max(1.0 - h * h, 0.0))
         ext = []
@@ -739,15 +591,16 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
             for sgn in (-1.0, 1.0):
                 ext.append(np.array([sgn * t, 0.05]))
         ext = np.array(ext)
-        va, _, vs, _ = field.L_pair(ext)
-        numer = -va - vs
+        numer, err = numerator(ext)
         j = int(np.argmax(numer))
-        audit_max, audit_arg, audit_n = float(numer[j]), tuple(ext[j]), len(ext)
+        audit_max, audit_err = float(numer[j]), float(err[j])
+        audit_arg, audit_n = tuple(ext[j]), len(ext)
     return StepOneReport(
         M_est=M_dense, M_err=float(errs_d[i0]), sup_x=tuple(pts_d[i0]),
         stability=float(stability), n_samples=int(pts_d.shape[0]),
         regions=tuple(regions),
-        audit_max=audit_max, audit_argmax=audit_arg, audit_n=audit_n,
+        audit_max=audit_max, audit_err=audit_err, audit_argmax=audit_arg,
+        audit_n=audit_n,
         alpha0=float(alpha0), gamma0=float(gamma0))
 
 

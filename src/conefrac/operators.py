@@ -12,10 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (
+    Bump,
     CatalogFunction,
     Constant,
     HalfSpacePower,
     KelvinHalfSpacePower,
+    Product,
     ScalarMultiple,
     TranslateTruncate,
     Zero,
@@ -30,6 +32,7 @@ from .errors import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _epsilon_limit,
     _gauss01,
     _geom_edges,
     _graded_rows,
@@ -403,15 +406,12 @@ def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
     direction of z_j - x, at each row x of X clear of the nodes z.
 
     With wv the quadrature weights times v(z) this is Lv at points strictly
-    outside supp v, where only the mass of v arrives.  wv is (m,), or (m, k)
-    with one weight column per integral; the result is (n,) or (n, k).  A
-    constant density needs no directions: its kernel is a.value r^{-N-2s}.
-    Columns stored contiguously (a (k, m) array transposed) keep the sum
-    over the nodes fast.  Each row is summed on its own, so a point's value
-    does not depend on the rest of X.
+    outside supp v, where only the mass of v arrives.  A constant density
+    needs no directions: its kernel is a.value r^{-N-2s}.  Each row is
+    summed on its own, so a point's value does not depend on the rest of X.
     """
     dim = X.shape[1]
-    out = np.empty((X.shape[0],) + wv.shape[1:])
+    out = np.empty(X.shape[0])
     # coordinates lead, (dim, points, nodes): the elementwise work then runs
     # along the long axes, not along dim.  The squares are summed coordinate
     # by coordinate, as numpy sums fewer than eight terms
@@ -428,15 +428,11 @@ def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
         if not a.is_constant:
             unit = (d / np.sqrt(r2)[None, :, :]).reshape(dim, -1).T
             kern *= a._eval_unit(np.ascontiguousarray(unit)).reshape(r2.shape)
-        # a row sum per weight column, not einsum (which sums a one-row
-        # block in another order) and not a threaded BLAS call (which is not
-        # bit-reproducible when other processes hold the cores)
-        if wv.ndim == 1:
-            kern *= wv
-            out[i:i + step] = kern.sum(axis=1)
-        else:
-            for k in range(wv.shape[1]):
-                out[i:i + step, k] = (kern * wv[:, k]).sum(axis=1)
+        # a row sum, not einsum (which sums a one-row block in another
+        # order) and not a threaded BLAS call (which is not bit-reproducible
+        # when other processes hold the cores)
+        kern *= wv
+        out[i:i + step] = kern.sum(axis=1)
     return 2.0 * (a.value if a.is_constant else 1.0) * out
 
 
@@ -602,46 +598,182 @@ def _excised_L_compact(a: SpectralDensity, s: float, f: CatalogFunction,
                        X: np.ndarray):
     """Lf at points where f is twice differentiable, for compact f: the ball
     |y| < delta contributes its Hessian quadratic in closed form, the rest is
-    an x-centered polar integral of f(z) - f(x), with the analytic tail
-    beyond the support added exactly.  Two resolutions give the error."""
+    an x-centered polar integral of f(z) - f(x) out to the row's reach, the
+    power of two at or above the farthest support point from x, with the
+    analytic tail beyond it added exactly.  Two resolutions give the error.
+    Rows of one reach share a grid pair, and each row is summed on its own:
+    a row's value does not depend on the rest of its batch."""
     ball = f.support_ball
     c = np.asarray(ball.center, dtype=float)
-    rmax = float(np.max(np.linalg.norm(X - c[None, :], axis=1))) + ball.radius
+    reach = np.exp2(np.ceil(np.log2(
+        np.linalg.norm(X - c[None, :], axis=1) + ball.radius)))
     f0 = f.values(X)
     # _hess, not hessian, whose kink check would refuse a node on a kink
     # sphere: the only ones are Bump's C-infinity scale markers, where _hess
-    # is exact (0), and route 5 of _L_field keeps X 0.1 from every kink plane
+    # is exact (0), and route 5 of _L_field keeps X 0.1 from every kink
+    # plane, leaving the points nearer to the plane to routes 6 and 7
     H = np.stack([f._hess(x) for x in X])
     H = 0.5 * (H + H.transpose(0, 2, 1))
     mass, Q = _density_angular_moments(a)
     hq = np.einsum("kij,ij->k", H, Q)
     ts2 = 2.0 * s
 
-    def run(delta, n_ang, ratio, g):
-        near = hq * delta ** (2.0 - ts2) / (2.0 - ts2)
+    def run(rows, rmax, delta, n_ang, ratio, g):
+        Xr, f0r = X[rows], f0[rows]
+        near = hq[rows] * delta ** (2.0 - ts2) / (2.0 - ts2)
         rr, wr = _gauss_on_panels(_geom_edges(delta, rmax, ratio, 4), g)
         ang, wa = _gauss_on_panels(_angular_panel_edges(a, n_ang // 2), g)
         th = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         th_t = np.ascontiguousarray(th.T)
         av = a._eval_unit(th)
         kern = wr * rr ** (-1.0 - ts2)
-        out = np.empty(X.shape[0])
+        out = np.empty(Xr.shape[0])
         step = max(1, 2_000_000 // (rr.size * ang.size))
-        for i in range(0, X.shape[0], step):
-            Xi = X[i:i + step]
+        for i in range(0, Xr.shape[0], step):
+            Xi = Xr[i:i + step]
             # coordinates lead, as in _conv_L; f sees an (n, 2) view
             Z = (np.ascontiguousarray(Xi.T)[:, :, None, None]
                  + rr[None, None, :, None] * th_t[:, None, None, :])
             fv = f.values(Z.reshape(2, -1).T).reshape(Xi.shape[0], rr.size,
                                                       ang.size)
             out[i:i + step] = 2.0 * np.einsum(
-                "r,a,kra->k", kern, wa * av, fv - f0[i:i + step, None, None])
-        tail = -2.0 * f0 * mass * rmax ** (-ts2) / ts2
-        return near + out + tail, rr.size * ang.size * X.shape[0]
+                "r,a,kra->k", kern, wa * av, fv - f0r[i:i + step, None, None])
+        tail = -2.0 * f0r * mass * rmax ** (-ts2) / ts2
+        return near + out + tail, rr.size * ang.size * Xr.shape[0]
 
-    v1, n1 = run(0.003, 40, 1.35, 5)
-    v2, n2 = run(0.01, 26, 1.7, 4)
-    return v1, np.abs(v1 - v2), n1 + n2
+    vals, errs = np.empty(X.shape[0]), np.empty(X.shape[0])
+    nev = 0
+    for rmax in np.unique(reach):
+        rows = reach == rmax
+        v1, n1 = run(rows, rmax, 0.003, 40, 1.35, 5)
+        v2, n2 = run(rows, rmax, 0.01, 26, 1.7, 4)
+        vals[rows], errs[rows] = v1, np.abs(v1 - v2)
+        nev += n1 + n2
+    return vals, errs, nev
+
+
+# geometry of the complement form's mass integrals: the plate is the
+# L-infinity ball of this radius around the bump center, clipped to the
+# upper half-plane; dyadic frames beyond it feed the tail completion
+_PLATE_SPAN = 4.0
+_N_FRAMES = 12
+_PLANE_EPS = 1e-8
+
+
+def _cluster_edges(lo: float, hi: float, base_step: float, anchor: float,
+                   h0: float, ratio: float) -> np.ndarray:
+    """Edges on [lo, hi]: uniform coverage plus geometric accumulation
+    toward the anchor, starting at offset h0."""
+    n = max(2, int(math.ceil((hi - lo) / base_step)))
+    offs = [h0]
+    while offs[-1] < 0.45 * (hi - lo):
+        offs.append(offs[-1] * ratio)
+    offs = np.asarray(offs)
+    return _merge_edges([np.linspace(lo, hi, n + 1), anchor - offs, anchor + offs],
+                        lo, hi)
+
+
+def _complement_parts(f: CatalogFunction):
+    """(scale, exponent, bump) when f is a scaled product of a half-space
+    power and a bump, in that order, whose support fits inside the plate
+    (beyond it the frames take the bump's complement as one), else None."""
+    scale, core = _unwrap_scale(f)
+    if (isinstance(core, Product) and isinstance(core.f, HalfSpacePower)
+            and isinstance(core.g, Bump) and core.g.r_out <= _PLATE_SPAN):
+        return scale, core.f.alpha, core.g
+    return None
+
+
+def _frame_mesh(c: np.ndarray, alpha: float, g: int, zn_ratio: float,
+                n1p: int):
+    """Quadrature nodes on the dyadic frames beyond the plate around c,
+    frame by frame, their weights times z_N^alpha (the bump's complement is
+    identically one out there) and the node index at which each frame
+    starts, with the node count appended."""
+    c1, cn = c
+    zs, ws, starts = [], [], [0]
+    for j in range(_N_FRAMES):
+        r0 = _PLATE_SPAN * 2.0 ** j
+        r1 = 2.0 * r0
+        zn_col = _geom_edges(_PLANE_EPS, cn + r1, zn_ratio)
+        for sgn in (-1.0, 1.0):
+            z1 = c1 + sgn * np.geomspace(r0, r1, n1p + 1)
+            z, w = _tensor_nodes([np.sort(z1), zn_col], g)
+            zs.append(z)
+            ws.append(w)
+        z1_top = np.linspace(c1 - r0, c1 + r0, 2 * n1p + 3)
+        zn_top = np.geomspace(cn + r0, cn + r1, n1p + 1)
+        z, w = _tensor_nodes([z1_top, zn_top], g)
+        zs.append(z)
+        ws.append(w)
+        starts.append(sum(wi.size for wi in ws))
+    z, w = np.concatenate(zs), np.concatenate(ws)
+    return z, w * z[:, 1] ** alpha, starts
+
+
+def _frame_sums(a: SpectralDensity, s: float, X: np.ndarray, mesh):
+    """Mass of the frames beyond the plate at each row of X, completed by
+    _epsilon_limit: values, errors and the node-point pairs summed."""
+    z, w, starts = mesh
+    S = np.stack([_conv_L(a, s, z[i:j], w[i:j], X)
+                  for i, j in zip(starts[:-1], starts[1:])], axis=1)
+    val, err = _epsilon_limit(np.cumsum(S, axis=1))
+    return val, err, X.shape[0] * z.shape[0]
+
+
+def _inner_mass(a: SpectralDensity, s: float, alpha: float, bump: Bump,
+                x: np.ndarray, g: int, base: float, h0: float, ratio: float,
+                zn_ratio: float):
+    """Mass of z_N^alpha times the bump's complement over the plate against
+    the kernel centered at x, on a plane-aligned tensor grid graded toward
+    x, and its node count."""
+    c1, cn = bump.center
+    lo1, hi1, top = c1 - _PLATE_SPAN, c1 + _PLATE_SPAN, cn + _PLATE_SPAN
+    a1 = min(max(x[0], lo1), hi1)
+    an = min(max(x[1], _PLANE_EPS), top)
+    z1e = _cluster_edges(lo1, hi1, base, a1, h0, ratio)
+    zne = _merge_edges([
+        _geom_edges(_PLANE_EPS, 0.5, zn_ratio),
+        _cluster_edges(0.5, top, base, an, h0, ratio),
+        _cluster_edges(_PLANE_EPS, min(0.5 + h0, top), 0.5, an, h0, ratio),
+    ], _PLANE_EPS, top)
+    z, w = _tensor_nodes([z1e, zne], g)
+    prof = 1.0 - bump.values(z)
+    keep = prof > 0.0
+    z, w = z[keep], w[keep] * prof[keep]
+    return _conv_L(a, s, z, w * z[:, 1] ** alpha, x[None, :])[0], z.shape[0]
+
+
+def _complement_L(a: SpectralDensity, s: float, alpha: float, bump: Bump,
+                  X: np.ndarray, cfg: QuadratureConfig):
+    """L of (x_N)_+^alpha times the bump at upper points of its plateau, in
+    N = 2: the power's closed form minus the mass of the power times the
+    bump's complement.  That mass is summed on a fine and a coarse plate,
+    each graded toward x from h0 = max(clearance / 6, 2e-3), plus the
+    dyadic frames beyond the plate, which _epsilon_limit completes.  The
+    error sums the fine-coarse gap, the frame completion, the mass below the
+    lowest node (bounded along the plane) and the closed form's own error."""
+    c = np.asarray(bump.center, dtype=float)
+    n = X.shape[0]
+    V, Vc, clr = np.empty(n), np.empty(n), np.empty(n)
+    nev = 0
+    for i, x in enumerate(X):
+        clr[i] = bump.r_in - float(np.linalg.norm(x - c))
+        h0 = max(clr[i] / 6.0, 2e-3)
+        V[i], n1 = _inner_mass(a, s, alpha, bump, x, 4, 0.4, h0, 1.7, 2.2)
+        Vc[i], n2 = _inner_mass(a, s, alpha, bump, x, 3, 0.55, 2.0 * h0,
+                                2.1, 3.0)
+        nev += n1 + n2
+    ts2 = 2.0 * s
+    line = 2.0 * (1.0 + 1.0 / (1.0 + ts2)) * clr ** (-1.0 - ts2)
+    plane = (_PLANE_EPS ** (1.0 + alpha) / (1.0 + alpha)
+             * (2.0 * a.upper_bound) * line)
+    tf, tf_err, n3 = _frame_sums(a, s, X, _frame_mesh(c, alpha, 4, 2.4, 3))
+    tc, _, n4 = _frame_sums(a, s, X, _frame_mesh(c, alpha, 3, 3.2, 2))
+    power, power_err, n5 = _kelvin_closed_batch(a, s, alpha, X, cfg)
+    G = V + tf
+    return (power - G, np.abs(Vc + tc - G) + tf_err + plane + power_err,
+            nev + n3 + n4 + n5)
 
 
 def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
@@ -659,7 +791,10 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
        check, N = 2);
     5. the excision form (_excised_L_compact): other points of a compact f
        in N = 2 farther than 0.1 from every kink plane;
-    6. the polar evaluation, apply_L(..., strict=False), point by point.
+    6. the complement form (_complement_L): the remaining upper points of a
+       scaled product of a half-space power and a bump in N = 2 that lie
+       0.044 or more inside the bump's plateau;
+    7. the polar evaluation, apply_L(..., strict=False), point by point.
     A route's kernel runs only when some point takes it.  Returns (values,
     error estimates, evaluations)."""
     n = X.shape[0]
@@ -698,6 +833,14 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
             kinks.distances(X)[:, :len(kinks.planes)] > 0.1, axis=1)
         if np.any(rows):
             take(rows, *_excised_L_compact(a, s, f, X[rows]))
+    parts = _complement_parts(f)
+    if parts is not None and X.shape[1] == 2:
+        scale, alpha, bump = parts
+        rho = np.linalg.norm(X - np.asarray(bump.center)[None, :], axis=1)
+        rows = ~done & (X[:, -1] > 0.0) & (bump.r_in - rho >= 0.044)
+        if np.any(rows):
+            v, e, k = _complement_L(a, s, alpha, bump, X[rows], cfg)
+            take(rows, scale * v, abs(scale) * e, k)
     for i in np.nonzero(~done)[0]:
         r = apply_L(a, s, f, X[i], cfg, strict=False)
         take(i, r.value, r.abs_error_estimate, r.n_evals)

@@ -36,9 +36,10 @@ def test_every_imported_name_is_used(module):
 
 def test_tracer_hook_targets_resolve():
     # bench/tracing.py counts each layer by rebinding the functions HOOKS
-    # names, and reads 0 for a target that no longer resolves.  The four
-    # absent ones left liouville when mass-only became a route of _L_field;
-    # any other target that stops resolving silently zeroes a metric
+    # names, and reads 0 for a target that no longer resolves.  Four absent
+    # ones left liouville when mass-only became a route of _L_field, three
+    # more when the cutoff mass field's plateau form became one; any other
+    # target that stops resolving silently zeroes a metric
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -47,4 +48,7 @@ def test_tracer_hook_targets_resolve():
     absent = {target for target, _, _ in tracing.HOOKS
               if not tracer._targets(target)}
     assert absent == {"liouville:_mass_only_L", "liouville:_operator_batch",
-                      "liouville:apply_L", "liouville:c_alpha"}
+                      "liouville:apply_L", "liouville:c_alpha",
+                      "liouville:_CutoffMassField.L_pair",
+                      "liouville:_CutoffMassField._plate",
+                      "liouville:_CutoffMassField._frame_sums"}

@@ -14,7 +14,7 @@ import conefrac as cf
 from conefrac import liouville, operators
 from conefrac.errors import (AccuracyError, DegenerateConstructionError,
                              InputDomainError)
-from conefrac.liouville import _CutoffMassField, _L_field
+from conefrac.operators import _L_field
 from conefrac.quadrature import DEFAULT_CONFIG
 
 
@@ -194,80 +194,112 @@ class TestStepOneValidation:
             cf.step_one_M(const2, 0.5, 0.75, 0.0, cfg)
 
 
+def sup_ratio_misses(a, s, alpha0, gamma0, rep):
+    """(region, miss, M_err) at each sampled region's sup point of a
+    step_one_M report, the miss taken against a tight polar apply_L of both
+    test functions and less that oracle's own error."""
+    bump = cf.Bump(2, s, center=(0.0, 1.0 - gamma0), r_in=1.0 - 0.5 * gamma0,
+                   r_out=1.0)
+    phia = cf.Product(cf.HalfSpacePower(2, s, alpha=alpha0), bump)
+    phis = cf.Product(cf.HalfSpacePower(2, s, alpha=s), bump)
+    tight = DEFAULT_CONFIG.with_tol(abs_tol=1e-9, rel_tol=1e-9)
+    out = []
+    for r in rep.regions:
+        if not r.n_points:
+            continue
+        x = np.array(r.sup_x)
+        ea, es = (cf.apply_L(a, s, phi, x, tight) for phi in (phia, phis))
+        den = phis.values(x[None, :])[0]
+        oracle = (-ea.value - es.value) / den
+        oracle_err = (ea.abs_error_estimate + es.abs_error_estimate) / den
+        out.append((r.region, abs(oracle - r.M_est) - oracle_err, r.M_err))
+    return out
+
+
 class TestCutoffMassField:
+    """L of the cutoff's test functions (x_N)_+^alpha times a bump, which
+    step_one_M takes from the route table: excision away from the boundary
+    plane, the complement form on the plateau next to it."""
+
     def test_frames_near_alpha_two_s_complete_with_a_finite_error(self, const2, cfg):
         # with alpha0 = 0.98 and s = 0.5 the frame sums decay at
         # 2^(alpha0 - 2s) ~ 0.986; the far field beyond the last frame is
         # ~70 times its sum, and the epsilon table must complete it with a
-        # finite error that covers the excision evaluator's value
+        # finite error that covers a tight polar evaluation.  The points lie
+        # on the plateau within 0.1 of the plane, where the complement form
+        # serves them
         s, alpha0 = 0.5, 0.98
         bump = cf.Bump(2, s, center=(0.0, 0.5), r_in=0.75, r_out=1.0)
+        phi = cf.Product(cf.HalfSpacePower(2, s, alpha=alpha0), bump)
         loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
-        field = _CutoffMassField(const2, s, alpha0, bump, loose)
-        X = np.array([[0.0, 0.5], [0.3, 0.7]])
-        z, W, starts = field.frames[0]
+        X = np.array([[0.0, 0.05], [0.3, 0.08]])
+        z, w, starts = operators._frame_mesh(np.array(bump.center), alpha0,
+                                             4, 2.4, 3)
         for x in X:
-            S = [operators._conv_L(const2, s, z[i:j], W[i:j], x[None, :])[0][0]
+            S = [operators._conv_L(const2, s, z[i:j], w[i:j], x[None, :])[0]
                  for i, j in zip(starts[-3:-1], starts[-2:])]
             assert S[1] / S[0] >= 0.97
-        va, ea, vs, es = field.L_pair(X)
-        assert np.all(np.isfinite(ea)) and np.all(np.isfinite(es))
-        ref, ref_err, _ = _L_field(const2, s, field.phia, X, loose)
-        assert np.all(np.abs(va - ref) <= ea + ref_err)
+        va, ea, _ = _L_field(const2, s, phi, X, loose)
+        vp, ep, _ = operators._complement_L(const2, s, alpha0, bump, X, loose)
+        assert np.array_equal(va, vp) and np.array_equal(ea, ep)
+        assert np.all(np.isfinite(ea))
+        tight = cfg.with_tol(abs_tol=1e-9, rel_tol=1e-9)
+        for x, v, e in zip(X, va, ea):
+            ref = cf.apply_L(const2, s, phi, x, tight)
+            assert abs(v - ref.value) <= e + ref.abs_error_estimate
 
     def test_step_one_reports_the_error_of_each_sup_ratio(self, const2, cfg):
         # same field as above (gamma0 = 0.5): the far-field completion's
-        # error on L phi_alpha0 at the plateau must be carried by the ratio's
-        # error; the excision evaluator is the oracle
+        # error on L phi_alpha0 must be carried by the ratio's error
         s, alpha0 = 0.5, 0.98
         rep = cf.step_one_M(const2, s, alpha0, 0.5, cfg, audit=False)
-        bump = cf.Bump(2, s, center=(0.0, 0.5), r_in=0.75, r_out=1.0)
-        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
-        field = _CutoffMassField(const2, s, alpha0, bump, loose)
         found = [r for r in rep.regions if r.n_points]
-        # the completed frames leave the plateau's sup within 0.2% (a
-        # single-ratio completion charged it 12 of 74)
+        # the plateau's sup is known within 0.2% (a single-ratio
+        # completion once charged it 12 of 74)
         interior = next(r for r in found if r.region == "interior")
         assert interior.M_err <= 2e-3 * interior.M_est
         assert (rep.M_est, rep.M_err) in [(r.M_est, r.M_err) for r in found]
-        for r in found:
-            X = np.array([r.sup_x])
-            va, ea, _ = _L_field(const2, s, field.phia, X, loose)
-            vs, es, _ = _L_field(const2, s, field.phis, X, loose)
-            phis = field.phis.values(X)[0]
-            assert math.isfinite(r.M_err)
-            miss = abs((-va[0] - vs[0]) / phis - r.M_est)
-            assert miss <= r.M_err + (ea[0] + es[0]) / phis
+        for region, miss, err in sup_ratio_misses(const2, s, alpha0, 0.5, rep):
+            assert math.isfinite(err)
+            assert miss <= err, region
 
+    @pytest.mark.parametrize("density", ["const2", "cone2"])
+    def test_errors_cover_a_polar_oracle_on_criterion_08_inputs(
+            self, request, cfg, density):
+        # every region's sup ratio, and the audit's largest numerator
+        # -L phi_alpha0 - L phi_s at its exterior argmax
+        s, alpha0, gamma0 = 0.5, 0.75, 0.25
+        a = request.getfixturevalue(density)
+        rep = cf.step_one_M(a, s, alpha0, gamma0, cfg)
+        for region, miss, err in sup_ratio_misses(a, s, alpha0, gamma0, rep):
+            assert miss <= err, region
+        bump = cf.Bump(2, s, center=(0.0, 1.0 - gamma0),
+                       r_in=1.0 - 0.5 * gamma0, r_out=1.0)
+        tight = cfg.with_tol(abs_tol=1e-9, rel_tol=1e-9)
+        refs = [cf.apply_L(a, s, cf.Product(cf.HalfSpacePower(2, s, alpha=al),
+                                            bump), rep.audit_argmax, tight)
+                for al in (alpha0, s)]
+        oracle = -sum(r.value for r in refs)
+        assert 0.0 < rep.audit_err < math.inf
+        assert abs(oracle - rep.audit_max) <= rep.audit_err + sum(
+            r.abs_error_estimate for r in refs)
 
-    def test_exterior_points_against_the_excision_evaluator(self, const2, cfg):
-        # points clear of the support take the plate-mass path; the
-        # excision evaluator _L_field is an independent route to both columns
+    def test_rows_do_not_depend_on_the_batch(self, const2, cone2, cfg):
+        # plateau (two of them near the plane), shell and exterior points,
+        # both exponents and both densities: each row alone reads what it
+        # reads in the batch
         s, alpha0, h = 0.5, 0.75, 0.75
         bump = cf.Bump(2, s, center=(0.0, h), r_in=0.875, r_out=1.0)
         loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
-        field = _CutoffMassField(const2, s, alpha0, bump, loose)
-        X = np.array([[0.0, h + 1.04], [1.1, 0.9], [-1.6, 0.4], [0.5, h + 2.2]])
-        rho = np.linalg.norm(X - field.c, axis=1)
-        assert np.all(rho - bump.r_out >= 0.034)
-        va, ea, vs, es = field.L_pair(X)
-        for v, e, phi in ((va, ea, field.phia), (vs, es, field.phis)):
-            ref, ref_err, _ = _L_field(const2, s, phi, X, loose)
-            assert np.all(np.abs(v - ref) <= e + ref_err)
-
-    def test_rows_do_not_depend_on_the_batch(self, const2, cfg):
-        # plateau (two of them near the plane), shell and exterior points:
-        # the frame sums run over the whole batch at once
-        s, alpha0, h = 0.5, 0.75, 0.75
-        bump = cf.Bump(2, s, center=(0.0, h), r_in=0.875, r_out=1.0)
-        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
-        field = _CutoffMassField(const2, s, alpha0, bump, loose)
         X = np.array([[0.0, h], [0.3, 0.9], [0.2, 0.05], [-0.4, 0.1],
                       [0.0, h + 0.94], [1.1, 0.9]])
-        batch = np.stack(field.L_pair(X))
-        for i in range(X.shape[0]):
-            one = np.stack(field.L_pair(X[i:i + 1]))[:, 0]
-            assert np.all(np.abs(batch[:, i] - one) <= 1e-13 * np.abs(one))
+        for a in (const2, cone2):
+            for alpha in (alpha0, s):
+                phi = cf.Product(cf.HalfSpacePower(2, s, alpha=alpha), bump)
+                vals, errs, _ = _L_field(a, s, phi, X, loose)
+                for i in range(X.shape[0]):
+                    one, one_err, _ = _L_field(a, s, phi, X[i:i + 1], loose)
+                    assert (vals[i], errs[i]) == (one[0], one_err[0])
 
 
 class TestRescaledRows:

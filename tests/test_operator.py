@@ -12,7 +12,8 @@ from scipy.special import roots_legendre
 import conefrac as cf
 from conefrac.errors import (AccuracyError, InputDomainError,
                              NonsmoothPointError, TruncationError)
-from conefrac.operators import _conv_L, _L_field, _mass_only_L
+from conefrac.operators import (_conv_L, _excised_L_compact, _L_field,
+                                _mass_only_L)
 
 S = 0.5
 
@@ -243,9 +244,8 @@ class TestMassKernel:
         "cone": cf.ConePlateauDensity(2, cf.Cone((1.0, 0.0), 0.3), 1.0, 0.25),
     }
 
-    @pytest.mark.parametrize("n_cols", [None, 2])
     @pytest.mark.parametrize("name", sorted(DENSITIES))
-    def test_matches_direct_loop(self, name, n_cols):
+    def test_matches_direct_loop(self, name):
         a = self.DENSITIES[name]
         dim = a.dim
         rng = np.random.default_rng(11)
@@ -254,19 +254,18 @@ class TestMassKernel:
         z = rng.uniform(-0.35, 0.35, size=(30, dim))
         dirs = rng.normal(size=(9, dim))
         X = 2.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        w = rng.uniform(-1.0, 1.0, size=(30,) if n_cols is None else (30, n_cols))
+        w = rng.uniform(-1.0, 1.0, size=30)
         got = _conv_L(a, S, z, w, X)
-        cols = w.reshape(30, -1)
-        want = np.zeros((X.shape[0], cols.shape[1]))
+        want = np.zeros(X.shape[0])
         seen = set()
         for i, x in enumerate(X):
             for j, zj in enumerate(z):
                 r = float(np.linalg.norm(zj - x))
                 aval = a((zj - x) / r)
                 seen.add(aval)
-                want[i] += 2.0 * cols[j] * aval * r ** (-dim - 2.0 * S)
-        assert got.shape == (X.shape[0],) + w.shape[1:]
-        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=1e-12)
+                want[i] += 2.0 * w[j] * aval * r ** (-dim - 2.0 * S)
+        assert got.shape == (X.shape[0],)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
         if name == "cone":
             assert seen == {1.0, 0.25}
 
@@ -348,6 +347,18 @@ class TestRouteTable:
         vals, errs, _ = _L_field(const2, S, f, X, cfg)
         for i in range(X.shape[0]):
             alone, alone_err, _ = _L_field(const2, S, f, X[i:i + 1], cfg)
+            assert (vals[i], errs[i]) == (alone[0], alone_err[0])
+
+    def test_excision_rows_do_not_depend_on_a_far_row(self, const2, cfg):
+        # a far row must not lengthen a near row's radial grid: each row's
+        # reach is the power of two at or above its farthest support point
+        f = cf.Product(cf.HalfSpacePower(2, S, alpha=0.75),
+                       cf.Bump(2, S, center=(0.0, 0.75), r_in=0.875, r_out=1.0))
+        X = np.array([[0.0, 0.67], [0.5, 1.2], [1.6, 0.4]])
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        vals, errs, _ = _L_field(const2, S, f, X, loose)
+        for i in range(X.shape[0]):
+            alone, alone_err, _ = _excised_L_compact(const2, S, f, X[i:i + 1])
             assert (vals[i], errs[i]) == (alone[0], alone_err[0])
 
     def test_lower_kelvin_points_against_polar_quad(self, const2, cfg):
