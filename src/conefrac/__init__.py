@@ -13,9 +13,8 @@ from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
                          sphere_surface_area)
 from .spectral import (Cone, ConePlateauDensity, ConstantDensity,
                        CustomDensity, EllipticityDiagnostics,
-                       SpectralDensity, cone_contains, density_eval,
-                       directional_moment, ellipticity_diagnostics,
-                       weighted_sphere_moment)
+                       SpectralDensity, directional_moment,
+                       ellipticity_diagnostics, weighted_sphere_moment)
 from .catalog import (Bump, CatalogFunction, Constant, HalfSpacePower,
                       KelvinHalfSpacePower, Product, Rescale, ScalarMultiple,
                       TranslateTruncate, WholeSpaceBump, Zero, kelvin,
@@ -43,9 +42,8 @@ __all__ = [
     "c_alpha", "mc_region_volume", "radial_integral", "sphere_quadrature",
     "sphere_surface_area",
     "Cone", "ConePlateauDensity", "ConstantDensity", "CustomDensity",
-    "EllipticityDiagnostics", "SpectralDensity", "cone_contains",
-    "density_eval", "directional_moment", "ellipticity_diagnostics",
-    "weighted_sphere_moment",
+    "EllipticityDiagnostics", "SpectralDensity", "directional_moment",
+    "ellipticity_diagnostics", "weighted_sphere_moment",
     "Bump", "CatalogFunction", "Constant", "HalfSpacePower",
     "KelvinHalfSpacePower", "Product", "Rescale", "ScalarMultiple",
     "TranslateTruncate", "WholeSpaceBump", "Zero", "kelvin",

@@ -63,8 +63,8 @@ class OperatorEvaluation:
     """One operator value with its accuracy accounting.
 
     path is "closed_form" when an exact formula supplied the value (the error
-    estimate then covers the quadratures of the power-kernel constant and of
-    the sphere moment) and "numeric" for the full polar-decomposition
+    estimate then covers the sphere moment's quadrature and the power-kernel
+    constant's rounding) and "numeric" for the full polar-decomposition
     evaluation.
     """
 
@@ -145,17 +145,17 @@ def _node_tols(a: SpectralDensity, cfg: QuadratureConfig):
 
 
 def _run_polar(a: SpectralDensity, s: float, kinks: _KinkSet, x: np.ndarray,
-               cfg: QuadratureConfig, *, numer, quad_fn, inner_mode: str,
+               cfg: QuadratureConfig, *, numer, taylor_fn, inner_mode: str,
                tail_mode: str, analytic_const: float, strict: bool,
                what: str) -> OperatorEvaluation:
     normals, graded, strong = _sphere_hints(kinks, x)
     tol_abs_node, tol_rel_node = _node_tols(a, cfg)
 
     def node_eval(thetas: np.ndarray):
-        qc = quad_fn(thetas) if quad_fn is not None else None
+        qc, rc = taylor_fn(thetas) if taylor_fn is not None else (None, None)
         vals, errs, nev, _ok = _radial_batch(
             x=x, thetas=thetas, s=s, cfg=cfg, kinks=kinks,
-            numer=numer, quad_coefs=qc, inner_mode=inner_mode,
+            numer=numer, quad_coefs=qc, round_coefs=rc, inner_mode=inner_mode,
             tail_mode=tail_mode, analytic_const=analytic_const,
             tol_abs_node=tol_abs_node, tol_rel_node=tol_rel_node)
         return vals, errs, nev
@@ -199,6 +199,7 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
     _refuse_near(kinks, x, _REFUSE_FACTOR * _local_scale(x))
     f0 = float(f.value(x))
     H = f.hessian(x)
+    df = f.gradient(x)
 
     if f.support_ball is not None:
         tail_mode, const = "compact", -2.0 * f0
@@ -212,10 +213,12 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
     def numer(P: np.ndarray, M: np.ndarray) -> np.ndarray:
         return f.values(P) + f.values(M) - 2.0 * f0
 
-    def quad_fn(thetas: np.ndarray) -> np.ndarray:
-        return np.einsum("ki,ij,kj->k", thetas, H, thetas)
+    def taylor_fn(thetas: np.ndarray):
+        # quadratic coefficients, and the cancelled f(x +- t theta), 2 f0
+        return (np.einsum("ki,ij,kj->k", thetas, H, thetas),
+                (np.full(thetas.shape[0], 4.0 * abs(f0)), 2.0 * np.abs(thetas @ df)))
 
-    return _run_polar(a, s, kinks, x, cfg, numer=numer, quad_fn=quad_fn,
+    return _run_polar(a, s, kinks, x, cfg, numer=numer, taylor_fn=taylor_fn,
                       inner_mode="subtract", tail_mode=tail_mode,
                       analytic_const=const, strict=strict,
                       what="operator evaluation")
@@ -243,8 +246,9 @@ def apply_L_halfspace_power(a: SpectralDensity, s: float, alpha: float, x,
 def _weighted_difference_constant(a: SpectralDensity, s: float, alpha: float,
                                   cfg: QuadratureConfig):
     """C_alpha for the given density: the one-dimensional second-difference
-    integral times the weighted sphere moment, with first-order error and
-    the evaluations of both factors."""
+    constant (closed form, see c_alpha) times the weighted sphere moment.
+    The error is the moment's quadrature error carried through the product
+    plus the constant's rounding bound; the evaluations are the moment's."""
     ca = c_alpha(alpha, s, cfg)
     m = weighted_sphere_moment(a, s, cfg)
     val = ca.value * m.value
@@ -318,14 +322,18 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
                 + (g.values(M) - g0) * (h.values(M) - h0))
 
     if boundary:
-        inner_mode, quad_fn = "open", None
+        inner_mode, taylor_fn = "open", None
     else:
         inner_mode = "subtract"
         dg = g.gradient(x)
         dh = h.gradient(x)
 
-        def quad_fn(thetas: np.ndarray) -> np.ndarray:
-            return 2.0 * (thetas @ dg) * (thetas @ dh)
+        def taylor_fn(thetas: np.ndarray):
+            # quadratic coefficients, and the cancelled g(x +- t theta), g0
+            # (h likewise), each pair times the other factor's difference
+            pg, ph = thetas @ dg, thetas @ dh
+            return (2.0 * pg * ph, (np.zeros(thetas.shape[0]),
+                                    4.0 * (abs(g0) * np.abs(ph) + abs(h0) * np.abs(pg))))
 
     g_comp = g.support_ball is not None
     h_comp = h.support_ball is not None
@@ -341,7 +349,7 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
                 "factors grow too fast for the correction to converge")
         tail_mode, const = "u_map", 0.0
 
-    return _run_polar(a, s, kinks, x, cfg, numer=numer, quad_fn=quad_fn,
+    return _run_polar(a, s, kinks, x, cfg, numer=numer, taylor_fn=taylor_fn,
                       inner_mode=inner_mode, tail_mode=tail_mode,
                       analytic_const=const, strict=strict,
                       what="product-rule correction")

@@ -1,5 +1,6 @@
 """Deterministic quadrature for hypersingular radial integrals, sphere
-integrals against directional weights, and seeded Monte Carlo volumes.
+integrals against directional weights, and seeded Monte Carlo volumes, and
+the 1-D power-kernel constant c_alpha in closed form.
 
 The radial kernel is 1/t^{1+2s} without any s-dependent normalisation
 constant.  Hypersingular behaviour at t = 0 is removed by subtracting the
@@ -7,7 +8,9 @@ quadratic Taylor term and integrating it in closed form; algebraic endpoint
 singularities are resolved on geometrically graded panels; slowly decaying
 tails are mapped by t = 1/u, integrated on dyadic octaves and finished by
 Wynn's epsilon algorithm.  Every radial, octave and circle panel is one
-nested Gauss-Kronrod pair G_n / K_2n+1 with |K_2n+1 - G_n| as its error.
+nested Gauss-Kronrod pair G_n / K_2n+1 with |K_2n+1 - G_n| as its error; the
+subtracted inner panels add the rounding of the terms their numerator
+cancels, and c_alpha's error is its own rounding bound.
 """
 
 from __future__ import annotations
@@ -19,21 +22,20 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy import integrate as _sc_integrate
-from scipy.special import gammaln
 
 from .catalog import _KinkSet
 from .errors import AccuracyError, InputDomainError
 from .spectral import SpectralDensity
 
 _TWO_PI = 2.0 * math.pi
+_MACH_EPS = float(np.finfo(float).eps)
 
 
 def sphere_surface_area(dim: int) -> float:
     """Surface measure of the unit sphere in R^dim (2 points for dim = 1)."""
     if dim == 1:
         return 2.0
-    return 2.0 * math.exp(0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim))
+    return 2.0 * math.exp(0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim))
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
@@ -438,64 +440,29 @@ def _octave_batch(evalf, hi: np.ndarray, group: np.ndarray, n_groups: int,
 # the 1-D power-kernel constant
 # --------------------------------------------------------------------------
 
-_c_alpha_cache: dict[tuple[float, float, float, float], IntegralResult] = {}
-
-
 def c_alpha(alpha: float, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Integral of ((1+t)^a + (1-t)_+^a - 2) / t^{1+2s} over (0, inf).
 
-    Negative for a < s, zero at a = s, positive for s < a < 2s.  Computed by
-    splitting at 1/2, 1 and 2: the first piece has its quadratic Taylor term
-    integrated exactly, the last piece is mapped by t = 1/u.
+    Negative for a < s, zero at a = s, positive for s < a < 2s.  Evaluated
+    in closed form, Gamma(1+a) Gamma(2s-a) sin(pi(a-s)) / (Gamma(1+2s)
+    sin(pi s)) (B. Dyda, Fract. Calc. Appl. Anal. 15, 2012).  The error is a
+    rounding bound: 16 ulp of |value| for the three Gamma functions, the sines
+    and the products, plus the rounding of pi(a-s) and of pi s, 2 ulp each,
+    carried through the sines.  No integrand is evaluated; cfg is not read.
     """
     if not (0.0 < s < 1.0):
         raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
     if not (0.0 < alpha < 2.0 * s):
         raise InputDomainError(
             f"power exponent must lie in (0, 2s) = (0, {2 * s}), got {alpha}")
-    key = (float(alpha), float(s), cfg.abs_tol, cfg.rel_tol)
-    hit = _c_alpha_cache.get(key)
-    if hit is not None:
-        return hit
-
-    a, ts = float(alpha), 2.0 * s
-    quad_tol = min(cfg.abs_tol / 8.0, 1e-11)
-
-    def near(t):
-        return ((1.0 + t) ** a + (1.0 - t) ** a - 2.0 - a * (a - 1.0) * t * t) \
-            / t ** (1.0 + ts)
-
-    def mid_low(t):
-        return ((1.0 + t) ** a + (1.0 - t) ** a - 2.0) / t ** (1.0 + ts)
-
-    def mid_high(t):
-        return ((1.0 + t) ** a - 2.0) / t ** (1.0 + ts)
-
-    def far(u):
-        return ((1.0 + 1.0 / u) ** a - 2.0) * u ** (ts - 1.0)
-
-    total, err, nev = 0.0, 0.0, 0
-    for fn, lo, hi in ((near, 0.0, 0.5), (mid_low, 0.5, 1.0),
-                       (mid_high, 1.0, 2.0), (far, 0.0, 0.5)):
-        # a reported roundoff warning still comes with an honest error
-        # bound, so convergence is judged on the bound alone
-        out = _sc_integrate.quad(fn, lo, hi, epsabs=quad_tol,
-                                 epsrel=cfg.rel_tol / 8.0, limit=200,
-                                 full_output=1)
-        val, abserr, info = out[0], out[1], out[2]
-        total += val
-        err += abserr
-        nev += int(info["neval"])
-    # closed-form quadratic Taylor part on [0, 1/2]
-    total += a * (a - 1.0) * 0.5 ** (2.0 - ts) / (2.0 - ts)
-
-    converged = _tol_met(total, err, cfg.abs_tol, cfg.rel_tol)
-    if not converged:
-        raise AccuracyError("power-kernel constant did not converge",
-                            value=total, abs_error_estimate=err)
-    res = IntegralResult(total, err, nev, True)
-    _c_alpha_cache[key] = res
-    return res
+    a, s = float(alpha), float(s)
+    x, xs = math.pi * (a - s), math.pi * s
+    scale = (math.gamma(1.0 + a) * math.gamma(2.0 * s - a)
+             / (math.gamma(1.0 + 2.0 * s) * math.sin(xs)))
+    value = scale * math.sin(x)
+    err = _MACH_EPS * (abs(value) * (16.0 + 2.0 * abs(xs / math.tan(xs)))
+                       + 2.0 * abs(scale * x * math.cos(x)))
+    return IntegralResult(value, err, 0, True)
 
 
 # --------------------------------------------------------------------------
@@ -848,7 +815,7 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
 
 def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
                   cfg: QuadratureConfig, kinks: _KinkSet, numer,
-                  quad_coefs: np.ndarray = None,
+                  quad_coefs: np.ndarray = None, round_coefs=None,
                   inner_mode: str = "subtract", tail_mode: str = "u_map",
                   analytic_const: float = 0.0,
                   tol_abs_node: float = None, tol_rel_node: float = None):
@@ -861,7 +828,9 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     (see _assemble_radial).  numer(P, M) evaluates the numerator at the two
     ray point batches.  quad_coefs[k] is the exact quadratic coefficient
     subtracted on the inner segment for direction k (required in "subtract"
-    mode).  The tolerances per direction default to the config's.
+    mode), and round_coefs = (m0, m1) bounds the terms the numerator cancels
+    there: at t they sum to about m0[k] + m1[k] t in magnitude.  The
+    tolerances per direction default to the config's.
 
     The closed-form inner quadratic, the compact tail constant and the
     octave sources of _assemble_radial's one octave table (the open inner
@@ -874,7 +843,11 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     miss.  The subtracted inner task [0, t_in] is not graded toward 0: its
     integrand vanishes like t^{3-2s} there, and graded panels would only
     resolve rounding noise (a difference of O(1) quantities times
-    t^{-1-2s}) whose K15 - G7 gap grows as they shrink.
+    t^{-1-2s}) whose K15 - G7 gap grows as they shrink.  That noise is the
+    inner task's node error: one ulp of the cancelled terms,
+    eps (m0 + m1 t + |quad_coefs| t^2) t^{-1-2s} at each node, summed with
+    the Kronrod weights.  _run_tasks adds it to the direction's error and
+    stops splitting once the rule error falls below 0.3 of it.
     Returns (values, error_estimates, n_evals, converged) per direction.
     """
     K = thetas.shape[0]
@@ -891,6 +864,7 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     all_mode = np.concatenate((tasks["mode"], octaves["mode"]))
     if quad_coefs is None:
         quad_coefs = np.zeros(K)
+    m0, m1 = np.zeros((2, K)) if round_coefs is None else round_coefs
     qq = quad_coefs[all_theta]
     # ray points are built as (dim, n) rows and handed on as (n, dim) views,
     # so elementwise work downstream runs along the long axis, not along dim
@@ -920,9 +894,18 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     if tail_mode == "compact":
         offset += analytic_const * T0 ** (-ts2) / ts2
 
+    xk, wk, _ = _kronrod01(order)
+
     def eval_panels(lo, hi, task):
         v, e, n2 = _eval_panels(evalf, lo, hi, task, order)
-        return v, e, np.zeros_like(v), n2
+        ne = np.zeros_like(v)
+        sub = all_mode[task] == 1
+        if np.any(sub):
+            k, wid = all_theta[task[sub]], hi[sub] - lo[sub]
+            t = lo[sub, None] + wid[:, None] * xk
+            mag = m0[k, None] + t * (m1[k, None] + np.abs(quad_coefs[k, None]) * t)
+            ne[sub] = _MACH_EPS * wid * ((mag * t ** (-1.0 - ts2)) @ wk)
+        return v, e, ne, n2
 
     floors = ((tasks["hi"] - tasks["lo"])
               * 2.0 ** -float(_depth_for_tol(min(tol_r, tol_a)) + 10))
@@ -950,6 +933,7 @@ def radial_integral(f, x, theta, s: float, cfg: QuadratureConfig = DEFAULT_CONFI
     H = f.hessian(x)
     thetas = theta[None, :]
     qc = np.asarray([float(theta @ H @ theta)])
+    rc = np.asarray([[4.0 * abs(f0)], [2.0 * abs(float(theta @ f.gradient(x)))]])
 
     def numer(P, M):
         return f.values(P) + f.values(M) - 2.0 * f0
@@ -957,7 +941,7 @@ def radial_integral(f, x, theta, s: float, cfg: QuadratureConfig = DEFAULT_CONFI
     compact = f.support_ball is not None
     vals, errs, nev, ok = _radial_batch(
         x=x, thetas=thetas, s=s, cfg=cfg, kinks=_KinkSet.of(f),
-        numer=numer, quad_coefs=qc,
+        numer=numer, quad_coefs=qc, round_coefs=rc,
         inner_mode="subtract",
         tail_mode="compact" if compact else "u_map",
         analytic_const=-2.0 * f0 if compact else 0.0)

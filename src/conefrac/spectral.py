@@ -66,12 +66,8 @@ class Cone:
         return proj >= (1.0 - self.tau) * dist
 
     def contains(self, y: Sequence[float]) -> bool:
+        """Closed-cone membership; the vertex itself is a member."""
         return bool(self.contains_many(np.asarray(y, dtype=float)[None, :])[0])
-
-
-def cone_contains(cone: Cone, y: Sequence[float]) -> bool:
-    """Closed-cone membership; the vertex itself is a member."""
-    return cone.contains(y)
 
 
 def _check_unit_input(thetas: np.ndarray) -> None:
@@ -129,12 +125,8 @@ class SpectralDensity:
         return self._eval_unit(thetas)
 
     def __call__(self, theta: Sequence[float]) -> float:
+        """Pointwise weight; directions on a closed cap boundary get the cap value."""
         return float(self.eval_many(np.asarray(theta, dtype=float)[None, :])[0])
-
-
-def density_eval(a: SpectralDensity, theta: Sequence[float]) -> float:
-    """Pointwise weight; directions on a closed cap boundary get the cap value."""
-    return a(theta)
 
 
 @dataclass(frozen=True)

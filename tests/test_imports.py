@@ -2,10 +2,15 @@
 
 A binding kept only so that something outside the package can rebind it
 (a tracer hook, say) is dead code to the package itself; this test keeps
-such bindings, and plain unused imports, from coming back."""
+such bindings, and plain unused imports, from coming back.  The package's
+third-party imports are exactly its declared runtime dependencies."""
 
 import ast
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +19,7 @@ import conefrac
 
 PACKAGE = Path(conefrac.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -52,3 +58,30 @@ def test_tracer_hook_targets_resolve():
                       "liouville:_CutoffMassField.L_pair",
                       "liouville:_CutoffMassField._plate",
                       "liouville:_CutoffMassField._frame_sums"}
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package itself must not pull it in
+    code = ("import sys, conefrac; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=PACKAGE.parent,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    # each third-party module the package imports is declared, and nothing
+    # else is: a test-only package (scipy, the tests' oracle) stays out
+    tomllib = pytest.importorskip("tomllib")
+    deps = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"conefrac"}
+    assert third_party == declared

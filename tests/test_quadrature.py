@@ -21,9 +21,10 @@ from conefrac.quadrature import (DEFAULT_CONFIG, QuadratureConfig, _eval_panels,
                                   _merge_edges, _octave_batch, _run_tasks)
 
 
-def series_tail_oracle(a, s, d=0.1, T=50.0):
+def series_tail_oracle(a, s, d=0.1, T=50.0, with_error=False):
     """Second route to the weight constant: termwise-integrated Taylor series
-    near 0, plain quadrature on the smooth middle, binomial expansion tail."""
+    near 0, plain quadrature on the smooth middle, binomial expansion tail.
+    with_error also returns the two quadratures' own error estimates."""
     ts = 2.0 * s
     head = sum(2.0 * binom(a, 2 * k) * d ** (2 * k - ts) / (2 * k - ts)
                for k in range(1, 9))
@@ -33,7 +34,8 @@ def series_tail_oracle(a, s, d=0.1, T=50.0):
                   1.0, T, epsabs=1e-13, epsrel=1e-12, limit=300)
     tail = sum(binom(a, j) * T ** (a - j - ts) / (ts + j - a) for j in range(8)) \
         - 2.0 * T ** (-ts) / ts
-    return head + m1 + m2 + tail
+    value = head + m1 + m2 + tail
+    return (value, e1 + e2) if with_error else value
 
 
 class TestWeightConstant:
@@ -70,6 +72,17 @@ class TestWeightConstant:
     def test_domain_validation(self, alpha, s):
         with pytest.raises(InputDomainError):
             cf.c_alpha(alpha, s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.05, 0.95), st.floats(0.01, 0.99))
+    def test_closed_form_against_series_oracle(self, s, frac):
+        # the closed form's rounding bound plus the oracle's own quadrature
+        # error covers their difference
+        alpha = frac * 2.0 * s
+        res = cf.c_alpha(alpha, s)
+        oracle, oracle_err = series_tail_oracle(alpha, s, with_error=True)
+        assert res.n_evals == 0
+        assert abs(res.value - oracle) <= res.abs_error_estimate + oracle_err
 
 
 class TestConfig:
@@ -421,6 +434,22 @@ class TestRadialIntegral:
             if not res.converged or abs(res.value - ca.value * geo) > budget:
                 misses.append((s, alpha, tuple(x), phi, res.converged,
                                abs(res.value - ca.value * geo) / budget))
+        assert not misses, (len(misses), misses[:5])
+
+    @pytest.mark.parametrize("s", [0.7, 0.8, 0.9])
+    def test_zero_of_the_operator_near_the_plane(self, cfg, s):
+        # at alpha = s the exact integral is 0 along every direction; the
+        # subtracted inner task's rounding noise, a difference of O(1)
+        # values times t^{-1-2s}, must show in the estimate (or the row
+        # must say it did not converge)
+        f = cf.HalfSpacePower(2, s, alpha=s)
+        misses = []
+        for xn in np.geomspace(0.01, 5.0, 12):
+            for phi in np.linspace(0.05, math.pi / 2.0, 9):
+                res = cf.radial_integral(f, (0.3, xn), (math.cos(phi), math.sin(phi)),
+                                         s, cfg)
+                if res.converged and abs(res.value) > res.abs_error_estimate:
+                    misses.append((xn, phi, res.value, res.abs_error_estimate))
         assert not misses, (len(misses), misses[:5])
 
 
