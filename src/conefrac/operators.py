@@ -43,7 +43,7 @@ from .quadrature import (
     sphere_quadrature,
     sphere_surface_area,
 )
-from .spectral import SpectralDensity, weighted_sphere_moment
+from .spectral import SpectralDensity, _sum_squares, weighted_sphere_moment
 
 __all__ = [
     "OperatorEvaluation",
@@ -415,8 +415,11 @@ def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
 
     With wv the quadrature weights times v(z) this is Lv at points strictly
     outside supp v, where only the mass of v arrives.  A constant density
-    needs no directions: its kernel is a.value r^{-N-2s}.  Each row is
-    summed on its own, so a point's value does not depend on the rest of X.
+    needs no directions: its kernel is a.value r^{-N-2s}.  Any other density
+    reads the raw offsets z_j - x and their r^2 (a._eval_offsets), so a cone
+    plateau costs one projection and a compare, not a unit vector per pair.
+    Each row is summed on its own, so a point's value does not depend on the
+    rest of X.
     """
     dim = X.shape[1]
     out = np.empty(X.shape[0])
@@ -428,14 +431,10 @@ def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
     step = max(1, 131_072 // max(z.shape[0], 1))
     for i in range(0, X.shape[0], step):
         d = zt[:, None, :] - xt[:, i:i + step, None]
-        sq = d * d
-        r2 = sq[0]
-        for c in range(1, dim):
-            r2 = r2 + sq[c]
+        r2 = _sum_squares(d)
         kern = r2 ** (-0.5 * dim - s)
         if not a.is_constant:
-            unit = (d / np.sqrt(r2)[None, :, :]).reshape(dim, -1).T
-            kern *= a._eval_unit(np.ascontiguousarray(unit)).reshape(r2.shape)
+            kern *= a._eval_offsets(d, r2)
         # a row sum, not einsum (which sums a one-row block in another
         # order) and not a threaded BLAS call (which is not bit-reproducible
         # when other processes hold the cores)
@@ -636,7 +635,11 @@ def _excised_L_compact(a: SpectralDensity, s: float, f: CatalogFunction,
         av = a._eval_unit(th)
         kern = wr * rr ** (-1.0 - ts2)
         out = np.empty(Xr.shape[0])
-        step = max(1, 2_000_000 // (rr.size * ang.size))
+        # rows per chunk: a chunk's temporaries (Z, the intermediates of
+        # f.values, fv - f0) are about ten arrays of its node count and set
+        # the peak RSS of a run that takes this form; 500k nodes keep them
+        # near 40 MB
+        step = max(1, 500_000 // (rr.size * ang.size))
         for i in range(0, Xr.shape[0], step):
             Xi = Xr[i:i + step]
             # coordinates lead, as in _conv_L; f sees an (n, 2) view

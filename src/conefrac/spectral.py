@@ -32,7 +32,10 @@ class Cone:
     """Symmetric double cone: points y with |(y - vertex).axis| >= (1-tau)|y - vertex|.
 
     ``tau`` in (0, 1]; the half-aperture is arccos(1 - tau), so tau = 1 gives
-    the whole space.
+    the whole space.  Every membership question goes through one test on raw
+    offsets d = y - vertex, ``(d.axis)^2 >= (1-tau)^2 |d|^2``: no unit
+    vector is formed, so the test is even in d and exact under scaling by
+    powers of two.
     """
 
     axis: tuple[float, ...]
@@ -58,16 +61,32 @@ class Cone:
     def aperture(self) -> float:
         return math.acos(1.0 - self.tau)
 
+    def _contains_offsets(self, d: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        """Membership of the offsets d, coordinates leading (d[c] holds the
+        c-th coordinate of every offset), given their squared lengths r2.
+        The projection is summed coordinate by coordinate, like r2."""
+        proj = d[0] * self.axis[0]
+        for c in range(1, self.dim):
+            proj = proj + d[c] * self.axis[c]
+        return proj * proj >= (1.0 - self.tau) ** 2 * r2
+
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rel = pts - np.asarray(self.vertex)
-        proj = np.abs(rel @ np.asarray(self.axis))
-        dist = np.linalg.norm(rel, axis=-1)
-        return proj >= (1.0 - self.tau) * dist
+        rel = np.subtract(pts.T, np.asarray(self.vertex)[:, None], order="C")
+        return self._contains_offsets(rel, _sum_squares(rel))
 
     def contains(self, y: Sequence[float]) -> bool:
         """Closed-cone membership; the vertex itself is a member."""
         return bool(self.contains_many(np.asarray(y, dtype=float)[None, :])[0])
+
+
+def _sum_squares(d: np.ndarray) -> np.ndarray:
+    """Squared lengths of offsets given coordinates leading, summed
+    coordinate by coordinate."""
+    r2 = d[0] * d[0]
+    for c in range(1, d.shape[0]):
+        r2 = r2 + d[c] * d[c]
+    return r2
 
 
 def _check_unit_input(thetas: np.ndarray) -> None:
@@ -115,6 +134,16 @@ class SpectralDensity:
     def _eval_unit(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate on directions assumed unit; no input check."""
         raise NotImplementedError
+
+    def _eval_offsets(self, d: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        """Evaluate at the directions of nonzero offsets d, coordinates
+        leading (shape (dim, ...)), given their squared lengths r2 (shape
+        d.shape[1:]); returns an array shaped like r2.  The weight is
+        0-homogeneous, so a subclass may read d and r2 directly; this default
+        normalises to unit vectors and calls _eval_unit, which is the path
+        custom densities take."""
+        unit = (d / np.sqrt(r2)[None]).reshape(d.shape[0], -1).T
+        return self._eval_unit(np.ascontiguousarray(unit)).reshape(r2.shape)
 
     def eval_many(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -198,9 +227,11 @@ class ConePlateauDensity(SpectralDensity):
             return ()
         return (1.0 - self.cone_.tau,)
 
+    def _eval_offsets(self, d: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        return np.where(self.cone_._contains_offsets(d, r2), self.inside, self.outside)
+
     def _eval_unit(self, thetas: np.ndarray) -> np.ndarray:
-        inside = self.cone_.contains_many(thetas)
-        return np.where(inside, self.inside, self.outside)
+        return self._eval_offsets(thetas.T, _sum_squares(thetas.T))
 
 
 @dataclass(frozen=True)

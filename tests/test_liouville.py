@@ -2,7 +2,11 @@
 certification, refutation, scans, and the auxiliary experiments."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +304,27 @@ class TestCutoffMassField:
                 for i in range(X.shape[0]):
                     one, one_err, _ = _L_field(a, s, phi, X[i:i + 1], loose)
                     assert (vals[i], errs[i]) == (one[0], one_err[0])
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_cone_step_one_peak_memory(self):
+        # the excision form evaluates its catalog function in chunks of
+        # about 500k nodes, whose temporaries stay near 40 MB; with 2 M-node
+        # chunks a cone step_one_M at the criterion-08 inputs peaks near
+        # 190 MB.  A fresh process, so that nothing else this suite ran
+        # counts, and its VmHWM, not ru_maxrss: Linux carries ru_maxrss
+        # across exec, so a child of this (large) test process would start
+        # at its size
+        code = ("import conefrac as cf; "
+                "a = cf.ConePlateauDensity(2, cf.Cone((1.0, 0.0), 0.3), 1.0, 0.25); "
+                "cf.step_one_M(a, 0.5, 0.75, 0.25, cf.DEFAULT_CONFIG); "
+                "print(next(l.split()[1] for l in open('/proc/self/status') "
+                "if l.startswith('VmHWM:')))")
+        src = str(Path(cf.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, cwd=src,
+                             env={**os.environ, "PYTHONPATH": src})
+        peak_mb = int(out.stdout.strip()) / 1024.0
+        assert peak_mb <= 120.0
 
 
 class TestRescaledRows:

@@ -242,7 +242,12 @@ class TestMassKernel:
         "constant_2d": cf.ConstantDensity(2),
         "constant_2d_scaled": cf.ConstantDensity(2, 2.5),
         "cone": cf.ConePlateauDensity(2, cf.Cone((1.0, 0.0), 0.3), 1.0, 0.25),
+        "cone_tilted": cf.ConePlateauDensity(2, cf.Cone((0.6, 0.8), 0.5), 1.0, 0.0),
+        # an even smooth weight: the kernel's default unit-vector path
+        "custom": cf.CustomDensity(2, evaluator=lambda th: 1.0 + 0.5 * th[:, 0] ** 2,
+                                   lower=1.0, upper=1.5),
     }
+    PLATEAUS = ("cone", "cone_tilted")
 
     @pytest.mark.parametrize("name", sorted(DENSITIES))
     def test_matches_direct_loop(self, name):
@@ -266,8 +271,28 @@ class TestMassKernel:
                 want[i] += 2.0 * w[j] * aval * r ** (-dim - 2.0 * S)
         assert got.shape == (X.shape[0],)
         np.testing.assert_allclose(got, want, rtol=1e-12)
-        if name == "cone":
-            assert seen == {1.0, 0.25}
+        if name in self.PLATEAUS:
+            assert seen == {a.inside, a.outside}
+
+    def test_plateau_offsets_match_the_unit_vector_path(self):
+        # the plateau reads raw offsets and their r^2: on 10^4 offsets at
+        # scales 1e-3 to 1e3 it gives what normalising to unit vectors gives,
+        # bit for bit, and the raw test is even and exact under scaling by
+        # powers of two (d by 2^k, r^2 by 4^k)
+        rng = np.random.default_rng(17)
+        dirs = rng.normal(size=(2, 10_000))
+        d = dirs * 10.0 ** rng.uniform(-3.0, 3.0, size=10_000)
+        r2 = d[0] * d[0] + d[1] * d[1]
+        for name in self.PLATEAUS:
+            a = self.DENSITIES[name]
+            got = a._eval_offsets(d, r2)
+            assert set(np.unique(got)) == {a.inside, a.outside}
+            np.testing.assert_array_equal(
+                got, cf.SpectralDensity._eval_offsets(a, d, r2))
+            np.testing.assert_array_equal(got, a._eval_offsets(-d, r2))
+            for k in (-7, -1, 1, 9):
+                np.testing.assert_array_equal(
+                    got, a._eval_offsets(2.0 ** k * d, 4.0 ** k * r2))
 
     @pytest.mark.parametrize("s,u,X", [
         (0.3, cf.translate_truncate(cf.kelvin(0.15, 1, 0.3)), [-0.01, -0.5, -3.0]),

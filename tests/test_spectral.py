@@ -24,6 +24,40 @@ class TestCone:
         assert cone.contains((math.cos(0.99 * edge), math.sin(0.99 * edge)))
         assert not cone.contains((math.cos(1.01 * edge), math.sin(1.01 * edge)))
 
+    @pytest.mark.parametrize("axis,tau", [((1.0, 0.0), 0.3), ((0.6, 0.8), 0.5)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_membership_at_the_edge_angle(self, axis, tau, scale):
+        # a relative angle step of 1e-9 either side of the edge decides
+        # membership, at every scale and on both nappes
+        cone = cf.Cone(axis, tau)
+        base = math.atan2(axis[1], axis[0])
+        edge = math.acos(1.0 - tau)
+        for nappe in (0.0, math.pi):
+            for side in (1.0, -1.0):
+                for f, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+                    phi = base + nappe + side * f * edge
+                    y = (scale * math.cos(phi), scale * math.sin(phi))
+                    assert cone.contains(y) is inside
+
+    def test_contains_many_with_a_vertex_against_a_scalar_loop(self):
+        # as gamma_search asks it: cones with their vertex off the origin,
+        # seeded points around them, against the defining inequality
+        # evaluated one point at a time with math only
+        rng = np.random.default_rng(23)
+        pts = rng.uniform(-1.0, 1.0, size=(4_000, 2)) + np.array([0.0, 0.7])
+        for axis, tau, vertex in (((0.0, 1.0), 0.3, (0.4, 0.0)),
+                                  ((0.6, 0.8), 0.5, (-0.25, 0.05)),
+                                  ((1.0, 0.0), 0.9, (0.0, 1.3))):
+            cone = cf.Cone(axis, tau, vertex=vertex)
+            want = []
+            for p in pts:
+                rel = [float(p[i]) - vertex[i] for i in range(2)]
+                proj = abs(rel[0] * axis[0] + rel[1] * axis[1])
+                want.append(proj >= (1.0 - tau) * math.hypot(*rel))
+            got = cone.contains_many(pts)
+            assert 0 < got.sum() < pts.shape[0]
+            assert got.tolist() == want
+
     def test_double_cone_is_symmetric(self):
         cone = cf.Cone((1.0, 0.0), 0.3)
         assert cone.contains((1.0, 0.0))
