@@ -41,9 +41,7 @@ _COMPUTED = object()
 _QUAD = {
     "quad.abs_tol": "1e-08",
     "quad.rel_tol": "1e-07",
-    "quad.t0_factor": "0.5",
     "quad.max_subdiv": "10",
-    "quad.sphere_nodes": "16",
     "quad.mc_seed": "20220",
     "quad.mc_samples": "40000",
 }
@@ -214,11 +212,9 @@ class _Run:
 
     def quad_config(self) -> QuadratureConfig:
         return QuadratureConfig(
-            t0_factor=self.f("quad.t0_factor"),
             abs_tol=self.f("quad.abs_tol"),
             rel_tol=self.f("quad.rel_tol"),
             max_subdivisions=self.i("quad.max_subdiv"),
-            sphere_panels=self.i("quad.sphere_nodes"),
             mc_seed=self.i("quad.mc_seed"),
             mc_samples=self.i("quad.mc_samples"))
 

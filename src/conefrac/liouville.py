@@ -285,14 +285,15 @@ class CandidateRefutation:
 
 def refute_candidate_family(a: SpectralDensity, s: float, p: float,
                             mode: str = "halfspace", points=None,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG, *,
-                            alpha_fracs: Sequence[float] = (0.15, 0.35, 0.55,
-                                                            0.75, 0.92),
-                            eps_fracs: Sequence[float] = (1.0, 0.5, 0.1),
-                            ) -> tuple:
+                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple:
     """Certification attempt for every member of the nearest-regime candidate
     family (decaying half-space powers, translated and truncated in
     whole-space mode) over a grid of exponents and amplitudes.
+
+    The exponents are the fractions 0.15, 0.35, 0.55, 0.75, 0.92 of the
+    admissible range below s, the amplitudes 1, 0.5, 0.1 times eps_max.  A
+    non-constant density has no closed margin path: with the default points
+    it keeps every fourth point, exponents 0.35, 0.75 and amplitudes 1, 0.1.
 
     The check runs at zero tolerance: a candidate fails as soon as some
     sample margin is negative beyond its own evaluation error, which keeps
@@ -301,20 +302,18 @@ def refute_candidate_family(a: SpectralDensity, s: float, p: float,
     if mode not in ("halfspace", "wholespace"):
         raise InputDomainError(f"unknown mode {mode!r}")
     N = a.dim
+    alpha_fracs, eps_fracs = (0.15, 0.35, 0.55, 0.75, 0.92), (1.0, 0.5, 0.1)
     if points is None:
         pts = default_certification_points(N, mode)
         if not a.is_constant:
-            # anisotropic densities lack a closed margin path; keep the
-            # per-point cost bounded
             pts = pts[::4]
-            alpha_fracs = tuple(alpha_fracs)[1::2]
-            eps_fracs = (1.0, 0.1)
+            alpha_fracs, eps_fracs = alpha_fracs[1::2], (1.0, 0.1)
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
     lo = max(0.0, 2.0 * s - 1.0) if N == 1 else 0.0
     rows = []
     for frac in alpha_fracs:
-        alpha = lo + (s - lo) * float(frac)
+        alpha = lo + (s - lo) * frac
         C, _, _ = _weighted_difference_constant(a, s, alpha, cfg)
         if not (C < 0.0):
             continue
@@ -323,7 +322,7 @@ def refute_candidate_family(a: SpectralDensity, s: float, p: float,
         if mode == "wholespace":
             base = TranslateTruncate(base)
         for fac in eps_fracs:
-            eps = float(fac) * eps_max
+            eps = fac * eps_max
             rep = certify(a, s, p, ScalarMultiple(eps, base), pts, cfg,
                           tolerance=0.0)
             rows.append(CandidateRefutation(
@@ -513,8 +512,7 @@ def _region_labels(pts: np.ndarray, h: float, r_in: float) -> np.ndarray:
 
 
 def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
-               cfg: QuadratureConfig = DEFAULT_CONFIG, *,
-               audit: bool = True) -> StepOneReport:
+               cfg: QuadratureConfig = DEFAULT_CONFIG) -> StepOneReport:
     """Estimate of the comparison constant M in the cutoff inequality: the
     supremum over the ball of (-L phi_alpha0 - L phi_s) / phi_s, where the
     test functions multiply half-space powers with a bump on
@@ -526,9 +524,9 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
     of the ratio at the sup point, (e_alpha0 + e_s) / phi_s from the error
     estimates of both operator values, which the route table _L_field
     returns.  Outside the ball both test functions vanish, so the numerator
-    drops to a nonpositive pure mass term; the audit checks that sign at a
-    ring of exterior points and reports the error of the largest numerator
-    as audit_err.
+    drops to a nonpositive pure mass term; the audit, which always runs,
+    checks that sign at rings of exterior points and reports the largest
+    numerator (audit_max), its error, point and the point count.
     """
     if a.dim != 2:
         raise InputDomainError("the comparison-constant experiment is "
@@ -578,29 +576,25 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
             region=name, M_est=float(ratios_d[j]), M_err=float(errs_d[j]),
             sup_x=tuple(pts_d[j]), n_points=int(mask.sum())))
     i0 = int(np.argmax(ratios_d))
-    audit_max, audit_err, audit_arg, audit_n = -math.inf, 0.0, (), 0
-    if audit:
-        tc = math.sqrt(max(1.0 - h * h, 0.0))
-        ext = []
-        for R in (1.04, 1.15, 1.4, 2.2):
-            for t in np.linspace(-2.2, 2.2, 9):
-                x = np.array([0.0, h]) + R * np.array([math.sin(t), math.cos(t)])
-                if x[-1] >= 0.12:
-                    ext.append(x)
-        for t in (tc + 0.2, tc + 0.6):
-            for sgn in (-1.0, 1.0):
-                ext.append(np.array([sgn * t, 0.05]))
-        ext = np.array(ext)
-        numer, err = numerator(ext)
-        j = int(np.argmax(numer))
-        audit_max, audit_err = float(numer[j]), float(err[j])
-        audit_arg, audit_n = tuple(ext[j]), len(ext)
+    tc = math.sqrt(max(1.0 - h * h, 0.0))
+    ext = []
+    for R in (1.04, 1.15, 1.4, 2.2):
+        for t in np.linspace(-2.2, 2.2, 9):
+            x = np.array([0.0, h]) + R * np.array([math.sin(t), math.cos(t)])
+            if x[-1] >= 0.12:
+                ext.append(x)
+    for t in (tc + 0.2, tc + 0.6):
+        for sgn in (-1.0, 1.0):
+            ext.append(np.array([sgn * t, 0.05]))
+    ext = np.array(ext)
+    numer, err = numerator(ext)
+    j = int(np.argmax(numer))
     return StepOneReport(
         M_est=M_dense, M_err=float(errs_d[i0]), sup_x=tuple(pts_d[i0]),
         stability=float(stability), n_samples=int(pts_d.shape[0]),
         regions=tuple(regions),
-        audit_max=audit_max, audit_err=audit_err, audit_argmax=audit_arg,
-        audit_n=audit_n,
+        audit_max=float(numer[j]), audit_err=float(err[j]),
+        audit_argmax=tuple(ext[j]), audit_n=len(ext),
         alpha0=float(alpha0), gamma0=float(gamma0))
 
 

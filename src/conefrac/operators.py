@@ -788,7 +788,7 @@ def _complement_L(a: SpectralDensity, s: float, alpha: float, bump: Bump,
 
 
 def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
-             cfg: QuadratureConfig, conv=None):
+             cfg: QuadratureConfig):
     """Lf at a batch of points, in any dimension, upper and lower mixed.
 
     Each point takes the first route that applies to it:
@@ -797,9 +797,10 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
        translate-truncated decaying power, for a constant density;
     3. the mass-only form (_mass_only_L): points with x_N < 0 of an f that
        vanishes on the lower half-space and has far-field metadata, N <= 2;
-    4. the convolution form: points of a compact f at least 0.35 support
-       radii outside it, given the (fine, coarse) sources conv (the pairing
-       check, N = 2);
+    4. the convolution form (_mass_pair of f's two _conv_source grids):
+       points of a compact f in N = 2 at least 0.35 support radii outside
+       it, unless a kink plane of f meets the support (the polar source
+       grid does not follow it, and its fine-coarse gap under-covers);
     5. the excision form (_excised_L_compact): other points of a compact f
        in N = 2 farther than 0.1 from every kink plane;
     6. the complement form (_complement_L): the remaining upper points of a
@@ -832,14 +833,16 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
         if np.any(rows):
             take(rows, *_mass_only_L(a, s, f, X[rows]))
     ball = f.support_ball
-    if ball is not None and conv is not None:
-        c = np.asarray(ball.center, dtype=float)
-        dist = np.linalg.norm(X - c[None, :], axis=1) - ball.radius
-        rows = ~done & (dist >= 0.35 * ball.radius)
-        if np.any(rows):
-            take(rows, *_mass_pair(a, s, conv, X[rows]))
     if ball is not None and X.shape[1] == 2:
+        c = np.asarray(ball.center, dtype=float)
         kinks = _KinkSet.of(f)
+        if np.all(kinks.distances(c)[:len(kinks.planes)] > ball.radius):
+            dist = np.linalg.norm(X - c[None, :], axis=1) - ball.radius
+            rows = ~done & (dist >= 0.35 * ball.radius)
+            if np.any(rows):
+                take(rows, *_mass_pair(
+                    a, s, (_conv_source(f, True), _conv_source(f, False)),
+                    X[rows]))
         rows = ~done & np.all(
             kinks.distances(X)[:, :len(kinks.planes)] > 0.1, axis=1)
         if np.any(rows):
@@ -859,12 +862,12 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
 
 
 def _integrate_weighted(a, s, weight: CatalogFunction, field: CatalogFunction,
-                        edge_list, n_gauss: int, cfg, conv):
+                        edge_list, n_gauss: int, cfg):
     pts, wts = _tensor_nodes(edge_list, n_gauss)
     wvals = weight.values(pts)
     keep = wvals != 0.0
     pts, wts, wvals = pts[keep], wts[keep], wvals[keep]
-    fvals, ferrs, nev = _L_field(a, s, field, pts, cfg, conv=conv)
+    fvals, ferrs, nev = _L_field(a, s, field, pts, cfg)
     total = float(np.sum(wts * wvals * fvals))
     node_err = float(np.sum(np.abs(wts * wvals) * ferrs))
     return total, node_err, nev
@@ -899,15 +902,14 @@ def _truncation_bound(a: SpectralDensity, u: CatalogFunction,
 
 def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
             v: CatalogFunction, half_width: float,
-            cfg: QuadratureConfig = DEFAULT_CONFIG, *,
-            truncation_tol: float = 1e-6) -> PairingResult:
+            cfg: QuadratureConfig = DEFAULT_CONFIG) -> PairingResult:
     """Check int u Lv = int v Lu over the box [-W, W]^{N-1} x (0, W].
 
     v must be compactly supported (a half-space power times a cutoff, with
     exponent strictly between (2s-1)_+ and 2s when the kink plane meets its
     support); u must vanish on the closed lower half-space and have admissible
     growth.  The box must contain supp v and be wide enough that the exterior
-    remainder, bounded through the growth metadata, is below truncation_tol.
+    remainder, bounded through the growth metadata, is at most 1e-6.
     """
     _check_match(a, s, u)
     _check_match(a, s, v)
@@ -938,27 +940,20 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
     if np.any(np.abs(c[:-1]) + r > W) or c[-1] + r > W:
         raise InputDomainError("the box must contain the weight's support")
 
-    conv = (_conv_source(v, True), _conv_source(v, False))
-    v_l1 = float(np.sum(np.abs(conv[0][1])))
-
+    v_l1 = float(np.sum(np.abs(_conv_source(v, True)[1])))
     bound = _truncation_bound(a, u, v_l1, s, W)
-    if not (bound <= truncation_tol):
+    if not (bound <= 1e-6):
         raise TruncationError(
-            f"box remainder bound {bound:.3e} exceeds {truncation_tol:.3e}; "
-            "enlarge the box or relax the tolerance")
+            f"box remainder bound {bound:.3e} exceeds 1e-6; enlarge the box")
 
     loose = cfg.with_tol(abs_tol=max(cfg.abs_tol, 2e-6),
                          rel_tol=max(cfg.rel_tol, 2e-5))
 
-    conv_u = conv if u is v else None
-    if conv_u is None and u.support_ball is not None:
-        conv_u = (_conv_source(u, True), _conv_source(u, False))
-
     # side 1: v times Lu over the support of v
     e_f = _support_edges(v, 6, 12)
     e_c = _support_edges(v, 4, 8)
-    vu_f, vu_fe, n1 = _integrate_weighted(a, s, v, u, e_f, 4, loose, conv_u)
-    vu_c, _, n2 = _integrate_weighted(a, s, v, u, e_c, 3, loose, conv_u)
+    vu_f, vu_fe, n1 = _integrate_weighted(a, s, v, u, e_f, 4, loose)
+    vu_c, _, n2 = _integrate_weighted(a, s, v, u, e_c, 3, loose)
     I_vLu = vu_f
     err_vLu = abs(vu_f - vu_c) + vu_fe
     if u is v:
@@ -994,8 +989,8 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
 
     ef = box_edges(12, 8, 20, 1.6)
     ec = box_edges(8, 6, 13, 2.0)
-    uv_f, uv_fe, n3 = _integrate_weighted(a, s, u, v, ef, 4, loose, conv)
-    uv_c, _, n4 = _integrate_weighted(a, s, u, v, ec, 3, loose, conv)
+    uv_f, uv_fe, n3 = _integrate_weighted(a, s, u, v, ef, 4, loose)
+    uv_c, _, n4 = _integrate_weighted(a, s, u, v, ec, 3, loose)
     I_uLv = uv_f
     err_uLv = abs(uv_f - uv_c) + uv_fe
 

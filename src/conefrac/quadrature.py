@@ -44,31 +44,21 @@ def ball_volume(dim: int, radius: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs shared by every quadrature routine.
+    """Knobs shared by every quadrature routine.  The radial inner split
+    (_T0_FACTOR) and the circle rule's base panels (_SPHERE_PANELS) are
+    constants; max_subdivisions = 0 keeps every first panel layout."""
 
-    t0_factor: inner split radius as a fraction of the local smoothness
-        radius (distance to the nearest kink surface, capped at 1).
-    sphere_panels: base panel count for the circle rule (N = 2).
-    """
-
-    t0_factor: float = 0.5
     abs_tol: float = 1e-8
     rel_tol: float = 1e-7
     max_subdivisions: int = 10
-    sphere_panels: int = 16
     mc_seed: int = 20220
     mc_samples: int = 40000
 
     def __post_init__(self):
-        if not (self.t0_factor > 0.0):
-            raise InputDomainError("t0_factor must be positive")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise InputDomainError("tolerances must be positive")
         if self.max_subdivisions < 0:
             raise InputDomainError("max_subdivisions must be >= 0")
-        if self.sphere_panels < 4 or self.sphere_panels % 2 != 0:
-            raise InputDomainError(
-                f"sphere_panels must be even and >= 4, got {self.sphere_panels}")
         if not (0 <= self.mc_seed < 2 ** 64):
             raise InputDomainError("mc_seed must fit in an unsigned 64-bit word")
         if self.mc_samples < 16:
@@ -104,6 +94,9 @@ def _tol_met(value: float, err: float, abs_tol: float, rel_tol: float) -> bool:
 _N_LOW, _N_HIGH = 7, 15
 # azimuthal nodes of the N = 3 product rule, samples of the N >= 4 rule
 _AZIMUTHAL_NODES, _SPHERE_MC_SAMPLES = 48, 8192
+# base panels of the circle rule; the radial inner segment's end as a
+# fraction of the distance to the nearest kink surface (capped at 1)
+_SPHERE_PANELS, _T0_FACTOR = 16, 0.5
 
 
 def _order_for_tol(tol: float) -> int:
@@ -538,7 +531,7 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
     strong_depth = _depth_for_tol(cfg.rel_tol) + 6
     plo_parts, phi_parts = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        n_base = max(1, int(round(cfg.sphere_panels * (hi - lo) / _TWO_PI)))
+        n_base = max(1, int(round(_SPHERE_PANELS * (hi - lo) / _TWO_PI)))
         arc = np.linspace(lo, hi, n_base + 1)
         # grade the first/last sub-panel toward a marked arc endpoint; a
         # one-panel arc marked at both ends is graded toward both from its
@@ -670,7 +663,8 @@ def sphere_quadrature(a: SpectralDensity, g, cfg: QuadratureConfig = DEFAULT_CON
 
     N = 1 sums the two points; N = 2 uses adaptive arc panels split exactly at
     the declared jumps of a; N = 3 uses a polar/azimuthal product rule; N >= 4
-    uses antithetic Monte Carlo.  ``kink_normals`` lists unit vectors w such
+    uses seeded antithetic Monte Carlo, whose error is a 3 sigma spread plus
+    the node errors, not a bound.  ``kink_normals`` lists unit vectors w such
     that g loses smoothness on the great circle {theta . w = 0};
     ``graded_dirs`` lists directions toward point singularities of g.
     """
@@ -698,25 +692,36 @@ def sphere_quadrature(a: SpectralDensity, g, cfg: QuadratureConfig = DEFAULT_CON
 # Monte Carlo region volume
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _ball_sample(center: tuple, radius: float, seed: int, n: int) -> np.ndarray:
+    """n seeded uniform points of ball(center, radius), read-only."""
+    c = np.asarray(center)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dirs = rng.standard_normal(size=(n, c.size))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = radius * rng.random(n) ** (1.0 / c.size)
+    pts = c[None, :] + dirs * radii[:, None]
+    pts.flags.writeable = False
+    return pts
+
+
 def mc_region_volume(predicate, center: Sequence[float], radius: float,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Volume of {y in ball(center, radius) : predicate(y)} by seeded sampling.
 
     The error estimate is three binomial standard errors, and the result is
     converged when that meets the config's tolerances; it is a deterministic
-    function of (predicate, center, radius, mc_seed, mc_samples).
+    function of (predicate, center, radius, mc_seed, mc_samples).  The
+    sample is drawn once per (center, radius, mc_seed, mc_samples) and
+    reaches the predicate read-only.
     """
     center = np.asarray(center, dtype=float)
     if radius <= 0.0:
         raise InputDomainError("sampling ball radius must be positive")
     dim = center.size
-    rng = np.random.Generator(np.random.PCG64(cfg.mc_seed))
-    dirs = rng.standard_normal(size=(cfg.mc_samples, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = radius * rng.random(cfg.mc_samples) ** (1.0 / dim)
-    pts = center[None, :] + dirs * radii[:, None]
-    hits = np.asarray(predicate(pts), dtype=bool)
     n = cfg.mc_samples
+    pts = _ball_sample(tuple(center.tolist()), float(radius), cfg.mc_seed, n)
+    hits = np.asarray(predicate(pts), dtype=bool)
     phat = float(np.count_nonzero(hits)) / n
     vol_ball = ball_volume(dim, radius)
     value = phat * vol_ball
@@ -732,7 +737,7 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
                      cfg: QuadratureConfig, *, inner_mode: str, tail_mode: str):
     """Build the task table for both-ray radial integration along K directions.
 
-    The inner segment is [0, t_in], t_in = t0_factor times the distance from
+    The inner segment is [0, t_in], t_in = _T0_FACTOR times the distance from
     x to the nearest kink surface or singular point, capped at 1 ("open"
     mode skips the surfaces through x).  Direction k splits [t_in, T0_k] at
     every time at which either ray crosses a kink surface, and at the
@@ -741,7 +746,7 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
     the previous one kept are dropped.  Task ends at a split are graded, no
     others: not t_in or T0, and not t = 0 (see _radial_batch).
     The table is direction-major: for each direction the inner task (in
-    "subtract" mode), then its pieces in increasing t.
+    "subtract" mode), then its pieces in increasing t.  cfg is not read.
 
     inner_mode: "subtract" (quadratic Taylor subtraction on [0, t_in]) or
     "open" (no subtraction; the inner range is integrated on octaves toward 0,
@@ -762,7 +767,7 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
         rho = max(min(1.0, kinks.distance(x, beyond=1e-9)), 1e-9)
     if not (rho > 0.0):
         raise AccuracyError("no room around the base point for the inner segment")
-    t_in = cfg.t0_factor * rho
+    t_in = _T0_FACTOR * rho
 
     # split times, one row per direction: the crossings, then the distance
     # along the ray to each singular point that passes close to it

@@ -238,11 +238,11 @@ class ConePlateauDensity(SpectralDensity):
 class CustomDensity(SpectralDensity):
     """Arbitrary even weight.  ``evaluator`` maps an (M, dim) array to (M,)
     values; evaluation is symmetrized so evenness holds by construction.
-    ``jumps`` lists cap-boundary cosines (relative to ``axis``) across which
-    the weight may be discontinuous; ``smooth`` declares none exist."""
+    ``jumps`` lists cap-boundary cosines (relative to ``axis``, which they
+    then require) across which the weight may be discontinuous; with none
+    the weight is taken as smooth."""
 
     evaluator: Callable[[np.ndarray], np.ndarray] = field(default=None)  # type: ignore
-    smooth: bool = True
     jumps: tuple[float, ...] = ()
     axis: tuple[float, ...] | None = None
     lower: float = 0.0
@@ -256,8 +256,6 @@ class CustomDensity(SpectralDensity):
             object.__setattr__(self, "axis", _as_unit(self.axis))
         if self.jumps and self.axis is None:
             raise InputDomainError("jump cosines need an axis to refer to")
-        if self.smooth and self.jumps:
-            raise InputDomainError("a smooth weight cannot declare jumps")
         if not (0.0 <= self.lower <= self.upper) or not math.isfinite(self.upper):
             raise InputDomainError("need 0 <= lower <= upper < inf")
 

@@ -183,6 +183,24 @@ class TestQuadKeys:
         assert moved == {f.name for f in dataclasses.fields(QuadratureConfig)}
 
 
+    @pytest.mark.parametrize("key,value,via", [
+        ("quad.t0_factor", "0.4", "flag"),
+        ("quad.sphere_nodes", "16", "config"),
+    ])
+    def test_removed_quad_keys_are_unknown(self, tmp_path, key, value, via):
+        # the inner split radius and the circle rule's panel count are
+        # constants: a flag or a config file naming them is rejected
+        args = ["calpha", "--s", "0.5", "--alpha", "0.25"]
+        if via == "flag":
+            args += ["--" + key, value]
+        else:
+            cfgfile = tmp_path / "old.cfg"
+            cfgfile.write_text("%s = %s\n" % (key, value))
+            args += ["--config", str(cfgfile)]
+        code, _ = run_cli(tmp_path, *args)
+        assert code == 2
+
+
 class TestPrecedence:
     def test_config_file_overrides_default(self, tmp_path):
         cfgfile = tmp_path / "mine.cfg"
@@ -236,6 +254,25 @@ class TestDeterminism:
                      "--out", str(out2)]) == 0
         assert (out / "moment.csv").read_bytes() \
             == (out2 / "moment.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("sub,args", [
+        ("certify", ["--s", "0.5", "--p", "1.8"]),
+        ("rescaled", ["--s", "0.5", "--p", "1.5", "--R", "0.5,2"]),
+    ])
+    def test_subcommand_reruns_from_resolved_config(self, tmp_path, sub, args):
+        code, out = run_cli(tmp_path, sub, *args)
+        assert code == 0
+        out2 = tmp_path / "out2"
+        assert main([sub, "--config", str(out / "resolved.cfg"),
+                     "--out", str(out2)]) == 0
+        assert (out / (sub + ".csv")).read_bytes() \
+            == (out2 / (sub + ".csv")).read_bytes()
+
+        def settings(d):
+            return [ln for ln in (d / "resolved.cfg").read_text().splitlines()
+                    if not ln.startswith("output.directory ")]
+        assert settings(out) == settings(out2)
 
 
 class TestSvgOutput:

@@ -256,7 +256,7 @@ class TestCutoffMassField:
         # same field as above (gamma0 = 0.5): the far-field completion's
         # error on L phi_alpha0 must be carried by the ratio's error
         s, alpha0 = 0.5, 0.98
-        rep = cf.step_one_M(const2, s, alpha0, 0.5, cfg, audit=False)
+        rep = cf.step_one_M(const2, s, alpha0, 0.5, cfg)
         found = [r for r in rep.regions if r.n_points]
         # the plateau's sup is known within 0.2% (a single-ratio
         # completion once charged it 12 of 74)

@@ -12,8 +12,8 @@ from scipy.special import roots_legendre
 import conefrac as cf
 from conefrac.errors import (AccuracyError, InputDomainError,
                              NonsmoothPointError, TruncationError)
-from conefrac.operators import (_conv_L, _excised_L_compact, _L_field,
-                                _mass_only_L)
+from conefrac.operators import (_conv_L, _conv_source, _excised_L_compact,
+                                _L_field, _mass_only_L, _mass_pair)
 
 S = 0.5
 
@@ -385,6 +385,32 @@ class TestRouteTable:
         for i in range(X.shape[0]):
             alone, alone_err, _ = _excised_L_compact(const2, S, f, X[i:i + 1])
             assert (vals[i], errs[i]) == (alone[0], alone_err[0])
+
+    @pytest.mark.parametrize("density", ["const2", "cone2"])
+    def test_far_rows_of_a_compact_member_take_the_convolution_form(
+            self, request, cfg, density):
+        # with no sources passed in, the route table builds the member's own
+        # fine and coarse polar grids for the rows 0.35 radii or more outside
+        # its support
+        a = request.getfixturevalue(density)
+        f = cf.Bump(2, S, center=(0.0, 3.0), r_in=0.2, r_out=0.4)
+        X = np.array([[0.0, 1.0], [0.5, 2.2], [1.5, 3.5], [-0.3, 3.6]])
+        vals, errs, nev = _L_field(a, S, f, X, cfg)
+        ref = _mass_pair(a, S, (_conv_source(f, True), _conv_source(f, False)), X)
+        assert np.array_equal(vals, ref[0]) and np.array_equal(errs, ref[1])
+        assert nev == ref[2]
+
+    def test_far_rows_of_a_plane_crossing_support_take_the_excision_form(
+            self, const2, cfg):
+        # the polar source grid does not follow the kink plane through the
+        # support, so those far rows keep the excision form
+        f = cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                       cf.Bump(2, S, center=(0.0, 0.2), r_in=0.2, r_out=0.4))
+        X = np.array([[1.0, 0.5], [0.0, 1.2], [-0.9, 0.3]])
+        vals, errs, nev = _L_field(const2, S, f, X, cfg)
+        ref = _excised_L_compact(const2, S, f, X)
+        assert np.array_equal(vals, ref[0]) and np.array_equal(errs, ref[1])
+        assert nev == ref[2]
 
     def test_lower_kelvin_points_against_polar_quad(self, const2, cfg):
         # below the plane only the mass of u = x_N^a |x|^(-q) reaches x; in

@@ -94,7 +94,6 @@ class TestConfig:
 
     def test_defaults_are_sane(self):
         assert DEFAULT_CONFIG.max_subdivisions >= 1
-        assert DEFAULT_CONFIG.sphere_panels >= 4
 
     def test_every_field_is_read(self):
         # a knob that is validated but never read is dead: every field must
@@ -374,6 +373,21 @@ class TestSphereQuadrature:
         assert res.value == pytest.approx(math.pi, rel=1e-10)
 
 
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    def test_four_dimensional_rule(self, cfg, s):
+        # antithetic Monte Carlo: the total mass is exact, and the moment of
+        # |theta_N|^(2s) lies within its 3 sigma of
+        # 2 pi^(3/2) Gamma(s + 1/2) / Gamma(s + 2)
+        a = cf.ConstantDensity(4)
+        one = cf.sphere_quadrature(a, lambda th: np.ones(th.shape[0]), cfg)
+        assert one.value == pytest.approx(2.0 * math.pi ** 2, rel=1e-14)
+        assert one.abs_error_estimate == 0.0
+        res = cf.weighted_sphere_moment(a, s, cfg)
+        exact = 2.0 * math.pi ** 1.5 * math.gamma(s + 0.5) / math.gamma(s + 2.0)
+        assert 0.0 < res.abs_error_estimate < 0.05 * exact
+        assert abs(res.value - exact) <= res.abs_error_estimate
+
+
 class TestRadialIntegral:
     def test_matches_direct_quadrature(self, cfg):
         # both-ray second difference of a smooth compactly supported profile
@@ -473,6 +487,26 @@ class TestMonteCarlo:
         a = cf.mc_region_volume(pred, (0.0, 0.0), 1.5, cfg)
         b = cf.mc_region_volume(pred, (0.0, 0.0), 1.5, cfg)
         assert a.value == b.value
+
+    def test_sample_is_drawn_once_per_ball(self, cfg):
+        # the seeded points of one ball are drawn once, handed on read-only,
+        # and are the points a fresh draw gives
+        seen = []
+
+        def pred(pts):
+            seen.append(pts)
+            return np.linalg.norm(pts, axis=-1) <= 1.0
+
+        for center, radius in (((0.0, 0.3), 1.5), ((0.0, 0.3), 1.5), ((0.0, 0.3), 1.2)):
+            cf.mc_region_volume(pred, center, radius, cfg)
+        assert seen[0] is seen[1] and seen[2] is not seen[0]
+        assert not seen[0].flags.writeable
+        rng = np.random.Generator(np.random.PCG64(cfg.mc_seed))
+        dirs = rng.standard_normal(size=(cfg.mc_samples, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = 1.5 * rng.random(cfg.mc_samples) ** 0.5
+        fresh = np.array([0.0, 0.3])[None, :] + dirs * radii[:, None]
+        assert np.array_equal(seen[0], fresh)
 
     def test_seed_changes_the_sample_set(self, cfg):
         import dataclasses

@@ -137,6 +137,14 @@ class TestDensities:
         with pytest.raises(InputDomainError):
             cf.CustomDensity(2, evaluator=lambda th: th[:, 0], jumps=(0.5,))
 
+    def test_custom_density_declares_jumps_with_an_axis(self):
+        # jumps and their axis are all a discontinuous weight needs
+        ev = lambda th: np.where(np.abs(th[:, 0]) >= 0.5, 1.0, 0.25)
+        a = cf.CustomDensity(2, evaluator=ev, jumps=(0.5,), axis=(1, 0))
+        assert a.jump_cosines == (0.5,)
+        assert a.axis == (1.0, 0.0)
+        assert (a((1.0, 0.0)), a((0.0, 1.0))) == (1.0, 0.25)
+
     def test_eval_requires_unit_directions(self, cone2):
         with pytest.raises(InputDomainError):
             cone2.eval_many(np.array([[2.0, 0.0]]))
