@@ -527,6 +527,10 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
     drops to a nonpositive pure mass term; the audit, which always runs,
     checks that sign at rings of exterior points and reports the largest
     numerator (audit_max), its error, point and the point count.
+
+    Both test functions go to _L_field as one family (phi_alpha0, phi_s),
+    in one call on the distinct points of both passes and the audit, so
+    each route builds its geometry once per point for both.
     """
     if a.dim != 2:
         raise InputDomainError("the comparison-constant experiment is "
@@ -547,20 +551,33 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
     loose = cfg.with_tol(abs_tol=max(cfg.abs_tol, 2e-5),
                          rel_tol=max(cfg.rel_tol, 1e-4))
 
-    def numerator(pts):
-        """-L phi_alpha0 - L phi_s at each point, and its error."""
-        va, ea, _ = _L_field(a, s, phia, pts, loose)
-        vs, es, _ = _L_field(a, s, phis, pts, loose)
-        return -va - vs, ea + es
+    tc = math.sqrt(max(1.0 - h * h, 0.0))
+    ext = []
+    for R in (1.04, 1.15, 1.4, 2.2):
+        for t in np.linspace(-2.2, 2.2, 9):
+            x = np.array([0.0, h]) + R * np.array([math.sin(t), math.cos(t)])
+            if x[-1] >= 0.12:
+                ext.append(x)
+    for t in (tc + 0.2, tc + 0.6):
+        for sgn in (-1.0, 1.0):
+            ext.append(np.array([sgn * t, 0.05]))
+    ext = np.array(ext)
+    pts_b = _step_one_samples(h, phi.r_in, 2)
+    pts_d = _step_one_samples(h, phi.r_in, 4)
+    # one family call on the distinct points of both passes and the audit:
+    # a row does not depend on its batch, so sharing rows changes no value
+    pts = np.concatenate((pts_b, pts_d, ext))
+    uniq, inv = np.unique(pts, axis=0, return_inverse=True)
+    (va, vs), (ea, es), _ = _L_field(a, s, (phia, phis), uniq, loose)
+    inv = inv.reshape(-1)
+    # -L phi_alpha0 - L phi_s at each point, and its error
+    numer_all, err_all = (-va - vs)[inv], (ea + es)[inv]
+    nb, nd = pts_b.shape[0], pts_d.shape[0]
 
-    def sup_pass(k):
-        pts = _step_one_samples(h, phi.r_in, k)
-        numer, err = numerator(pts)
-        den = phis.values(pts)
-        return pts, numer / den, err / den
-
-    pts_b, ratios_b, _ = sup_pass(2)
-    pts_d, ratios_d, errs_d = sup_pass(4)
+    ratios_b = numer_all[:nb] / phis.values(pts_b)
+    den = phis.values(pts_d)
+    ratios_d = numer_all[nb:nb + nd] / den
+    errs_d = err_all[nb:nb + nd] / den
     M_base = float(np.max(ratios_b))
     M_dense = float(np.max(ratios_d))
     stability = abs(M_dense - M_base) / max(abs(M_dense), 1e-300)
@@ -576,18 +593,7 @@ def step_one_M(a: SpectralDensity, s: float, alpha0: float, gamma0: float,
             region=name, M_est=float(ratios_d[j]), M_err=float(errs_d[j]),
             sup_x=tuple(pts_d[j]), n_points=int(mask.sum())))
     i0 = int(np.argmax(ratios_d))
-    tc = math.sqrt(max(1.0 - h * h, 0.0))
-    ext = []
-    for R in (1.04, 1.15, 1.4, 2.2):
-        for t in np.linspace(-2.2, 2.2, 9):
-            x = np.array([0.0, h]) + R * np.array([math.sin(t), math.cos(t)])
-            if x[-1] >= 0.12:
-                ext.append(x)
-    for t in (tc + 0.2, tc + 0.6):
-        for sgn in (-1.0, 1.0):
-            ext.append(np.array([sgn * t, 0.05]))
-    ext = np.array(ext)
-    numer, err = numerator(ext)
+    numer, err = numer_all[nb + nd:], err_all[nb + nd:]
     j = int(np.argmax(numer))
     return StepOneReport(
         M_est=M_dense, M_err=float(errs_d[i0]), sup_x=tuple(pts_d[i0]),

@@ -420,9 +420,14 @@ def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
     plateau costs one projection and a compare, not a unit vector per pair.
     Each row is summed on its own, so a point's value does not depend on the
     rest of X.
+
+    wv may hold k weight rows, (k, m), for k sources on the same nodes: the
+    kernel of each chunk is built once and each row is summed against it,
+    giving (k, n).  A row's sums are those of a call with that row alone.
     """
     dim = X.shape[1]
-    out = np.empty(X.shape[0])
+    rows = wv.reshape(-1, wv.shape[-1])
+    out = np.empty((rows.shape[0], X.shape[0]))
     # coordinates lead, (dim, points, nodes): the elementwise work then runs
     # along the long axes, not along dim.  The squares are summed coordinate
     # by coordinate, as numpy sums fewer than eight terms
@@ -438,8 +443,9 @@ def _conv_L(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
         # a row sum, not einsum (which sums a one-row block in another
         # order) and not a threaded BLAS call (which is not bit-reproducible
         # when other processes hold the cores)
-        kern *= wv
-        out[i:i + step] = kern.sum(axis=1)
+        for j, w in enumerate(rows):
+            out[j, i:i + step] = (kern * w).sum(axis=1)
+    out = out.reshape(wv.shape[:-1] + X.shape[:1])
     return 2.0 * (a.value if a.is_constant else 1.0) * out
 
 
@@ -601,65 +607,122 @@ def _density_angular_moments(a: SpectralDensity):
     return Q[0, 0] + Q[1, 1], Q
 
 
-def _excised_L_compact(a: SpectralDensity, s: float, f: CatalogFunction,
-                       X: np.ndarray):
+def _family(f: CatalogFunction | tuple):
+    """The members of f, a catalog function or a tuple of them (a family),
+    and the factor g that a family's members share (None for a function).
+
+    Each family member is a product x_N^alpha_j g of a half-space power and
+    g, in that order, optionally scaled by a nonzero factor; members that do
+    not share g raise InputDomainError.  A zero multiple is refused: its L
+    is the closed form 0, which no family route takes."""
+    if not isinstance(f, tuple):
+        return (f,), None
+    gs = []
+    for m in f:
+        scale, core = _unwrap_scale(m)
+        if not (scale != 0.0 and isinstance(core, Product)
+                and isinstance(core.f, HalfSpacePower)):
+            raise InputDomainError(
+                "a family member is a nonzero multiple of a half-space power "
+                "times a common factor")
+        gs.append(core.g)
+    if not gs or any(g != gs[0] for g in gs):
+        raise InputDomainError("the members of a family must share one factor")
+    return f, gs[0]
+
+
+def _member_values(members, g, P: np.ndarray):
+    """Each member's values at the points P, one array at a time.  A
+    family's common factor g is evaluated once and each member's power is
+    multiplied by it, then scaled, in the order of the member's own
+    values(), so each array equals member.values(P) bit for bit."""
+    if g is None:
+        yield members[0].values(P)
+        return
+    gv = g.values(P)
+    for m in members:
+        scales = []
+        while isinstance(m, ScalarMultiple):
+            scales.append(m.epsilon)
+            m = m.f
+        v = m.f.values(P) * gv
+        for eps in reversed(scales):
+            v = eps * v
+        yield v
+
+
+def _excised_L_compact(a: SpectralDensity, s: float,
+                       f: CatalogFunction | tuple, X: np.ndarray):
     """Lf at points where f is twice differentiable, for compact f: the ball
     |y| < delta contributes its Hessian quadratic in closed form, the rest is
     an x-centered polar integral of f(z) - f(x) out to the row's reach, the
     power of two at or above the farthest support point from x, with the
     analytic tail beyond it added exactly.  Two resolutions give the error.
     Rows of one reach share a grid pair, and each row is summed on its own:
-    a row's value does not depend on the rest of its batch."""
-    ball = f.support_ball
+    a row's value does not depend on the rest of its batch.
+
+    f may be a family (see _family): each chunk then builds its x-centred
+    nodes, the density and the radial weights once, evaluates the common
+    factor once and each power once, and sums one row per member, giving
+    (k, n) arrays equal to the members' own calls.  The evaluation count is
+    the sum of theirs."""
+    members, g = _family(f)
+    ball = members[0].support_ball
     c = np.asarray(ball.center, dtype=float)
     reach = np.exp2(np.ceil(np.log2(
         np.linalg.norm(X - c[None, :], axis=1) + ball.radius)))
-    f0 = f.values(X)
-    # _hess, not hessian, whose kink check would refuse a node on a kink
-    # sphere: the only ones are Bump's C-infinity scale markers, where _hess
-    # is exact (0), and route 5 of _L_field keeps X 0.1 from every kink
-    # plane, leaving the points nearer to the plane to routes 6 and 7
-    H = np.stack([f._hess(x) for x in X])
-    H = 0.5 * (H + H.transpose(0, 2, 1))
+    f0 = np.stack([m.values(X) for m in members])
     mass, Q = _density_angular_moments(a)
-    hq = np.einsum("kij,ij->k", H, Q)
+    hq = np.empty(f0.shape)
+    for j, m in enumerate(members):
+        # _hess, not hessian, whose kink check would refuse a node on a kink
+        # sphere: the only ones are Bump's C-infinity scale markers, where
+        # _hess is exact (0), and route 5 of _L_field keeps X 0.1 from every
+        # kink plane, leaving the points nearer to the plane to routes 6, 7
+        H = np.stack([m._hess(x) for x in X])
+        H = 0.5 * (H + H.transpose(0, 2, 1))
+        hq[j] = np.einsum("kij,ij->k", H, Q)
     ts2 = 2.0 * s
 
-    def run(rows, rmax, delta, n_ang, ratio, g):
-        Xr, f0r = X[rows], f0[rows]
-        near = hq[rows] * delta ** (2.0 - ts2) / (2.0 - ts2)
-        rr, wr = _gauss_on_panels(_geom_edges(delta, rmax, ratio, 4), g)
-        ang, wa = _gauss_on_panels(_angular_panel_edges(a, n_ang // 2), g)
+    def run(rows, rmax, delta, n_ang, ratio, gauss):
+        Xr, f0r = X[rows], f0[:, rows]
+        near = hq[:, rows] * delta ** (2.0 - ts2) / (2.0 - ts2)
+        rr, wr = _gauss_on_panels(_geom_edges(delta, rmax, ratio, 4), gauss)
+        ang, wa = _gauss_on_panels(_angular_panel_edges(a, n_ang // 2), gauss)
         th = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         th_t = np.ascontiguousarray(th.T)
-        av = a._eval_unit(th)
+        wav = wa * a._eval_unit(th)
         kern = wr * rr ** (-1.0 - ts2)
-        out = np.empty(Xr.shape[0])
+        out = np.empty(f0r.shape)
         # rows per chunk: a chunk's temporaries (Z, the intermediates of
         # f.values, fv - f0) are about ten arrays of its node count and set
         # the peak RSS of a run that takes this form; 500k nodes keep them
-        # near 40 MB
+        # near 40 MB.  A family holds one member's values at a time
         step = max(1, 500_000 // (rr.size * ang.size))
         for i in range(0, Xr.shape[0], step):
             Xi = Xr[i:i + step]
             # coordinates lead, as in _conv_L; f sees an (n, 2) view
             Z = (np.ascontiguousarray(Xi.T)[:, :, None, None]
                  + rr[None, None, :, None] * th_t[:, None, None, :])
-            fv = f.values(Z.reshape(2, -1).T).reshape(Xi.shape[0], rr.size,
-                                                      ang.size)
-            out[i:i + step] = 2.0 * np.einsum(
-                "r,a,kra->k", kern, wa * av, fv - f0r[i:i + step, None, None])
+            for j, fv in enumerate(_member_values(members, g,
+                                                  Z.reshape(2, -1).T)):
+                fv = fv.reshape(Xi.shape[0], rr.size, ang.size)
+                out[j, i:i + step] = 2.0 * np.einsum(
+                    "r,a,kra->k", kern, wav,
+                    fv - f0r[j, i:i + step, None, None])
         tail = -2.0 * f0r * mass * rmax ** (-ts2) / ts2
-        return near + out + tail, rr.size * ang.size * Xr.shape[0]
+        return near + out + tail, f0r.size * rr.size * ang.size
 
-    vals, errs = np.empty(X.shape[0]), np.empty(X.shape[0])
+    vals, errs = np.empty(f0.shape), np.empty(f0.shape)
     nev = 0
     for rmax in np.unique(reach):
         rows = reach == rmax
         v1, n1 = run(rows, rmax, 0.003, 40, 1.35, 5)
         v2, n2 = run(rows, rmax, 0.01, 26, 1.7, 4)
-        vals[rows], errs[rows] = v1, np.abs(v1 - v2)
+        vals[:, rows], errs[:, rows] = v1, np.abs(v1 - v2)
         nev += n1 + n2
+    if g is None:
+        return vals[0], errs[0], nev
     return vals, errs, nev
 
 
@@ -695,12 +758,20 @@ def _complement_parts(f: CatalogFunction):
     return None
 
 
-def _frame_mesh(c: np.ndarray, alpha: float, g: int, zn_ratio: float,
-                n1p: int):
+def _times_powers(w: np.ndarray, zn: np.ndarray, alpha) -> np.ndarray:
+    """w times zn^alpha, or one such row per exponent when alpha is a tuple:
+    (m,) or (k, m), each row as the single exponent gives it."""
+    if isinstance(alpha, tuple):
+        return np.stack([w * zn ** al for al in alpha])
+    return w * zn ** alpha
+
+
+def _frame_mesh(c: np.ndarray, alpha, g: int, zn_ratio: float, n1p: int):
     """Quadrature nodes on the dyadic frames beyond the plate around c,
     frame by frame, their weights times z_N^alpha (the bump's complement is
-    identically one out there) and the node index at which each frame
-    starts, with the node count appended."""
+    identically one out there; one weight row per exponent when alpha is a
+    tuple) and the node index at which each frame starts, with the node
+    count appended."""
     c1, cn = c
     zs, ws, starts = [], [], [0]
     for j in range(_N_FRAMES):
@@ -719,25 +790,28 @@ def _frame_mesh(c: np.ndarray, alpha: float, g: int, zn_ratio: float,
         ws.append(w)
         starts.append(sum(wi.size for wi in ws))
     z, w = np.concatenate(zs), np.concatenate(ws)
-    return z, w * z[:, 1] ** alpha, starts
+    return z, _times_powers(w, z[:, 1], alpha), starts
 
 
 def _frame_sums(a: SpectralDensity, s: float, X: np.ndarray, mesh):
     """Mass of the frames beyond the plate at each row of X, completed by
-    _epsilon_limit: values, errors and the node-point pairs summed."""
+    _epsilon_limit: values and errors, (n,) or (k, n) as the mesh has one
+    weight row or k, and the node-point pairs summed."""
     z, w, starts = mesh
-    S = np.stack([_conv_L(a, s, z[i:j], w[i:j], X)
-                  for i, j in zip(starts[:-1], starts[1:])], axis=1)
-    val, err = _epsilon_limit(np.cumsum(S, axis=1))
-    return val, err, X.shape[0] * z.shape[0]
+    S = np.stack([_conv_L(a, s, z[i:j], w[..., i:j], X)
+                  for i, j in zip(starts[:-1], starts[1:])], axis=-1)
+    val, err = _epsilon_limit(np.cumsum(S, axis=-1).reshape(-1, S.shape[-1]))
+    return (val.reshape(S.shape[:-1]), err.reshape(S.shape[:-1]),
+            X.shape[0] * w.size)
 
 
-def _inner_mass(a: SpectralDensity, s: float, alpha: float, bump: Bump,
+def _inner_mass(a: SpectralDensity, s: float, alphas: tuple, bump: Bump,
                 x: np.ndarray, g: int, base: float, h0: float, ratio: float,
                 zn_ratio: float):
     """Mass of z_N^alpha times the bump's complement over the plate against
-    the kernel centered at x, on a plane-aligned tensor grid graded toward
-    x, and its node count."""
+    the kernel centered at x, one per exponent, on a plane-aligned tensor
+    grid graded toward x that every exponent shares, and the node-exponent
+    pairs summed."""
     c1, cn = bump.center
     lo1, hi1, top = c1 - _PLATE_SPAN, c1 + _PLATE_SPAN, cn + _PLATE_SPAN
     a1 = min(max(x[0], lo1), hi1)
@@ -752,10 +826,11 @@ def _inner_mass(a: SpectralDensity, s: float, alpha: float, bump: Bump,
     prof = 1.0 - bump.values(z)
     keep = prof > 0.0
     z, w = z[keep], w[keep] * prof[keep]
-    return _conv_L(a, s, z, w * z[:, 1] ** alpha, x[None, :])[0], z.shape[0]
+    wv = _times_powers(w, z[:, 1], alphas)
+    return _conv_L(a, s, z, wv, x[None, :])[:, 0], wv.size
 
 
-def _complement_L(a: SpectralDensity, s: float, alpha: float, bump: Bump,
+def _complement_L(a: SpectralDensity, s: float, alpha, bump: Bump,
                   X: np.ndarray, cfg: QuadratureConfig):
     """L of (x_N)_+^alpha times the bump at upper points of its plateau, in
     N = 2: the power's closed form minus the mass of the power times the
@@ -763,32 +838,46 @@ def _complement_L(a: SpectralDensity, s: float, alpha: float, bump: Bump,
     each graded toward x from h0 = max(clearance / 6, 2e-3), plus the
     dyadic frames beyond the plate, which _epsilon_limit completes.  The
     error sums the fine-coarse gap, the frame completion, the mass below the
-    lowest node (bounded along the plane) and the closed form's own error."""
+    lowest node (bounded along the plane) and the closed form's own error.
+
+    alpha may be a tuple of exponents: each plate grid, its bump complement,
+    each frame mesh and each kernel chunk is then built once for all of
+    them, and the values and errors are (k, n), each row what its exponent
+    alone gives; the closed form and the plane bound are taken per
+    exponent.  The evaluation count is the sum of the exponents' own."""
+    alphas = alpha if isinstance(alpha, tuple) else (alpha,)
     c = np.asarray(bump.center, dtype=float)
     n = X.shape[0]
-    V, Vc, clr = np.empty(n), np.empty(n), np.empty(n)
+    V, Vc = np.empty((len(alphas), n)), np.empty((len(alphas), n))
+    clr = np.empty(n)
     nev = 0
     for i, x in enumerate(X):
         clr[i] = bump.r_in - float(np.linalg.norm(x - c))
         h0 = max(clr[i] / 6.0, 2e-3)
-        V[i], n1 = _inner_mass(a, s, alpha, bump, x, 4, 0.4, h0, 1.7, 2.2)
-        Vc[i], n2 = _inner_mass(a, s, alpha, bump, x, 3, 0.55, 2.0 * h0,
-                                2.1, 3.0)
+        V[:, i], n1 = _inner_mass(a, s, alphas, bump, x, 4, 0.4, h0, 1.7, 2.2)
+        Vc[:, i], n2 = _inner_mass(a, s, alphas, bump, x, 3, 0.55, 2.0 * h0,
+                                   2.1, 3.0)
         nev += n1 + n2
     ts2 = 2.0 * s
     line = 2.0 * (1.0 + 1.0 / (1.0 + ts2)) * clr ** (-1.0 - ts2)
-    plane = (_PLANE_EPS ** (1.0 + alpha) / (1.0 + alpha)
-             * (2.0 * a.upper_bound) * line)
-    tf, tf_err, n3 = _frame_sums(a, s, X, _frame_mesh(c, alpha, 4, 2.4, 3))
-    tc, _, n4 = _frame_sums(a, s, X, _frame_mesh(c, alpha, 3, 3.2, 2))
-    power, power_err, n5 = _kelvin_closed_batch(a, s, alpha, X, cfg)
+    plane = np.stack([_PLANE_EPS ** (1.0 + al) / (1.0 + al)
+                      * (2.0 * a.upper_bound) * line for al in alphas])
+    tf, tf_err, n3 = _frame_sums(a, s, X, _frame_mesh(c, alphas, 4, 2.4, 3))
+    tc, _, n4 = _frame_sums(a, s, X, _frame_mesh(c, alphas, 3, 3.2, 2))
+    closed = [_kelvin_closed_batch(a, s, al, X, cfg) for al in alphas]
+    power = np.stack([p[0] for p in closed])
+    power_err = np.stack([p[1] for p in closed])
     G = V + tf
-    return (power - G, np.abs(Vc + tc - G) + tf_err + plane + power_err,
-            nev + n3 + n4 + n5)
+    vals = power - G
+    errs = np.abs(Vc + tc - G) + tf_err + plane + power_err
+    nev += n3 + n4 + sum(p[2] for p in closed)
+    if isinstance(alpha, tuple):
+        return vals, errs, nev
+    return vals[0], errs[0], nev
 
 
-def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
-             cfg: QuadratureConfig):
+def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
+             X: np.ndarray, cfg: QuadratureConfig):
     """Lf at a batch of points, in any dimension, upper and lower mixed.
 
     Each point takes the first route that applies to it:
@@ -808,56 +897,79 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction, X: np.ndarray,
        0.044 or more inside the bump's plateau;
     7. the polar evaluation, apply_L(..., strict=False), point by point.
     A route's kernel runs only when some point takes it.  Returns (values,
-    error estimates, evaluations)."""
+    error estimates, evaluations).
+
+    f may also be a family: a tuple of nonzero multiples of products
+    x_N^alpha_j g that share the factor g (see _family).  The rows are then
+    routed once, from what the members share: the support ball, the kink
+    set, lower half-space vanishing and the far field.  The excision and
+    complement forms build their geometry once for all members; the
+    mass-only, convolution and polar forms run member by member, since
+    their sums share nothing without changing their order.  A family has no
+    closed form or translate-truncation (routes 1, 2).  Values and errors
+    are then (k, n), each row what its member alone gives, bit for bit, and
+    the evaluations are the members' summed."""
+    members, g = _family(f)
+    lead = members[0]
     n = X.shape[0]
-    vals = np.empty(n)
-    errs = np.empty(n)
+    vals = np.empty((len(members), n))
+    errs = np.empty((len(members), n))
     done = np.zeros(n, dtype=bool)
     nev = 0
 
     def take(rows, v, e, k):
         nonlocal nev
-        vals[rows], errs[rows] = v, e
+        vals[:, rows], errs[:, rows] = v, e
         done[rows] = True
         nev += k
 
-    take(*_closed_rows(a, s, f, X, cfg))
-    tt = _tt_kelvin_parts(f)
-    if tt is not None and a.is_constant:
-        rows = ~done & (X[:, -1] > 0.0)
-        if np.any(rows):
-            take(rows, *_tt_kelvin_L(a, s, tt[0], tt[1], X[rows], cfg))
-    if (f.vanishes_lower_halfspace and f.far_field is not None
+    def each(rows, kernel):
+        out = [kernel(m, X[rows]) for m in members]
+        take(rows, np.stack([o[0] for o in out]),
+             np.stack([o[1] for o in out]), sum(o[2] for o in out))
+
+    if g is None:
+        take(*_closed_rows(a, s, f, X, cfg))
+        tt = _tt_kelvin_parts(f)
+        if tt is not None and a.is_constant:
+            rows = ~done & (X[:, -1] > 0.0)
+            if np.any(rows):
+                take(rows, *_tt_kelvin_L(a, s, tt[0], tt[1], X[rows], cfg))
+    if (lead.vanishes_lower_halfspace and lead.far_field is not None
             and X.shape[1] <= 2):
         rows = ~done & (X[:, -1] < 0.0)
         if np.any(rows):
-            take(rows, *_mass_only_L(a, s, f, X[rows]))
-    ball = f.support_ball
+            each(rows, lambda m, Xr: _mass_only_L(a, s, m, Xr))
+    ball = lead.support_ball
     if ball is not None and X.shape[1] == 2:
         c = np.asarray(ball.center, dtype=float)
-        kinks = _KinkSet.of(f)
+        kinks = _KinkSet.of(lead)
         if np.all(kinks.distances(c)[:len(kinks.planes)] > ball.radius):
             dist = np.linalg.norm(X - c[None, :], axis=1) - ball.radius
             rows = ~done & (dist >= 0.35 * ball.radius)
             if np.any(rows):
-                take(rows, *_mass_pair(
-                    a, s, (_conv_source(f, True), _conv_source(f, False)),
-                    X[rows]))
+                each(rows, lambda m, Xr: _mass_pair(
+                    a, s, (_conv_source(m, True), _conv_source(m, False)), Xr))
         rows = ~done & np.all(
             kinks.distances(X)[:, :len(kinks.planes)] > 0.1, axis=1)
         if np.any(rows):
             take(rows, *_excised_L_compact(a, s, f, X[rows]))
-    parts = _complement_parts(f)
+    parts = _complement_parts(lead)
     if parts is not None and X.shape[1] == 2:
-        scale, alpha, bump = parts
+        bump = parts[2]
         rho = np.linalg.norm(X - np.asarray(bump.center)[None, :], axis=1)
         rows = ~done & (X[:, -1] > 0.0) & (bump.r_in - rho >= 0.044)
         if np.any(rows):
-            v, e, k = _complement_L(a, s, alpha, bump, X[rows], cfg)
-            take(rows, scale * v, abs(scale) * e, k)
+            scales, alphas, _ = zip(*map(_complement_parts, members))
+            v, e, k = _complement_L(a, s, alphas, bump, X[rows], cfg)
+            scales = np.array(scales)[:, None]
+            take(rows, scales * v, np.abs(scales) * e, k)
     for i in np.nonzero(~done)[0]:
-        r = apply_L(a, s, f, X[i], cfg, strict=False)
-        take(i, r.value, r.abs_error_estimate, r.n_evals)
+        rs = [apply_L(a, s, m, X[i], cfg, strict=False) for m in members]
+        take(i, [r.value for r in rs], [r.abs_error_estimate for r in rs],
+             sum(r.n_evals for r in rs))
+    if g is None:
+        return vals[0], errs[0], nev
     return vals, errs, nev
 
 

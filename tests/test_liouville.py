@@ -291,19 +291,25 @@ class TestCutoffMassField:
     def test_rows_do_not_depend_on_the_batch(self, const2, cone2, cfg):
         # plateau (two of them near the plane), shell and exterior points,
         # both exponents and both densities: each row alone reads what it
-        # reads in the batch
+        # reads in the batch, and in the batch of the two-member family
         s, alpha0, h = 0.5, 0.75, 0.75
         bump = cf.Bump(2, s, center=(0.0, h), r_in=0.875, r_out=1.0)
         loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
         X = np.array([[0.0, h], [0.3, 0.9], [0.2, 0.05], [-0.4, 0.1],
                       [0.0, h + 0.94], [1.1, 0.9]])
         for a in (const2, cone2):
-            for alpha in (alpha0, s):
-                phi = cf.Product(cf.HalfSpacePower(2, s, alpha=alpha), bump)
+            family = tuple(cf.Product(cf.HalfSpacePower(2, s, alpha=alpha),
+                                      bump) for alpha in (alpha0, s))
+            fvals, ferrs, _ = _L_field(a, s, family, X, loose)
+            assert fvals.shape == ferrs.shape == (2, X.shape[0])
+            for j, phi in enumerate(family):
                 vals, errs, _ = _L_field(a, s, phi, X, loose)
                 for i in range(X.shape[0]):
                     one, one_err, _ = _L_field(a, s, phi, X[i:i + 1], loose)
                     assert (vals[i], errs[i]) == (one[0], one_err[0])
+                    # the family's row of this member reads the same bits
+                    assert ([float(fvals[j, i]).hex(), float(ferrs[j, i]).hex()]
+                            == [float(one[0]).hex(), float(one_err[0]).hex()])
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_cone_step_one_peak_memory(self):

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 import conefrac as cf
+from conefrac import operators
 from conefrac.errors import (AccuracyError, InputDomainError,
                              NonsmoothPointError, TruncationError)
 from conefrac.operators import (_conv_L, _conv_source, _excised_L_compact,
@@ -273,6 +276,20 @@ class TestMassKernel:
         np.testing.assert_allclose(got, want, rtol=1e-12)
         if name in self.PLATEAUS:
             assert seen == {a.inside, a.outside}
+        # two weight rows on the same nodes: one row of sums per weight, each
+        # the single-row call bit for bit and the pair loop's sum
+        w2 = np.stack([w, rng.uniform(-1.0, 1.0, size=30)])
+        got2 = _conv_L(a, S, z, w2, X)
+        assert got2.shape == (2, X.shape[0])
+        np.testing.assert_array_equal(got2[0], got)
+        np.testing.assert_array_equal(got2[1], _conv_L(a, S, z, w2[1], X))
+        want1 = np.zeros(X.shape[0])
+        for i, x in enumerate(X):
+            for j, zj in enumerate(z):
+                r = float(np.linalg.norm(zj - x))
+                want1[i] += (2.0 * w2[1, j] * a((zj - x) / r)
+                             * r ** (-dim - 2.0 * S))
+        np.testing.assert_allclose(got2[1], want1, rtol=1e-12)
 
     def test_plateau_offsets_match_the_unit_vector_path(self):
         # the plateau reads raw offsets and their r^2: on 10^4 offsets at
@@ -436,6 +453,135 @@ class TestRouteTable:
         for x, v, e in zip(X, vals, errs):
             assert abs(v - oracle(x)) <= e <= 0.005 * abs(v)
         assert nev < 300_000
+
+
+def family_of(bump, alphas, scales=None):
+    """Products x_N^alpha_j times one bump, each optionally scaled."""
+    members = []
+    for j, al in enumerate(alphas):
+        m = cf.Product(cf.HalfSpacePower(2, S, alpha=al), bump)
+        members.append(m if scales is None else cf.ScalarMultiple(scales[j], m))
+    return tuple(members)
+
+
+def assert_family_rows(a, family, X, cfg):
+    """The family's (k, n) values and errors equal each member's own call
+    bit for bit (signs of zero included), and its count is theirs summed."""
+    vals, errs, nev = _L_field(a, S, family, X, cfg)
+    assert vals.shape == errs.shape == (len(family), X.shape[0])
+    total = 0
+    for j, m in enumerate(family):
+        mv, me, mn = _L_field(a, S, m, X, cfg)
+        np.testing.assert_array_equal(vals[j].view(np.int64), mv.view(np.int64))
+        np.testing.assert_array_equal(errs[j].view(np.int64), me.view(np.int64))
+        total += mn
+    assert nev == total
+
+
+class TestFamily:
+    """_L_field on a family of products x_N^alpha_j g with one common
+    factor g: the rows are routed once, and each member's row is what the
+    member alone gives."""
+
+    # route kernels, each counted by the name _L_field calls it under:
+    # mass-only (3), the convolution form's sources (4), excision (5),
+    # complement (6) and the polar evaluation (7)
+    KERNELS = ("_mass_only_L", "_conv_source", "_excised_L_compact",
+               "_complement_L", "apply_L")
+
+    @pytest.mark.parametrize("center,r_in,r_out,X,routes", [
+        # clear of the plane: mass-only below it, convolution far away,
+        # excision near the support
+        ((0.0, 3.0), 0.2, 0.4, [[0.5, -1.0], [0.0, 1.0], [0.1, 3.1]],
+         {"_mass_only_L": 3, "_conv_source": 6, "_excised_L_compact": 1}),
+        # crossing it: excision on the plateau away from the plane, the
+        # complement form on the plateau next to it, and the polar route
+        # near the plane outside the plateau
+        ((0.0, 0.75), 0.875, 1.0,
+         [[0.3, -0.5], [0.0, 0.75], [0.2, 0.05], [1.1, 0.05]],
+         {"_mass_only_L": 3, "_excised_L_compact": 1, "_complement_L": 1,
+          "apply_L": 3}),
+    ], ids=["clear", "crossing"])
+    def test_every_route_matches_member_calls(self, monkeypatch, const2, cfg,
+                                              center, r_in, r_out, X, routes):
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        bump = cf.Bump(2, S, center=center, r_in=r_in, r_out=r_out)
+        # a nested multiple too: its scales apply in the member's own order
+        family = family_of(bump, (0.4, 0.7, 0.5), (1.0, -2.5, 3.0))
+        family = family[:2] + (cf.ScalarMultiple(-0.7, family[2]),)
+        X = np.array(X)
+        calls = dict.fromkeys(self.KERNELS, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in self.KERNELS:
+                m.setattr(operators, name, counted(name, getattr(operators, name)))
+            _L_field(const2, S, family, X, loose)
+        # routes 3, 4 and 7 run member by member, 5 and 6 once
+        assert {k: v for k, v in calls.items() if v} == routes
+        assert_family_rows(const2, family, X, loose)
+        # and a row does not depend on the rest of the family's batch
+        whole, whole_err, _ = _L_field(const2, S, family, X, loose)
+        for i in range(X.shape[0]):
+            one, one_err, _ = _L_field(const2, S, family, X[i:i + 1], loose)
+            assert np.array_equal(one[:, 0], whole[:, i])
+            assert np.array_equal(one_err[:, 0], whole_err[:, i])
+
+    def test_a_single_function_keeps_its_shape(self, const2, cfg):
+        bump = cf.Bump(2, S, center=(0.0, 3.0), r_in=0.2, r_out=0.4)
+        X = np.array([[0.0, 1.0], [0.1, 3.1]])
+        (f,) = family_of(bump, (0.4,))
+        vals, errs, _ = _L_field(const2, S, f, X, cfg)
+        assert vals.shape == errs.shape == (2,)
+        one, one_err, _ = _L_field(const2, S, (f,), X, cfg)
+        assert one.shape == (1, 2)
+        assert np.array_equal(one[0], vals) and np.array_equal(one_err[0], errs)
+
+    @pytest.mark.parametrize("members", [
+        lambda b, c: (cf.Product(cf.HalfSpacePower(2, S, alpha=0.4), b),
+                      cf.Product(cf.HalfSpacePower(2, S, alpha=0.5), c)),
+        lambda b, c: (cf.Product(cf.HalfSpacePower(2, S, alpha=0.4), b), b),
+        lambda b, c: (cf.Product(b, cf.HalfSpacePower(2, S, alpha=0.4)),),
+        lambda b, c: (cf.ScalarMultiple(0.0, cf.Product(
+            cf.HalfSpacePower(2, S, alpha=0.4), b)),),
+        lambda b, c: (),
+    ], ids=["two_bumps", "bare_factor", "factor_first", "zero_multiple",
+            "empty"])
+    def test_a_tuple_that_is_no_family_is_refused(self, const2, cfg, members):
+        b = cf.Bump(2, S, center=(0.0, 0.75), r_in=0.875, r_out=1.0)
+        c = cf.Bump(2, S, center=(0.0, 0.8), r_in=0.875, r_out=1.0)
+        with pytest.raises(InputDomainError):
+            _L_field(const2, S, members(b, c), np.array([[0.0, 0.75]]), cfg)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+           st.one_of(st.floats(0.1, 0.5), st.floats(0.8, 1.5)),
+           st.lists(st.tuples(st.floats(-1.5, 1.5),
+                              st.one_of(st.floats(-1.0, -0.02),
+                                        st.floats(0.02, 2.0))),
+                    min_size=1, max_size=3))
+    def test_family_rows_equal_member_rows(self, alphas, height, pts):
+        # a bump of radius 0.6 that crosses the plane (height <= 0.5) or
+        # clears it (height >= 0.8), and points on any route
+        a = cf.ConstantDensity(2)
+        bump = cf.Bump(2, S, center=(0.0, height), r_in=0.45, r_out=0.6)
+        loose = cf.DEFAULT_CONFIG.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        family = family_of(bump, tuple(alphas))
+        X = np.array(pts)
+        try:
+            for m in family:
+                _L_field(a, S, m, X, loose)
+        except NonsmoothPointError:
+            # a polar row on a kink sphere is refused for every member
+            with pytest.raises(NonsmoothPointError):
+                _L_field(a, S, family, X, loose)
+            return
+        assert_family_rows(a, family, X, loose)
 
 
 class TestPairing:
