@@ -10,17 +10,15 @@ from .errors import (AccuracyError, ConefracError,
 from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
                          ball_volume, c_alpha, mc_region_volume,
                          radial_integral, sphere_quadrature,
-                         sphere_surface_area)
+                         sphere_surface_area, weighted_sphere_moment)
 from .spectral import (Cone, ConePlateauDensity, ConstantDensity,
-                       CustomDensity, EllipticityDiagnostics,
-                       SpectralDensity, directional_moment,
-                       ellipticity_diagnostics, weighted_sphere_moment)
+                       CustomDensity, SpectralDensity)
 from .catalog import (Bump, CatalogFunction, Constant, HalfSpacePower,
                       KelvinHalfSpacePower, Product, Rescale, ScalarMultiple,
                       TranslateTruncate, WholeSpaceBump, Zero, kelvin,
                       translate_truncate)
 from .operators import (OperatorEvaluation, PairingResult, apply_L,
-                        apply_L_halfspace_power, correction_l, pairing)
+                        correction_l, pairing)
 from .liouville import (CandidateRefutation, CertificationReport, GammaRow,
                         GammaSearchResult, LiouvilleConstruction,
                         MarginSample, RegionEstimate, RescaledRow, ScanRow,
@@ -40,16 +38,15 @@ __all__ = [
     "NonsmoothPointError", "SearchFailureError", "TruncationError",
     "DEFAULT_CONFIG", "IntegralResult", "QuadratureConfig", "ball_volume",
     "c_alpha", "mc_region_volume", "radial_integral", "sphere_quadrature",
-    "sphere_surface_area",
+    "sphere_surface_area", "weighted_sphere_moment",
     "Cone", "ConePlateauDensity", "ConstantDensity", "CustomDensity",
-    "EllipticityDiagnostics", "SpectralDensity", "directional_moment",
-    "ellipticity_diagnostics", "weighted_sphere_moment",
+    "SpectralDensity",
     "Bump", "CatalogFunction", "Constant", "HalfSpacePower",
     "KelvinHalfSpacePower", "Product", "Rescale", "ScalarMultiple",
     "TranslateTruncate", "WholeSpaceBump", "Zero", "kelvin",
     "translate_truncate",
-    "OperatorEvaluation", "PairingResult", "apply_L",
-    "apply_L_halfspace_power", "correction_l", "pairing",
+    "OperatorEvaluation", "PairingResult", "apply_L", "correction_l",
+    "pairing",
     "CandidateRefutation", "CertificationReport", "GammaRow",
     "GammaSearchResult", "LiouvilleConstruction", "MarginSample",
     "RegionEstimate", "RescaledRow", "ScanRow", "StepOneReport", "certify",

@@ -28,9 +28,8 @@ from .liouville import (certify, construct_supersolution,
                         liouville_scan, rescaled_inequality_experiment,
                         step_one_M)
 from .operators import apply_L, correction_l, pairing
-from .quadrature import QuadratureConfig, c_alpha
-from .spectral import (Cone, ConePlateauDensity, ConstantDensity,
-                       weighted_sphere_moment)
+from .quadrature import QuadratureConfig, c_alpha, weighted_sphere_moment
+from .spectral import Cone, ConePlateauDensity, ConstantDensity
 from .svgplot import line_figure
 
 __all__ = ["main"]

@@ -42,14 +42,14 @@ from .quadrature import (
     c_alpha,
     sphere_quadrature,
     sphere_surface_area,
+    weighted_sphere_moment,
 )
-from .spectral import SpectralDensity, _sum_squares, weighted_sphere_moment
+from .spectral import SpectralDensity, _sum_squares
 
 __all__ = [
     "OperatorEvaluation",
     "PairingResult",
     "apply_L",
-    "apply_L_halfspace_power",
     "correction_l",
     "pairing",
 ]
@@ -222,25 +222,6 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
                       inner_mode="subtract", tail_mode=tail_mode,
                       analytic_const=const, strict=strict,
                       what="operator evaluation")
-
-
-def apply_L_halfspace_power(a: SpectralDensity, s: float, alpha: float, x,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG
-                            ) -> OperatorEvaluation:
-    """Closed form for f = (x_N)_+^alpha: the image is the same power family
-    with exponent alpha - 2s, scaled by the power-kernel constant times the
-    weighted sphere moment of the density."""
-    if not (0.0 < s < 1.0):
-        raise InputDomainError("order must lie in (0, 1)")
-    if not (0.0 < alpha < 2.0 * s):
-        raise InputDomainError("exponent must lie in (0, 2s)")
-    x = _point(x, a.dim)
-    if not x[-1] > 0.0:
-        raise InputDomainError(
-            "closed form needs a point in the open upper half-space")
-    v, e, nev = _kelvin_closed_batch(a, s, alpha, x[None, :], cfg)
-    return OperatorEvaluation(float(v[0]), float(e[0]), "closed_form",
-                              tuple(float(c) for c in x), nev)
 
 
 def _weighted_difference_constant(a: SpectralDensity, s: float, alpha: float,

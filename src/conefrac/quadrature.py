@@ -468,10 +468,11 @@ def _angles_of(vec: np.ndarray) -> float:
 
 def _jump_angles_2d(a: SpectralDensity) -> list[float]:
     """Angles in [0, 2 pi) across which a 2-D density may jump: for each cap
-    boundary cosine cos g, phi_axis +- g and phi_axis + pi +- g."""
+    boundary cosine cos g about the jump axis, phi_axis +- g and
+    phi_axis + pi +- g."""
     out: list[float] = []
-    if a.jump_cosines and a.cone is not None:
-        phi_axis = _angles_of(np.asarray(a.cone.axis))
+    if a.jump_cosines:
+        phi_axis = _angles_of(np.asarray(a.jump_axis))
         for c in a.jump_cosines:
             g = math.acos(np.clip(c, -1.0, 1.0))
             for off in (g, -g, math.pi - g, math.pi + g):
@@ -585,12 +586,11 @@ def _rotation_to(pole: np.ndarray) -> np.ndarray:
 
 def _sphere_integrate_3d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
                          kink_normals=()):
-    pole = None
-    if a.jump_cosines and a.cone is not None:
-        pole = np.asarray(a.cone.axis, dtype=float)
+    if a.jump_cosines:
+        pole = np.asarray(a.jump_axis, dtype=float)
     elif kink_normals:
         pole = np.asarray(kink_normals[0], dtype=float)
-    if pole is None:
+    else:
         pole = np.asarray([0.0, 0.0, 1.0])
     rot = _rotation_to(pole)
 
@@ -688,6 +688,17 @@ def sphere_quadrature(a: SpectralDensity, g, cfg: QuadratureConfig = DEFAULT_CON
     return _sphere_integrate_mc(a, node_eval, cfg)
 
 
+def weighted_sphere_moment(a: SpectralDensity, s: float,
+                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+    """Integral of |theta_N|^{2s} a(theta) over the unit sphere."""
+    if not (0.0 < s < 1.0):
+        raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
+    e_last = np.zeros(a.dim)
+    e_last[-1] = 1.0
+    return sphere_quadrature(a, lambda thetas: np.abs(thetas @ e_last) ** (2.0 * s),
+                             cfg, kink_normals=(e_last,))
+
+
 # --------------------------------------------------------------------------
 # Monte Carlo region volume
 # --------------------------------------------------------------------------
@@ -733,8 +744,8 @@ def mc_region_volume(predicate, center: Sequence[float], radius: float,
 # radial integrals along both rays of a direction
 # --------------------------------------------------------------------------
 
-def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
-                     cfg: QuadratureConfig, *, inner_mode: str, tail_mode: str):
+def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, *,
+                     inner_mode: str, tail_mode: str):
     """Build the task table for both-ray radial integration along K directions.
 
     The inner segment is [0, t_in], t_in = _T0_FACTOR times the distance from
@@ -746,7 +757,7 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray,
     the previous one kept are dropped.  Task ends at a split are graded, no
     others: not t_in or T0, and not t = 0 (see _radial_batch).
     The table is direction-major: for each direction the inner task (in
-    "subtract" mode), then its pieces in increasing t.  cfg is not read.
+    "subtract" mode), then its pieces in increasing t.
 
     inner_mode: "subtract" (quadratic Taylor subtraction on [0, t_in]) or
     "open" (no subtraction; the inner range is integrated on octaves toward 0,
@@ -861,7 +872,7 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     tol_r = cfg.rel_tol if tol_rel_node is None else tol_rel_node
 
     tasks, octaves, T0, t_in = _assemble_radial(
-        kinks, x, thetas, cfg, inner_mode=inner_mode, tail_mode=tail_mode)
+        kinks, x, thetas, inner_mode=inner_mode, tail_mode=tail_mode)
 
     n_main = tasks["lo"].size
     # the evalf task table spans the main tasks, then the octave sources

@@ -1,8 +1,9 @@
-"""Directional weights on the unit sphere and their ellipticity diagnostics.
+"""Directional weights on the unit sphere.
 
 The directional weight (spectral density) multiplies the radial kernel
-``|y|^{-N-2s}``.  It must be even; the useful lower-bound hypothesis is that it
-stays above ``d > 0`` on the trace of a symmetric double cone.
+``|y|^{-N-2s}``.  It must be even, and it may jump across the boundaries of
+caps about one axis: a density says where through ``jump_axis`` and
+``jump_cosines``, and the sphere rules split their panels there.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDensityError, InputDomainError
+from .errors import InputDomainError
 
 _UNIT_TOL = 1e-12
 _EVAL_UNIT_TOL = 1e-9
@@ -56,10 +57,6 @@ class Cone:
     @property
     def dim(self) -> int:
         return len(self.axis)
-
-    @property
-    def aperture(self) -> float:
-        return math.acos(1.0 - self.tau)
 
     def _contains_offsets(self, d: np.ndarray, r2: np.ndarray) -> np.ndarray:
         """Membership of the offsets d, coordinates leading (d[c] holds the
@@ -110,26 +107,19 @@ class SpectralDensity:
         raise NotImplementedError
 
     @property
-    def lower_cap_bound(self) -> float:
-        """Largest d with a >= d on the closed hypothesis cone cap (0 if none)."""
-        raise NotImplementedError
-
-    @property
-    def cone(self) -> Cone | None:
+    def jump_axis(self) -> tuple[float, ...] | None:
+        """Unit axis the jump cosines refer to (None for a weight without one)."""
         return None
 
     @property
     def jump_cosines(self) -> tuple[float, ...]:
-        """Cap-boundary cosines c: the weight may jump across {|theta.axis| = c}."""
+        """Cap-boundary cosines c: the weight may jump across
+        {|theta.jump_axis| = c}."""
         return ()
 
     @property
     def is_constant(self) -> bool:
         return False
-
-    @property
-    def satisfies_cone_hypothesis(self) -> bool:
-        return self.lower_cap_bound > 0.0
 
     def _eval_unit(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate on directions assumed unit; no input check."""
@@ -171,17 +161,6 @@ class ConstantDensity(SpectralDensity):
         return self.value
 
     @property
-    def lower_cap_bound(self) -> float:
-        return self.value
-
-    @property
-    def cone(self) -> Cone | None:
-        if self.value <= 0.0:
-            return None
-        axis = (0.0,) * (self.dim - 1) + (1.0,)
-        return Cone(axis=axis, tau=1.0)
-
-    @property
     def is_constant(self) -> bool:
         return True
 
@@ -193,16 +172,16 @@ class ConstantDensity(SpectralDensity):
 class ConePlateauDensity(SpectralDensity):
     """``inside`` on the closed cone cap, ``outside`` elsewhere, 0 <= outside <= inside."""
 
-    cone_: Cone = field(default=None)  # type: ignore[assignment]
+    cone: Cone = field(default=None)  # type: ignore[assignment]
     inside: float = 1.0
     outside: float = 0.0
 
     def __post_init__(self):
-        if self.cone_ is None or not isinstance(self.cone_, Cone):
+        if not isinstance(self.cone, Cone):
             raise InputDomainError("cone plateau requires a Cone")
-        if self.cone_.dim != self.dim:
+        if self.cone.dim != self.dim:
             raise InputDomainError("cone dimension does not match density dimension")
-        if any(c != 0.0 for c in self.cone_.vertex):
+        if any(c != 0.0 for c in self.cone.vertex):
             raise InputDomainError("plateau cone must have its vertex at the origin")
         if not (self.inside > 0.0):
             raise InputDomainError("plateau value inside the cap must be positive")
@@ -214,21 +193,17 @@ class ConePlateauDensity(SpectralDensity):
         return self.inside
 
     @property
-    def lower_cap_bound(self) -> float:
-        return self.inside
-
-    @property
-    def cone(self) -> Cone:
-        return self.cone_
+    def jump_axis(self) -> tuple[float, ...]:
+        return self.cone.axis
 
     @property
     def jump_cosines(self) -> tuple[float, ...]:
-        if self.outside == self.inside or self.cone_.tau >= 1.0:
+        if self.outside == self.inside or self.cone.tau >= 1.0:
             return ()
-        return (1.0 - self.cone_.tau,)
+        return (1.0 - self.cone.tau,)
 
     def _eval_offsets(self, d: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        return np.where(self.cone_._contains_offsets(d, r2), self.inside, self.outside)
+        return np.where(self.cone._contains_offsets(d, r2), self.inside, self.outside)
 
     def _eval_unit(self, thetas: np.ndarray) -> np.ndarray:
         return self._eval_offsets(thetas.T, _sum_squares(thetas.T))
@@ -240,14 +215,12 @@ class CustomDensity(SpectralDensity):
     values; evaluation is symmetrized so evenness holds by construction.
     ``jumps`` lists cap-boundary cosines (relative to ``axis``, which they
     then require) across which the weight may be discontinuous; with none
-    the weight is taken as smooth."""
+    the weight is taken as smooth.  ``upper`` bounds the weight from above."""
 
     evaluator: Callable[[np.ndarray], np.ndarray] = field(default=None)  # type: ignore
     jumps: tuple[float, ...] = ()
     axis: tuple[float, ...] | None = None
-    lower: float = 0.0
     upper: float = 1.0
-    hypothesis_cone: Cone | None = None
 
     def __post_init__(self):
         if self.evaluator is None:
@@ -256,20 +229,16 @@ class CustomDensity(SpectralDensity):
             object.__setattr__(self, "axis", _as_unit(self.axis))
         if self.jumps and self.axis is None:
             raise InputDomainError("jump cosines need an axis to refer to")
-        if not (0.0 <= self.lower <= self.upper) or not math.isfinite(self.upper):
-            raise InputDomainError("need 0 <= lower <= upper < inf")
+        if not (0.0 <= self.upper < math.inf):
+            raise InputDomainError("need 0 <= upper < inf")
 
     @property
     def upper_bound(self) -> float:
         return self.upper
 
     @property
-    def lower_cap_bound(self) -> float:
-        return self.lower
-
-    @property
-    def cone(self) -> Cone | None:
-        return self.hypothesis_cone
+    def jump_axis(self) -> tuple[float, ...] | None:
+        return self.axis
 
     @property
     def jump_cosines(self) -> tuple[float, ...]:
@@ -279,122 +248,3 @@ class CustomDensity(SpectralDensity):
         vals = 0.5 * (np.asarray(self.evaluator(thetas), dtype=float)
                       + np.asarray(self.evaluator(-thetas), dtype=float))
         return vals
-
-
-@dataclass(frozen=True)
-class EllipticityDiagnostics:
-    lambda_est: float
-    lambda_err: float
-    Lambda_est: float
-    Lambda_err: float
-    argmin_axis: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.lambda_est > self.Lambda_est + self.lambda_err + self.Lambda_err:
-            raise ValueError("lower ellipticity bound exceeds the upper one")
-
-
-def weighted_sphere_moment(a: SpectralDensity, s: float, cfg=None):
-    """Integral of |theta_N|^{2s} a(theta) over the unit sphere."""
-    e_last = np.zeros(a.dim)
-    e_last[-1] = 1.0
-    return directional_moment(a, s, e_last, cfg)
-
-
-def directional_moment(a: SpectralDensity, s: float, nu: Sequence[float], cfg=None):
-    """Integral of |nu.theta|^{2s} a(theta) over the unit sphere."""
-    from . import quadrature
-
-    if not (0.0 < s < 1.0):
-        raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
-    cfg = cfg or quadrature.QuadratureConfig()
-    nu_arr = np.asarray(_as_unit(nu))
-
-    def g(thetas: np.ndarray) -> np.ndarray:
-        return np.abs(thetas @ nu_arr) ** (2.0 * s)
-
-    return quadrature.sphere_quadrature(a, g, cfg, kink_normals=(nu_arr,))
-
-
-def _nu_grid(dim: int, n: int) -> np.ndarray:
-    """Deterministic direction grid covering half the sphere (the moment is even)."""
-    if dim == 1:
-        return np.array([[1.0]])
-    if dim == 2:
-        phis = np.pi * np.arange(n) / n
-        return np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    # Fibonacci hemisphere for dim == 3; axis-aligned + random-free net beyond.
-    if dim == 3:
-        k = np.arange(n)
-        z = (k + 0.5) / n
-        phi = k * math.pi * (3.0 - math.sqrt(5.0))
-        r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    pts = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        pts.append(e)
-        for j in range(i + 1, dim):
-            v = np.zeros(dim)
-            v[i] = v[j] = 1.0 / math.sqrt(2.0)
-            pts.append(v)
-            w = v.copy()
-            w[j] *= -1.0
-            pts.append(w)
-    return np.asarray(pts)
-
-
-def ellipticity_diagnostics(a: SpectralDensity, s: float, cfg=None) -> EllipticityDiagnostics:
-    """Estimate the pair (lambda, Lambda) bracketing the operator's ellipticity.
-
-    lambda is minimized over a deterministic direction grid with a local
-    refinement pass around the argmin; both estimates carry quadrature errors.
-    The grid spacing itself is not folded into lambda_err.
-    """
-    from . import quadrature
-
-    cfg = cfg or quadrature.QuadratureConfig()
-    if a.upper_bound <= 0.0:
-        raise DegenerateDensityError("directional weight vanishes identically")
-
-    ones = quadrature.sphere_quadrature(a, lambda th: np.ones(th.shape[0]), cfg)
-    if ones.value <= max(1e-12, 10.0 * ones.abs_error_estimate):
-        raise DegenerateDensityError("directional weight integrates to zero")
-
-    nus = _nu_grid(a.dim, 48 if a.dim == 2 else 96)
-    vals = []
-    for nu in nus:
-        res = directional_moment(a, s, nu, cfg)
-        vals.append((res.value, res.abs_error_estimate, tuple(nu)))
-    best = min(vals, key=lambda t: t[0])
-
-    if a.dim >= 2:
-        # local refinement: rotate the argmin inside the planes spanned with
-        # each coordinate axis, shrinking the step three times
-        cur_val, cur_err, cur_nu = best
-        step = math.pi / len(nus)
-        for _ in range(3):
-            improved = False
-            base = np.asarray(cur_nu)
-            for i in range(a.dim):
-                e = np.zeros(a.dim)
-                e[i] = 1.0
-                if abs(abs(float(base @ e)) - 1.0) < 1e-12:
-                    continue
-                tang = e - (base @ e) * base
-                tang /= np.linalg.norm(tang)
-                for sgn in (1.0, -1.0):
-                    cand = math.cos(step) * base + sgn * math.sin(step) * tang
-                    cand /= np.linalg.norm(cand)
-                    res = directional_moment(a, s, cand, cfg)
-                    if res.value < cur_val:
-                        cur_val, cur_err, cur_nu = res.value, res.abs_error_estimate, tuple(cand)
-                        improved = True
-            step *= 0.5 if improved else 0.35
-        best = (cur_val, cur_err, cur_nu)
-
-    return EllipticityDiagnostics(
-        lambda_est=best[0], lambda_err=best[1],
-        Lambda_est=ones.value, Lambda_err=ones.abs_error_estimate,
-        argmin_axis=best[2])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import conefrac as cf
 from conefrac.catalog import PlaneKink, _KinkSet
 from conefrac.errors import InputDomainError
-from conefrac.quadrature import DEFAULT_CONFIG, _assemble_radial
+from conefrac.quadrature import _assemble_radial
 
 S = 0.5
 
@@ -272,8 +272,7 @@ class TestKinkSet:
         phi = rng.uniform(0.0, 2.0 * math.pi, 50)
         thetas = np.stack((np.cos(phi), np.sin(phi)), axis=1)
         tasks, _, T0, t_in = _assemble_radial(
-            kinks, x, thetas, DEFAULT_CONFIG, inner_mode="subtract",
-            tail_mode="u_map")
+            kinks, x, thetas, inner_mode="subtract", tail_mode="u_map")
         for k, th in enumerate(thetas):
             mine = tasks["group"] == k
             splits = tasks["hi"][mine & tasks["gh"]]

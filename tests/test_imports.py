@@ -1,9 +1,11 @@
-"""Every name a conefrac module imports is used in that module.
+"""Every name a conefrac module imports is used in that module, and every
+private module-level name is read somewhere in the package.
 
 A binding kept only so that something outside the package can rebind it
 (a tracer hook, say) is dead code to the package itself; this test keeps
-such bindings, and plain unused imports, from coming back.  The package's
-third-party imports are exactly its declared runtime dependencies."""
+such bindings, plain unused imports and private helpers that nothing calls
+from coming back.  The package's third-party imports are exactly its
+declared runtime dependencies."""
 
 import ast
 import importlib.util
@@ -38,6 +40,43 @@ def unused_imports(tree: ast.Module) -> list:
 def test_every_imported_name_is_used(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert unused_imports(tree) == []
+
+
+def private_definitions(tree: ast.Module) -> set:
+    """Private functions, classes and constants bound at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        names.add(sub.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(tree: ast.Module) -> set:
+    """Names loaded in the tree, bare or as an attribute of something."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_every_private_module_name_is_read():
+    # a private helper, class or constant that no module of the package
+    # reads is dead code, whatever a test or a tracer hook makes of it
+    trees = {p.name: ast.parse(p.read_text(), filename=p.name)
+             for p in PACKAGE.glob("*.py")}
+    read = set().union(*(names_read(tree) for tree in trees.values()))
+    unread = {f"{module}:{name}" for module, tree in trees.items()
+              for name in private_definitions(tree) - read}
+    assert sorted(unread) == []
 
 
 def test_tracer_hook_targets_resolve():

@@ -74,13 +74,6 @@ class TestClosedForms:
         assert ev.path == "closed_form"
         assert ev.value == pytest.approx(expected, rel=1e-9)
 
-    def test_halfspace_power_helper_agrees(self, const2, cfg):
-        f = cf.HalfSpacePower(2, S, alpha=0.4)
-        x = np.array([0.3, 1.7])
-        direct = cf.apply_L(const2, S, f, x, cfg)
-        helper = cf.apply_L_halfspace_power(const2, S, 0.4, x, cfg)
-        assert helper.value == pytest.approx(direct.value, rel=1e-12)
-
     @pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
     def test_closed_vs_numeric_route(self, const2, fast_cfg, frac):
         f = cf.HalfSpacePower(2, S, alpha=frac * 2.0 * S)
@@ -248,7 +241,7 @@ class TestMassKernel:
         "cone_tilted": cf.ConePlateauDensity(2, cf.Cone((0.6, 0.8), 0.5), 1.0, 0.0),
         # an even smooth weight: the kernel's default unit-vector path
         "custom": cf.CustomDensity(2, evaluator=lambda th: 1.0 + 0.5 * th[:, 0] ** 2,
-                                   lower=1.0, upper=1.5),
+                                   upper=1.5),
     }
     PLATEAUS = ("cone", "cone_tilted")
 
