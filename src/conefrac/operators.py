@@ -44,7 +44,7 @@ from .quadrature import (
     sphere_surface_area,
     weighted_sphere_moment,
 )
-from .spectral import SpectralDensity, _sum_squares
+from .spectral import ConePlateauDensity, SpectralDensity, _sum_squares
 
 __all__ = [
     "OperatorEvaluation",
@@ -373,15 +373,20 @@ def _support_edges(v: CatalogFunction, n_side: int, graded_min: int):
     return dims
 
 
+# radial and angular panels of the convolution form's polar source grids,
+# fine then coarse, each with a 4-point Gauss rule per axis
+_CONV_PANELS = ((10, 24), (6, 14))
+
+
 def _conv_source(v: CatalogFunction, fine: bool):
     """Fixed polar quadrature of v over its support, for the convolution form
     of Lv at points outside the support: nodes z and weights w*v(z)."""
     ball = v.support_ball
     c = np.asarray(ball.center, dtype=float)
     r = float(ball.radius)
-    nr, na = (40, 96) if fine else (24, 56)
-    RA, W = _tensor_nodes([np.linspace(0.0, r, nr // 4 + 1),
-                           np.linspace(0.0, 2.0 * math.pi, na // 4 + 1)], 4)
+    nr, na = _CONV_PANELS[0 if fine else 1]
+    RA, W = _tensor_nodes([np.linspace(0.0, r, nr + 1),
+                           np.linspace(0.0, 2.0 * math.pi, na + 1)], 4)
     R, A = RA[:, 0], RA[:, 1]
     z = np.stack([c[0] + R * np.cos(A), c[1] + R * np.sin(A)], axis=1)
     w = W * R * v.values(z)
@@ -438,6 +443,178 @@ def _mass_pair(a: SpectralDensity, s: float, sources, X: np.ndarray):
     vf = _conv_L(a, s, zf, wf, X)
     vc = _conv_L(a, s, zc, wc, X)
     return vf, np.abs(vf - vc), X.shape[0] * (zf.shape[0] + zc.shape[0])
+
+
+# the far-field expansion of the convolution form: its order, and the
+# largest ratio rho = r / |x - c| of source radius to row distance it takes.
+# At rho = 1/2 the remainder bound is 3e-11 to 1e-9 of a row's value on the
+# bumps of the acceptance suite and the benchmark, where the fine-coarse gap
+# is 1e-6 to 1e-4 of it; order 24 would add up to 2.5% to an estimate
+_FAR_ORDER = 32
+_FAR_RHO = 0.5
+
+
+def _far_sum(a: SpectralDensity, s: float, z: np.ndarray, wv: np.ndarray,
+             c: np.ndarray, r: float, X: np.ndarray, order: int):
+    """The mass sum _conv_L of one quadrature (z, wv) of a source inside the
+    disc |z - c| <= r, at rows x of X in N = 2 with r <= |x - c| / 2 whose
+    window (the directions of the disc seen from x) holds no jump of a, from
+    the far-field expansion of the kernel.  Returns the values, a bound on
+    each row's truncation remainder, and the number of moment terms.
+
+    With w = x - c and zeta = z - c as complex numbers and lam = 1 + s,
+
+        |x - z|^(-2 lam) = |w|^(-2 lam) sum_{k,l} a_k a_l (zeta/w)^k conj(zeta/w)^l,
+
+    a_k = (lam)_k / k!, the binomial series of (1 - t)^(-lam) (the N = 2
+    form of the Gegenbauer generating function, DLMF 18.12.4, on which the
+    fast multipole method rests: Greengard and Rokhlin, J. Comput. Phys. 73,
+    1987).  The source enters through its moments M_kl = sum_j wv_j
+    eta_j^k conj(eta_j)^l, eta = zeta / r, for k + l <= order, and a row
+    through u = r / w, so that no power exceeds 1 in modulus.  Since
+    M_lk = conj(M_kl) the sum is taken over k >= l, as sum_l |u|^(2l)
+    D_l(u), each polynomial by Horner's rule: one fixed order of complex
+    multiply-adds per row, which no other row changes.  The window holds no
+    jump, so a is a(c - x) over the whole source.
+
+    The degree-n coefficients add up to (2 lam)_n / n!, so the remainder is
+    at most sum_j |wv_j| |eta_j|^(order+1) times sum_{n > order} (2 lam)_n /
+    n! rho^n, rho = |u| (|eta_j| <= 1); the first omitted term over
+    1 - rho (2 lam + order + 1) / (order + 2) bounds that sum.  Beyond the
+    moments the work holds a few arrays of one entry per row, no larger
+    than X, so the rows are not chunked."""
+    lam = 1.0 + s
+    coef = np.ones(order + 1)
+    for k in range(1, order + 1):
+        coef[k] = coef[k - 1] * (lam + k - 1.0) / k
+    eta = ((z[:, 0] - c[0]) + 1j * (z[:, 1] - c[1])) / r
+    powers = np.empty((order + 1, eta.size), dtype=complex)
+    powers[0] = 1.0
+    for m in range(1, order + 1):
+        powers[m] = powers[m - 1] * eta
+    # C[l][m] = a_{l+m} a_l M_{l+m,l}, doubled for m >= 1 (the conjugate
+    # pair), with M_{l+m,l} = sum_j wv_j |eta_j|^(2l) eta_j^m summed along
+    # the node axis
+    ring = (eta * eta.conj()).real
+    g = wv
+    C = []
+    for l in range(order // 2 + 1):
+        top = order - 2 * l
+        cl = coef[l] * coef[l:l + top + 1] * (g * powers[:top + 1]).sum(axis=1)
+        cl[1:] *= 2.0
+        C.append(cl)
+        g = g * ring
+    terms = sum(cl.size for cl in C)
+
+    wr = X - c[None, :]
+    w2 = wr[:, 0] * wr[:, 0] + wr[:, 1] * wr[:, 1]
+    u = r / (wr[:, 0] + 1j * wr[:, 1])
+    q = r * r / w2
+    acc = np.zeros(X.shape[0], dtype=complex)
+    for cl in reversed(C):
+        d = np.full(X.shape[0], cl[-1])
+        for cm in cl[-2::-1]:
+            d *= u
+            d += cm
+        acc *= q
+        acc += d
+    if a.is_constant:
+        arow = a.value
+    else:
+        back = np.ascontiguousarray(-wr.T)
+        arow = a._eval_offsets(back, w2)
+    scale = 2.0 * arow * w2 ** -lam
+    n = order + 1
+    first = 1.0
+    for k in range(1, n + 1):
+        first *= (2.0 * lam + k - 1.0) / k
+    rho = np.sqrt(q)
+    mass = np.sum(np.abs(wv) * np.abs(eta) ** n)
+    tail = mass * first * rho ** n / (1.0 - rho * (2.0 * lam + n) / (n + 1.0))
+    return scale * acc.real, np.abs(scale) * tail, terms
+
+
+def _far_pair(a: SpectralDensity, s: float, sources, c: np.ndarray, r: float,
+              X: np.ndarray, order: int):
+    """The far-field expansion _far_sum of a (fine, coarse) pair of
+    quadratures of one source: the fine values, their gap to the coarse
+    ones plus both remainder bounds as the error, and the terms summed,
+    node by term for the moments and row by term for the rows."""
+    (zf, wf), (zc, wc) = sources
+    vf, tf, kf = _far_sum(a, s, zf, wf, c, r, X, order)
+    vc, tc, kc = _far_sum(a, s, zc, wc, c, r, X, order)
+    return (vf, np.abs(vf - vc) + tf + tc,
+            kf * (zf.shape[0] + X.shape[0]) + kc * (zc.shape[0] + X.shape[0]))
+
+
+def _cut_cell_bound(a: ConePlateauDensity, s: float, z: np.ndarray,
+                    wv: np.ndarray, lines: np.ndarray, h: float,
+                    X: np.ndarray) -> np.ndarray:
+    """A bound on what the polar source grid (z, wv) misses at each row x
+    of X when the plateau's jump lines through x cut its cells: 2 |inside -
+    outside| sum_j |wv_j| |z_j - x|^(-N-2s) over the nodes within h, a
+    cell diameter, of such a line, that is, the jump times the mass of the
+    cells the line may cut.  Both grids misplace the step, by amounts whose
+    gap can be small by chance, so that gap alone is no bound here."""
+    out = np.empty(X.shape[0])
+    zt = np.ascontiguousarray(z.T)
+    xt = np.ascontiguousarray(X.T)
+    awv = np.abs(wv)
+    step = max(1, 131_072 // max(z.shape[0], 1))
+    for i in range(0, X.shape[0], step):
+        d = zt[:, None, :] - xt[:, i:i + step, None]
+        cut = np.zeros(d.shape[1:], dtype=bool)
+        for th in lines:
+            cut |= np.abs(d[0] * th[1] - d[1] * th[0]) <= h
+        kern = np.where(cut, _sum_squares(d) ** (-1.0 - s), 0.0)
+        out[i:i + step] = (kern * awv).sum(axis=1)
+    return 2.0 * abs(a.inside - a.outside) * out
+
+
+def _conv_form(a: SpectralDensity, s: float, f: CatalogFunction,
+               X: np.ndarray):
+    """Route 4 of _L_field: L of a compact f in N = 2 at rows of X outside
+    its support, from f's fine and coarse polar source grids (_conv_source)
+    in the disc of centre c and radius r.
+
+    A row with rho = r / |x - c| <= _FAR_RHO takes the far-field expansion
+    (_far_pair) when a is constant, or a cone plateau whose jump lines
+    through x miss the disc, that is, whose jump directions lie outside the
+    window within asin(rho) of c - x.  Every other row, and every row of a
+    custom density, takes the direct sum _mass_pair.  A plateau row whose
+    jump line meets the disc adds _cut_cell_bound over the fine grid to its
+    error."""
+    ball = f.support_ball
+    c = np.asarray(ball.center, dtype=float)
+    r = float(ball.radius)
+    sources = (_conv_source(f, True), _conv_source(f, False))
+    wr = X - c[None, :]
+    plateau = isinstance(a, ConePlateauDensity)
+    # the jump directions, each line through x twice
+    ang = np.asarray(_jump_angles_2d(a) if plateau else [])
+    lines = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    crossing = np.zeros(X.shape[0], dtype=bool)
+    for th in lines:
+        crossing |= np.abs(wr[:, 0] * th[1] - wr[:, 1] * th[0]) <= r
+    far = ((a.is_constant or plateau) & ~crossing
+           & (r <= _FAR_RHO * np.sqrt(wr[:, 0] ** 2 + wr[:, 1] ** 2)))
+    vals, errs = np.empty(X.shape[0]), np.empty(X.shape[0])
+    nev = 0
+    if np.any(far):
+        vals[far], errs[far], nev = _far_pair(a, s, sources, c, r, X[far],
+                                              _FAR_ORDER)
+    if not np.all(far):
+        vals[~far], errs[~far], k = _mass_pair(a, s, sources, X[~far])
+        nev += k
+    if np.any(crossing):
+        # a node's cell is its Gauss weight's share of its panel in each
+        # coordinate; the widest cell of the fine grid sets the strip
+        nr, na = _CONV_PANELS[0]
+        h = r * math.hypot(1.0 / nr, 2.0 * math.pi / na) * _gauss01(4)[1].max()
+        errs[crossing] += _cut_cell_bound(a, s, *sources[0], lines, h,
+                                          X[crossing])
+        nev += int(np.count_nonzero(crossing)) * sources[0][0].shape[0]
+    return vals, errs, nev
 
 
 def _tt_kelvin_parts(f: CatalogFunction):
@@ -867,10 +1044,15 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
        translate-truncated decaying power, for a constant density;
     3. the mass-only form (_mass_only_L): points with x_N < 0 of an f that
        vanishes on the lower half-space and has far-field metadata, N <= 2;
-    4. the convolution form (_mass_pair of f's two _conv_source grids):
+    4. the convolution form (_conv_form, on f's two _conv_source grids):
        points of a compact f in N = 2 at least 0.35 support radii outside
        it, unless a kink plane of f meets the support (the polar source
-       grid does not follow it, and its fine-coarse gap under-covers);
+       grid does not follow it, and its fine-coarse gap under-covers).
+       Points with rho = r / |x - c| <= 1/2 take the far-field expansion
+       (_far_pair) when a is constant, or a cone plateau none of whose jump
+       directions lies within asin(rho) of c - x; the others the direct
+       sum (_mass_pair), with a cut-cell bound added to the error of a
+       plateau point whose jump line meets the support;
     5. the excision form (_excised_L_compact): other points of a compact f
        in N = 2 farther than 0.1 from every kink plane;
     6. the complement form (_complement_L): the remaining upper points of a
@@ -929,8 +1111,7 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
             dist = np.linalg.norm(X - c[None, :], axis=1) - ball.radius
             rows = ~done & (dist >= 0.35 * ball.radius)
             if np.any(rows):
-                each(rows, lambda m, Xr: _mass_pair(
-                    a, s, (_conv_source(m, True), _conv_source(m, False)), Xr))
+                each(rows, lambda m, Xr: _conv_form(a, s, m, Xr))
         rows = ~done & np.all(
             kinks.distances(X)[:, :len(kinks.planes)] > 0.1, axis=1)
         if np.any(rows):

@@ -15,8 +15,10 @@ import conefrac as cf
 from conefrac import operators
 from conefrac.errors import (AccuracyError, InputDomainError,
                              NonsmoothPointError, TruncationError)
-from conefrac.operators import (_conv_L, _conv_source, _excised_L_compact,
+from conefrac.operators import (_FAR_ORDER, _FAR_RHO, _conv_L, _conv_source,
+                                _excised_L_compact, _far_pair, _far_sum,
                                 _L_field, _mass_only_L, _mass_pair)
+from conefrac.quadrature import _jump_angles_2d
 
 S = 0.5
 
@@ -304,6 +306,43 @@ class TestMassKernel:
                 np.testing.assert_array_equal(
                     got, a._eval_offsets(2.0 ** k * d, 4.0 ** k * r2))
 
+    @settings(max_examples=30, deadline=None)
+    @given(density=st.sampled_from(["constant_2d", "cone"]),
+           cx=st.floats(-2.0, 2.0), gap=st.floats(0.05, 2.0),
+           r_out=st.floats(0.1, 0.8), r_in=st.floats(0.1, 0.9),
+           alpha=st.one_of(st.none(), st.floats(0.05, 0.95)),
+           rows=st.lists(st.tuples(st.floats(0.05, _FAR_RHO),
+                                   st.integers(0, 3), st.floats(-0.15, 0.15)),
+                         min_size=1, max_size=4),
+           order=st.sampled_from([6, _FAR_ORDER]))
+    def test_far_field_expansion_within_its_remainder_bound(
+            self, density, cx, gap, r_out, r_in, alpha, rows, order):
+        # a bump, or x_N^alpha times it, clear of the plane, and rows at
+        # rho = r / |x - c| in [0.05, 1/2] within 0.15 rad of a coordinate
+        # axis through c: their windows, at most 30 degrees wide on each
+        # side, miss the cone's jump directions at +-45.6 degrees from e_1
+        # and from -e_1.  The expansion of the fine grid differs from its
+        # direct sum by at most the remainder bound, plus rounding, also at
+        # a low order, and each row is its lone-row call bit for bit
+        a = self.DENSITIES[density]
+        c = np.array([cx, r_out + gap])
+        f = cf.Bump(2, S, center=tuple(c), r_in=r_in * r_out, r_out=r_out)
+        if alpha is not None:
+            f = cf.Product(cf.HalfSpacePower(2, S, alpha=alpha), f)
+        z, wv = _conv_source(f, True)
+        X = np.array([c + r_out / rho * np.array([math.cos(ph), math.sin(ph)])
+                      for rho, k, off in rows
+                      for ph in [0.5 * math.pi * k + off]])
+        got, tail, _ = _far_sum(a, S, z, wv, c, r_out, X, order)
+        direct = _conv_L(a, S, z, wv, X)
+        rounding = 1e-13 * _conv_L(a, S, z, np.abs(wv), X)
+        assert np.all(np.abs(got - direct) <= tail + rounding)
+        for i in range(X.shape[0]):
+            one, one_tail, _ = _far_sum(a, S, z, wv, c, r_out, X[i:i + 1],
+                                        order)
+            assert one[0].hex() == got[i].hex()
+            assert one_tail[0].hex() == tail[i].hex()
+
     @pytest.mark.parametrize("s,u,X", [
         (0.3, cf.translate_truncate(cf.kelvin(0.15, 1, 0.3)), [-0.01, -0.5, -3.0]),
         # a bump clear of the boundary point: its kink points need edges
@@ -396,19 +435,68 @@ class TestRouteTable:
             alone, alone_err, _ = _excised_L_compact(const2, S, f, X[i:i + 1])
             assert (vals[i], errs[i]) == (alone[0], alone_err[0])
 
-    @pytest.mark.parametrize("density", ["const2", "cone2"])
+    @pytest.mark.parametrize("density,far,crossing", [
+        ("const2", [True, True, True, False], [False] * 4),
+        ("cone2", [True, False, True, False], [False, True, False, True]),
+    ], ids=["const2", "cone2"])
     def test_far_rows_of_a_compact_member_take_the_convolution_form(
-            self, request, cfg, density):
-        # with no sources passed in, the route table builds the member's own
-        # fine and coarse polar grids for the rows 0.35 radii or more outside
-        # its support
+            self, request, cfg, density, far, crossing):
+        # the route table builds the member's own fine and coarse polar
+        # grids for the rows 0.35 radii or more outside its support.  Rows
+        # with rho = r / |x - c| <= 1/2 (the first three) whose jump lines
+        # miss the support take the far-field expansion, within its estimate
+        # of the direct sum.  The rest keep the direct sum's values bit for
+        # bit, and its errors too, except that a cone row whose jump line
+        # meets the support (the second and the last) adds to its error
         a = request.getfixturevalue(density)
         f = cf.Bump(2, S, center=(0.0, 3.0), r_in=0.2, r_out=0.4)
         X = np.array([[0.0, 1.0], [0.5, 2.2], [1.5, 3.5], [-0.3, 3.6]])
+        far, crossing = np.array(far), np.array(crossing)
         vals, errs, nev = _L_field(a, S, f, X, cfg)
-        ref = _mass_pair(a, S, (_conv_source(f, True), _conv_source(f, False)), X)
-        assert np.array_equal(vals, ref[0]) and np.array_equal(errs, ref[1])
-        assert nev == ref[2]
+        sources = (_conv_source(f, True), _conv_source(f, False))
+        direct = _mass_pair(a, S, sources, X)
+        expanded = _far_pair(a, S, sources, np.array([0.0, 3.0]), 0.4, X[far],
+                             _FAR_ORDER)
+        assert np.array_equal(vals[far], expanded[0])
+        assert np.array_equal(errs[far], expanded[1])
+        assert np.all(np.abs(vals[far] - direct[0][far]) <= errs[far])
+        assert np.array_equal(vals[~far], direct[0][~far])
+        keep = ~far & ~crossing
+        assert np.array_equal(errs[keep], direct[1][keep])
+        assert np.all(errs[crossing] > direct[1][crossing])
+        n_fine = sources[0][0].shape[0]
+        assert nev == (expanded[2] + _mass_pair(a, S, sources, X[~far])[2]
+                       + np.count_nonzero(crossing) * n_fine)
+
+    # criterion 06's weight v: rows taking the far-field expansion, with
+    # both densities, and cone rows 1.6 to 2.6 radii from the centre whose
+    # jump line meets the support, where the fine-coarse gap alone missed
+    # by 4.6x to 8.1x
+    @pytest.mark.parametrize("density,x,kind", [
+        ("const2", (1.076, 1.231), "far"),
+        ("const2", (-0.381, 2.032), "far"),
+        ("const2", (0.657, 0.118), "far"),
+        ("const2", (-1.319, 0.287), "far"),
+        ("cone2", (1.076, 1.231), "far"),
+        ("cone2", (0.237, 2.074), "far"),
+        ("cone2", (0.344, 0.169), "crossing"),
+        ("cone2", (-0.739, 0.694), "crossing"),
+        ("cone2", (0.791, 2.031), "crossing"),
+        ("cone2", (-0.739, 1.306), "crossing"),
+    ])
+    def test_convolution_rows_cover_a_tight_polar_oracle(self, request, cfg,
+                                                         density, x, kind):
+        a = request.getfixturevalue(density)
+        v = cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                       cf.Bump(2, S, center=(0.0, 1.0), r_in=0.25, r_out=0.5))
+        w = np.array(x) - np.array([0.0, 1.0])
+        crossing = any(abs(w[0] * math.sin(ph) - w[1] * math.cos(ph)) <= 0.5
+                       for ph in _jump_angles_2d(a))
+        assert kind == ("crossing" if crossing else "far")
+        assert crossing or 0.5 <= _FAR_RHO * np.linalg.norm(w)
+        vals, errs, _ = _L_field(a, S, v, np.array([x]), cfg)
+        oracle = cf.apply_L(a, S, v, x, cfg.with_tol(1e-10, 1e-10))
+        assert abs(vals[0] - oracle.value) <= errs[0]
 
     def test_far_rows_of_a_plane_crossing_support_take_the_excision_form(
             self, const2, cfg):
