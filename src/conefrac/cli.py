@@ -501,9 +501,11 @@ def _run_rescaled(run: _Run):
     u = run.function("function.", N, s)
     out = rescaled_inequality_experiment(a, s, p, u, M, R_list,
                                          run.quad_config(), gamma0=gamma0)
-    rows = [(r.R, r.lhs, r.rhs, r.envelope_exponent) for r in out]
+    rows = [(r.R, r.lhs, r.rhs, r.envelope_exponent, r.lhs_err, r.rhs_err)
+            for r in out]
     svg = ([r[0] for r in rows], [r[1] for r in rows], "R", "lhs")
-    return ["R", "lhs", "rhs", "envelope_exponent"], rows, svg
+    return (["R", "lhs", "rhs", "envelope_exponent", "lhs_err", "rhs_err"],
+            rows, svg)
 
 
 def _run_scan(run: _Run):
@@ -515,6 +517,9 @@ def _run_scan(run: _Run):
     a = run.density(N)
     out = liouville_scan(a, s, p_grid, mode, run.quad_config(),
                          tolerance=tol)
+    for r in out:
+        if r.regime == "error":
+            print("scan: p=%.17g failed: %s" % (r.p, r.error), file=sys.stderr)
     rows = [(r.p, r.threshold, r.regime, r.alpha, r.C_alpha, r.eps_max,
              r.min_margin, r.certified) for r in out]
     head = ["p", "threshold", "regime", "alpha", "C_alpha", "eps_max",

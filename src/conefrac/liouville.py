@@ -248,13 +248,24 @@ def certify(a: SpectralDensity, s: float, p: float, u: CatalogFunction,
         raise InputDomainError(f"power must be finite and >= 1, got {p}")
     if tolerance < 0.0:
         raise InputDomainError("tolerance must be nonnegative")
+    pts = _sample_points(points, a.dim)
+    Lvals, Lerrs, _ = _L_field(a, s, u, pts, cfg)
+    return _margin_report(pts, Lvals, Lerrs, u.values(pts), p, tolerance)
+
+
+def _sample_points(points, dim: int) -> np.ndarray:
+    """The points as a nonempty, finite (n, dim) float array, or raise."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != a.dim or pts.shape[0] == 0:
+    if pts.ndim != 2 or pts.shape[1] != dim or pts.shape[0] == 0:
         raise InputDomainError("sample points must form a nonempty (n, dim) array")
     if not np.all(np.isfinite(pts)):
         raise InputDomainError("sample points must be finite")
-    Lvals, Lerrs, _ = _L_field(a, s, u, pts, cfg)
-    margins = -Lvals - u.values(pts) ** p
+    return pts
+
+
+def _margin_report(pts, Lvals, Lerrs, uvals, p, tolerance) -> CertificationReport:
+    """The report on the margins -Lu - u^p at pts, from Lu, its errors and u."""
+    margins = -Lvals - uvals ** p
     order = np.argsort(margins)
     worst = tuple(
         MarginSample(point=tuple(pts[i]), margin=float(margins[i]),
@@ -291,9 +302,11 @@ def refute_candidate_family(a: SpectralDensity, s: float, p: float,
     whole-space mode) over a grid of exponents and amplitudes.
 
     The exponents are the fractions 0.15, 0.35, 0.55, 0.75, 0.92 of the
-    admissible range below s, the amplitudes 1, 0.5, 0.1 times eps_max.  A
-    non-constant density has no closed margin path: with the default points
-    it keeps every fourth point, exponents 0.35, 0.75 and amplitudes 1, 0.1.
+    admissible range below s, the amplitudes 1, 0.5, 0.1 times eps_max.  L
+    is linear: each amplitude eps reads its margins -eps Lb - (eps b)^p
+    from one field Lb of the exponent's unit candidate b.  A non-constant
+    density has no closed margin path: with the default points it keeps
+    every fourth point and the exponents 0.35, 0.75.
 
     The check runs at zero tolerance: a candidate fails as soon as some
     sample margin is negative beyond its own evaluation error, which keeps
@@ -301,15 +314,17 @@ def refute_candidate_family(a: SpectralDensity, s: float, p: float,
     """
     if mode not in ("halfspace", "wholespace"):
         raise InputDomainError(f"unknown mode {mode!r}")
+    if not (math.isfinite(p) and p > 1.0):
+        raise InputDomainError(f"power must be finite and > 1, got {p}")
     N = a.dim
-    alpha_fracs, eps_fracs = (0.15, 0.35, 0.55, 0.75, 0.92), (1.0, 0.5, 0.1)
+    alpha_fracs = (0.15, 0.35, 0.55, 0.75, 0.92)
     if points is None:
         pts = default_certification_points(N, mode)
         if not a.is_constant:
             pts = pts[::4]
-            alpha_fracs, eps_fracs = alpha_fracs[1::2], (1.0, 0.1)
+            alpha_fracs = alpha_fracs[1::2]
     else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _sample_points(points, N)
     lo = max(0.0, 2.0 * s - 1.0) if N == 1 else 0.0
     rows = []
     for frac in alpha_fracs:
@@ -321,10 +336,11 @@ def refute_candidate_family(a: SpectralDensity, s: float, p: float,
         base: CatalogFunction = kelvin(alpha, N, s)
         if mode == "wholespace":
             base = TranslateTruncate(base)
-        for fac in eps_fracs:
+        Lb, Eb, _ = _L_field(a, s, base, pts, cfg)
+        ub = base.values(pts)
+        for fac in (1.0, 0.5, 0.1):
             eps = fac * eps_max
-            rep = certify(a, s, p, ScalarMultiple(eps, base), pts, cfg,
-                          tolerance=0.0)
+            rep = _margin_report(pts, eps * Lb, eps * Eb, eps * ub, p, 0.0)
             rows.append(CandidateRefutation(
                 alpha=float(alpha), epsilon=eps, eps_max=float(eps_max),
                 C_alpha=float(C), min_margin=rep.min_margin,

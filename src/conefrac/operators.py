@@ -190,10 +190,11 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
     x = _point(x, f.dim)
 
     if not force_numeric:
-        hit, v, e, nev = _closed_rows(a, s, f, x[None, :], cfg)
+        (core,), _, (scale,) = _family(f)
+        hit, v, e, nev = _closed_rows(a, s, core, x[None, :], cfg)
         if hit[0]:
-            return OperatorEvaluation(float(v[0]), float(e[0]), "closed_form",
-                                      tuple(float(c) for c in x), nev)
+            return OperatorEvaluation(float(scale * v[0]), float(abs(scale) * e[0]),
+                                      "closed_form", tuple(float(c) for c in x), nev)
 
     kinks = _KinkSet.of(f)
     _refuse_near(kinks, x, _REFUSE_FACTOR * _local_scale(x))
@@ -547,13 +548,14 @@ def _far_pair(a: SpectralDensity, s: float, sources, c: np.ndarray, r: float,
             kf * (zf.shape[0] + X.shape[0]) + kc * (zc.shape[0] + X.shape[0]))
 
 
-def _cut_cell_bound(a: ConePlateauDensity, s: float, z: np.ndarray,
+def _cut_cell_bound(a: SpectralDensity, s: float, z: np.ndarray,
                     wv: np.ndarray, lines: np.ndarray, h: float,
                     X: np.ndarray) -> np.ndarray:
     """A bound on what the polar source grid (z, wv) misses at each row x
-    of X when the plateau's jump lines through x cut its cells: 2 |inside -
-    outside| sum_j |wv_j| |z_j - x|^(-N-2s) over the nodes within h, a
-    cell diameter, of such a line, that is, the jump times the mass of the
+    of X when the density's jump lines through x cut its cells: 2 J
+    sum_j |wv_j| |z_j - x|^(-N-2s) over the nodes within h, a cell
+    diameter, of such a line, with J the jump (|inside - outside| for a
+    plateau, else a.upper_bound), that is, the jump times the mass of the
     cells the line may cut.  Both grids misplace the step, by amounts whose
     gap can be small by chance, so that gap alone is no bound here."""
     out = np.empty(X.shape[0])
@@ -568,7 +570,9 @@ def _cut_cell_bound(a: ConePlateauDensity, s: float, z: np.ndarray,
             cut |= np.abs(d[0] * th[1] - d[1] * th[0]) <= h
         kern = np.where(cut, _sum_squares(d) ** (-1.0 - s), 0.0)
         out[i:i + step] = (kern * awv).sum(axis=1)
-    return 2.0 * abs(a.inside - a.outside) * out
+    jump = (abs(a.inside - a.outside) if isinstance(a, ConePlateauDensity)
+            else a.upper_bound)
+    return 2.0 * jump * out
 
 
 def _conv_form(a: SpectralDensity, s: float, f: CatalogFunction,
@@ -581,22 +585,21 @@ def _conv_form(a: SpectralDensity, s: float, f: CatalogFunction,
     (_far_pair) when a is constant, or a cone plateau whose jump lines
     through x miss the disc, that is, whose jump directions lie outside the
     window within asin(rho) of c - x.  Every other row, and every row of a
-    custom density, takes the direct sum _mass_pair.  A plateau row whose
-    jump line meets the disc adds _cut_cell_bound over the fine grid to its
-    error."""
+    custom density, takes the direct sum _mass_pair.  A row whose jump line
+    meets the disc, for any density that declares jumps, adds
+    _cut_cell_bound over the fine grid to its error."""
     ball = f.support_ball
     c = np.asarray(ball.center, dtype=float)
     r = float(ball.radius)
     sources = (_conv_source(f, True), _conv_source(f, False))
     wr = X - c[None, :]
-    plateau = isinstance(a, ConePlateauDensity)
     # the jump directions, each line through x twice
-    ang = np.asarray(_jump_angles_2d(a) if plateau else [])
+    ang = np.asarray(_jump_angles_2d(a))
     lines = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     crossing = np.zeros(X.shape[0], dtype=bool)
     for th in lines:
         crossing |= np.abs(wr[:, 0] * th[1] - wr[:, 1] * th[0]) <= r
-    far = ((a.is_constant or plateau) & ~crossing
+    far = ((a.is_constant or isinstance(a, ConePlateauDensity)) & ~crossing
            & (r <= _FAR_RHO * np.sqrt(wr[:, 0] ** 2 + wr[:, 1] ** 2)))
     vals, errs = np.empty(X.shape[0]), np.empty(X.shape[0])
     nev = 0
@@ -617,18 +620,6 @@ def _conv_form(a: SpectralDensity, s: float, f: CatalogFunction,
     return vals, errs, nev
 
 
-def _tt_kelvin_parts(f: CatalogFunction):
-    """(scale, inner power) when f is a translate-truncation of a scaled
-    decaying half-space power, else None."""
-    scale, core = _unwrap_scale(f)
-    if not isinstance(core, TranslateTruncate):
-        return None
-    s2, inner = _unwrap_scale(core.f)
-    if isinstance(inner, KelvinHalfSpacePower):
-        return scale * s2, inner
-    return None
-
-
 def _kelvin_closed_batch(a: SpectralDensity, s: float, alpha: float,
                          X: np.ndarray, cfg: QuadratureConfig, q: float = 0.0):
     """C_alpha x_N^(alpha - 2s) |x|^(-q) at upper points, vectorized: L of
@@ -641,24 +632,22 @@ def _kelvin_closed_batch(a: SpectralDensity, s: float, alpha: float,
 
 def _closed_rows(a: SpectralDensity, s: float, f: CatalogFunction,
                  X: np.ndarray, cfg: QuadratureConfig):
-    """The rows of X where Lf has an exact closed form, with their values,
-    errors and evaluations: every row of a constant or of a zero multiple,
-    the upper rows of a half-space power and, for a constant density, of the
-    decaying half-space power."""
-    scale, core = _unwrap_scale(f)
+    """The rows of X where Lf has an exact closed form, for f no scalar
+    multiple, with their values, errors and evaluations: every row of a
+    constant, the upper rows of a half-space power and, for a constant
+    density, of the decaying half-space power."""
     n = X.shape[0]
-    if isinstance(core, (Zero, Constant)) or scale == 0.0:
+    if isinstance(f, (Zero, Constant)):
         return np.ones(n, dtype=bool), np.zeros(n), np.zeros(n), 0
     q = None
-    if isinstance(core, HalfSpacePower):
+    if isinstance(f, HalfSpacePower):
         q = 0.0
-    elif isinstance(core, KelvinHalfSpacePower) and a.is_constant:
-        q = core.radial_exponent
+    elif isinstance(f, KelvinHalfSpacePower) and a.is_constant:
+        q = f.radial_exponent
     hit = (X[:, -1] > 0.0) & (q is not None)
     if not np.any(hit):
         return hit, np.empty(0), np.empty(0), 0
-    v, e, nev = _kelvin_closed_batch(a, s, core.alpha, X[hit], cfg, q)
-    return hit, scale * v, abs(scale) * e, nev
+    return (hit, *_kelvin_closed_batch(a, s, f.alpha, X[hit], cfg, q))
 
 
 _SLAB_SPAN = 600.0
@@ -680,12 +669,11 @@ def _slab_source(k: KelvinHalfSpacePower, fine: bool):
     return z, w
 
 
-def _tt_kelvin_L(a: SpectralDensity, s: float, scale: float,
-                 k: KelvinHalfSpacePower, X: np.ndarray,
-                 cfg: QuadratureConfig):
+def _tt_kelvin_L(a: SpectralDensity, s: float, k: KelvinHalfSpacePower,
+                 cfg: QuadratureConfig, X: np.ndarray):
     """L of the translate-truncated decaying power at upper points: the
     shifted closed form minus the convolution against the slab that the
-    truncation removed."""
+    truncation removed (X fifth: bench/tracing.py counts its rows there)."""
     shift = np.zeros(X.shape[1])
     shift[-1] = 1.0
     Xs = X + shift[None, :]
@@ -696,9 +684,7 @@ def _tt_kelvin_L(a: SpectralDensity, s: float, scale: float,
     q = k.dim - 2.0 * k.s + 2.0 * k.alpha
     tail = (4.0 * a.upper_bound * 2.0 ** (k.dim + 2.0 * s)
             / (k.alpha + 1.0)) * _SLAB_SPAN ** (-(q + 2.0 * s)) / (q + 2.0 * s)
-    vals = scale * (base - slab)
-    errs = abs(scale) * (base_err + slab_err + tail)
-    return vals, errs, nev + n_slab
+    return base - slab, base_err + slab_err + tail, nev + n_slab
 
 
 def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
@@ -767,15 +753,17 @@ def _density_angular_moments(a: SpectralDensity):
 
 def _family(f: CatalogFunction | tuple):
     """The members of f, a catalog function or a tuple of them (a family),
-    and the factor g that a family's members share (None for a function).
+    unscaled (a zero multiple becomes Zero), the factor g that a family's
+    members share (None for a function), and each member's scale, (k,).
 
     Each family member is a product x_N^alpha_j g of a half-space power and
     g, in that order, optionally scaled by a nonzero factor; members that do
-    not share g raise InputDomainError.  A zero multiple is refused: its L
+    not share g raise InputDomainError.  A zero member is refused: its L
     is the closed form 0, which no family route takes."""
     if not isinstance(f, tuple):
-        return (f,), None
-    gs = []
+        scale, core = _unwrap_scale(f)
+        return (core if scale else Zero(f.dim, f.s),), None, np.array([scale])
+    members, scales = [], []
     for m in f:
         scale, core = _unwrap_scale(m)
         if not (scale != 0.0 and isinstance(core, Product)
@@ -783,30 +771,11 @@ def _family(f: CatalogFunction | tuple):
             raise InputDomainError(
                 "a family member is a nonzero multiple of a half-space power "
                 "times a common factor")
-        gs.append(core.g)
-    if not gs or any(g != gs[0] for g in gs):
+        members.append(core)
+        scales.append(scale)
+    if not members or any(m.g != members[0].g for m in members):
         raise InputDomainError("the members of a family must share one factor")
-    return f, gs[0]
-
-
-def _member_values(members, g, P: np.ndarray):
-    """Each member's values at the points P, one array at a time.  A
-    family's common factor g is evaluated once and each member's power is
-    multiplied by it, then scaled, in the order of the member's own
-    values(), so each array equals member.values(P) bit for bit."""
-    if g is None:
-        yield members[0].values(P)
-        return
-    gv = g.values(P)
-    for m in members:
-        scales = []
-        while isinstance(m, ScalarMultiple):
-            scales.append(m.epsilon)
-            m = m.f
-        v = m.f.values(P) * gv
-        for eps in reversed(scales):
-            v = eps * v
-        yield v
+    return tuple(members), members[0].g, np.array(scales)
 
 
 def _excised_L_compact(a: SpectralDensity, s: float,
@@ -819,12 +788,13 @@ def _excised_L_compact(a: SpectralDensity, s: float,
     Rows of one reach share a grid pair, and each row is summed on its own:
     a row's value does not depend on the rest of its batch.
 
-    f may be a family (see _family): each chunk then builds its x-centred
-    nodes, the density and the radial weights once, evaluates the common
-    factor once and each power once, and sums one row per member, giving
-    (k, n) arrays equal to the members' own calls.  The evaluation count is
-    the sum of theirs."""
-    members, g = _family(f)
+    f may be a family of unscaled members (see _family): each chunk then
+    builds its x-centred nodes, the density and the radial weights once,
+    evaluates the common factor once and each power once, and sums one row
+    per member, giving (k, n) arrays equal to the members' own calls.  The
+    evaluation count is the sum of theirs."""
+    members = f if isinstance(f, tuple) else (f,)
+    g = f[0].g if isinstance(f, tuple) else None
     ball = members[0].support_ball
     c = np.asarray(ball.center, dtype=float)
     reach = np.exp2(np.ceil(np.log2(
@@ -859,15 +829,21 @@ def _excised_L_compact(a: SpectralDensity, s: float,
         step = max(1, 500_000 // (rr.size * ang.size))
         for i in range(0, Xr.shape[0], step):
             Xi = Xr[i:i + step]
-            # coordinates lead, as in _conv_L; f sees an (n, 2) view
+            # coordinates lead, as in _conv_L; f sees an (n, 2) view.  A
+            # family's g is evaluated once, and a power times it gives the
+            # member's values() bit for bit
             Z = (np.ascontiguousarray(Xi.T)[:, :, None, None]
                  + rr[None, None, :, None] * th_t[:, None, None, :])
-            for j, fv in enumerate(_member_values(members, g,
-                                                  Z.reshape(2, -1).T)):
+            P = Z.reshape(2, -1).T
+            gv = None if g is None else g.values(P)
+            for j, m in enumerate(members):
+                fv = m.values(P) if g is None else m.f.values(P) * gv
                 fv = fv.reshape(Xi.shape[0], rr.size, ang.size)
                 out[j, i:i + step] = 2.0 * np.einsum(
                     "r,a,kra->k", kern, wav,
                     fv - f0r[j, i:i + step, None, None])
+            # free this chunk's points and g before the next chunk's exist
+            del P, gv
         tail = -2.0 * f0r * mass * rmax ** (-ts2) / ts2
         return near + out + tail, f0r.size * rr.size * ang.size
 
@@ -903,17 +879,6 @@ def _cluster_edges(lo: float, hi: float, base_step: float, anchor: float,
     offs = np.asarray(offs)
     return _merge_edges([np.linspace(lo, hi, n + 1), anchor - offs, anchor + offs],
                         lo, hi)
-
-
-def _complement_parts(f: CatalogFunction):
-    """(scale, exponent, bump) when f is a scaled product of a half-space
-    power and a bump, in that order, whose support fits inside the plate
-    (beyond it the frames take the bump's complement as one), else None."""
-    scale, core = _unwrap_scale(f)
-    if (isinstance(core, Product) and isinstance(core.f, HalfSpacePower)
-            and isinstance(core.g, Bump) and core.g.r_out <= _PLATE_SPAN):
-        return scale, core.f.alpha, core.g
-    return None
 
 
 def _times_powers(w: np.ndarray, zn: np.ndarray, alpha) -> np.ndarray:
@@ -1052,15 +1017,19 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
        (_far_pair) when a is constant, or a cone plateau none of whose jump
        directions lies within asin(rho) of c - x; the others the direct
        sum (_mass_pair), with a cut-cell bound added to the error of a
-       plateau point whose jump line meets the support;
+       point whose jump line (of any density) meets the support;
     5. the excision form (_excised_L_compact): other points of a compact f
        in N = 2 farther than 0.1 from every kink plane;
     6. the complement form (_complement_L): the remaining upper points of a
-       scaled product of a half-space power and a bump in N = 2 that lie
-       0.044 or more inside the bump's plateau;
+       product of a half-space power and a bump in N = 2 that lie 0.044 or
+       more inside the bump's plateau;
     7. the polar evaluation, apply_L(..., strict=False), point by point.
     A route's kernel runs only when some point takes it.  Returns (values,
     error estimates, evaluations).
+
+    L is linear: the routes see a scalar multiple's unscaled function
+    (_family), whose values and errors are scaled by eps and |eps| at the
+    end; a zero multiple's is Zero.
 
     f may also be a family: a tuple of nonzero multiples of products
     x_N^alpha_j g that share the factor g (see _family).  The rows are then
@@ -1072,7 +1041,7 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
     closed form or translate-truncation (routes 1, 2).  Values and errors
     are then (k, n), each row what its member alone gives, bit for bit, and
     the evaluations are the members' summed."""
-    members, g = _family(f)
+    members, g, scales = _family(f)
     lead = members[0]
     n = X.shape[0]
     vals = np.empty((len(members), n))
@@ -1092,12 +1061,12 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
              np.stack([o[1] for o in out]), sum(o[2] for o in out))
 
     if g is None:
-        take(*_closed_rows(a, s, f, X, cfg))
-        tt = _tt_kelvin_parts(f)
-        if tt is not None and a.is_constant:
+        take(*_closed_rows(a, s, lead, X, cfg))
+        if (isinstance(lead, TranslateTruncate) and a.is_constant
+                and isinstance(lead.f, KelvinHalfSpacePower)):
             rows = ~done & (X[:, -1] > 0.0)
             if np.any(rows):
-                take(rows, *_tt_kelvin_L(a, s, tt[0], tt[1], X[rows], cfg))
+                take(rows, *_tt_kelvin_L(a, s, lead.f, cfg, X[rows]))
     if (lead.vanishes_lower_halfspace and lead.far_field is not None
             and X.shape[1] <= 2):
         rows = ~done & (X[:, -1] < 0.0)
@@ -1115,21 +1084,24 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
         rows = ~done & np.all(
             kinks.distances(X)[:, :len(kinks.planes)] > 0.1, axis=1)
         if np.any(rows):
-            take(rows, *_excised_L_compact(a, s, f, X[rows]))
-    parts = _complement_parts(lead)
-    if parts is not None and X.shape[1] == 2:
-        bump = parts[2]
+            take(rows, *_excised_L_compact(
+                a, s, lead if g is None else members, X[rows]))
+    # route 6 takes a bump whose support fits inside the plate (beyond it
+    # the frames take the bump's complement as one)
+    bump = lead.g if isinstance(lead, Product) else None
+    if (isinstance(bump, Bump) and isinstance(lead.f, HalfSpacePower)
+            and bump.r_out <= _PLATE_SPAN and X.shape[1] == 2):
         rho = np.linalg.norm(X - np.asarray(bump.center)[None, :], axis=1)
         rows = ~done & (X[:, -1] > 0.0) & (bump.r_in - rho >= 0.044)
         if np.any(rows):
-            scales, alphas, _ = zip(*map(_complement_parts, members))
-            v, e, k = _complement_L(a, s, alphas, bump, X[rows], cfg)
-            scales = np.array(scales)[:, None]
-            take(rows, scales * v, np.abs(scales) * e, k)
+            take(rows, *_complement_L(a, s, tuple(m.f.alpha for m in members),
+                                      bump, X[rows], cfg))
     for i in np.nonzero(~done)[0]:
         rs = [apply_L(a, s, m, X[i], cfg, strict=False) for m in members]
         take(i, [r.value for r in rs], [r.abs_error_estimate for r in rs],
              sum(r.n_evals for r in rs))
+    vals *= scales[:, None]
+    errs *= np.abs(scales)[:, None]
     if g is None:
         return vals[0], errs[0], nev
     return vals, errs, nev

@@ -665,8 +665,9 @@ def sphere_quadrature(a: SpectralDensity, g, cfg: QuadratureConfig = DEFAULT_CON
     the declared jumps of a; N = 3 uses a polar/azimuthal product rule; N >= 4
     uses seeded antithetic Monte Carlo, whose error is a 3 sigma spread plus
     the node errors, not a bound.  ``kink_normals`` lists unit vectors w such
-    that g loses smoothness on the great circle {theta . w = 0};
-    ``graded_dirs`` lists directions toward point singularities of g.
+    that g loses smoothness on the great circle {theta . w = 0}.  N = 2
+    grades panels toward ``graded_dirs`` (kink-sphere centres, in the polar
+    route) and deeper toward ``strong_dirs`` (its point singularities).
     """
     if node_eval is None:
         def node_eval(thetas: np.ndarray):

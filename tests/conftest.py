@@ -16,6 +16,14 @@ def cone2():
 
 
 @pytest.fixture(scope="session")
+def custom2():
+    # cone2's weight as a custom density that declares where it jumps
+    return cf.CustomDensity(
+        2, evaluator=lambda th: np.where(np.abs(th[:, 0]) >= 0.7, 1.0, 0.25),
+        jumps=(0.7,), axis=(1.0, 0.0))
+
+
+@pytest.fixture(scope="session")
 def cfg():
     return DEFAULT_CONFIG
 

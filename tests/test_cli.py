@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import conefrac
+from conefrac import liouville
 from conefrac.cli import _QUAD, _Run, main
+from conefrac.errors import AccuracyError
 from conefrac.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
@@ -155,6 +157,33 @@ class TestScanSubcommand:
         code, _ = run_cli(tmp_path, "scan", "--s", "0.5",
                           "--p", "1.8", "--expect", "certified=false")
         assert code == 3
+
+    def test_error_rows_are_named_on_stderr(self, tmp_path, monkeypatch,
+                                            capsys):
+        def fail(*args, **kwargs):
+            raise AccuracyError("budget exhausted")
+
+        monkeypatch.setattr(liouville, "construct_supersolution", fail)
+        code, out = run_cli(tmp_path, "scan", "--s", "0.5", "--p", "1.2,1.8")
+        assert code == 0
+        _, rows, _ = read_csv(out / "scan.csv")
+        assert [r[2] for r in rows] == ["kelvin", "error"]
+        err = capsys.readouterr().err
+        assert "p=1.8" in err and "AccuracyError: budget exhausted" in err
+        assert "p=1.2" not in err
+
+
+class TestRescaledSubcommand:
+    def test_rows_carry_both_errors(self, tmp_path):
+        code, out = run_cli(tmp_path, "rescaled", "--s", "0.5", "--p", "1.5",
+                            "--R", "0.5,2")
+        assert code == 0
+        head, rows, _ = read_csv(out / "rescaled.csv")
+        assert head[-2:] == ["lhs_err", "rhs_err"]
+        for r in rows:
+            lhs_err, rhs_err = float(r[-2]), float(r[-1])
+            assert 0.0 <= lhs_err <= 1e-2 * abs(float(r[1]))
+            assert 0.0 <= rhs_err <= 1e-2 * abs(float(r[2]))
 
 
 class TestStepOneSubcommand:

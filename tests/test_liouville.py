@@ -135,6 +135,42 @@ class TestRefutation:
         alphas = sorted({r.alpha for r in rows})
         assert alphas == pytest.approx([f * 0.5 for f in (0.15, 0.35, 0.55, 0.75, 0.92)])
 
+    @pytest.mark.parametrize("density,mode,points", [
+        ("const2", "halfspace", None),
+        ("const2", "wholespace", None),
+        ("cone2", "halfspace", [[0.3, 0.5], [0.2, -0.7]]),
+    ], ids=["const2-halfspace", "const2-wholespace", "cone2-points"])
+    def test_rows_equal_certify_of_each_multiple(self, request, cfg, density,
+                                                 mode, points):
+        # one field per exponent serves all three amplitudes: each row is
+        # what certify gives for that multiple of the unit candidate
+        a = request.getfixturevalue(density)
+        rows = cf.refute_candidate_family(a, 0.5, 1.5, mode, points=points,
+                                          cfg=cfg)
+        pts = (cf.default_certification_points(2, mode) if points is None
+               else np.array(points))
+        assert len(rows) == 15
+        for r in rows:
+            base = cf.kelvin(r.alpha, 2, 0.5)
+            if mode == "wholespace":
+                base = cf.translate_truncate(base)
+            rep = cf.certify(a, 0.5, 1.5, cf.ScalarMultiple(r.epsilon, base),
+                             pts, cfg, tolerance=0.0)
+            assert r.min_margin.hex() == rep.min_margin.hex()
+            assert r.argmin == rep.argmin
+            assert r.certified == rep.certified
+
+    @pytest.mark.parametrize("p,points", [
+        (1.0, None), (math.nan, None), (math.inf, None), (0.5, None),
+        (1.5, [[0.0, math.nan]]), (1.5, [[0.0, 1.0, 2.0]]),
+        (1.5, np.zeros((0, 2))), (1.5, np.ones((2, 2, 2))),
+    ], ids=["p_one", "p_nan", "p_inf", "p_half", "nonfinite_point",
+            "three_coordinates", "no_points", "three_axes"])
+    def test_inputs_are_validated(self, const2, cfg, p, points):
+        with pytest.raises(InputDomainError):
+            cf.refute_candidate_family(const2, 0.5, p, "halfspace",
+                                       points=points, cfg=cfg)
+
 
 class TestScan:
     def test_constant_density_rows(self, const2, cfg):

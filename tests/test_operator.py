@@ -471,7 +471,8 @@ class TestRouteTable:
     # criterion 06's weight v: rows taking the far-field expansion, with
     # both densities, and cone rows 1.6 to 2.6 radii from the centre whose
     # jump line meets the support, where the fine-coarse gap alone missed
-    # by 4.6x to 8.1x
+    # by 4.6x to 8.1x.  The same rows with cone2's weight as a custom
+    # density need the cut-cell bound just as much
     @pytest.mark.parametrize("density,x,kind", [
         ("const2", (1.076, 1.231), "far"),
         ("const2", (-0.381, 2.032), "far"),
@@ -483,6 +484,10 @@ class TestRouteTable:
         ("cone2", (-0.739, 0.694), "crossing"),
         ("cone2", (0.791, 2.031), "crossing"),
         ("cone2", (-0.739, 1.306), "crossing"),
+        ("custom2", (0.344, 0.169), "crossing"),
+        ("custom2", (-0.739, 0.694), "crossing"),
+        ("custom2", (0.791, 2.031), "crossing"),
+        ("custom2", (-0.739, 1.306), "crossing"),
     ])
     def test_convolution_rows_cover_a_tight_polar_oracle(self, request, cfg,
                                                          density, x, kind):
@@ -497,6 +502,72 @@ class TestRouteTable:
         vals, errs, _ = _L_field(a, S, v, np.array([x]), cfg)
         oracle = cf.apply_L(a, S, v, x, cfg.with_tol(1e-10, 1e-10))
         assert abs(vals[0] - oracle.value) <= errs[0]
+
+    # route kernels, each counted by the name _L_field calls it under
+    KERNELS = ("_closed_rows", "_tt_kelvin_L", "_mass_only_L", "_conv_source",
+               "_excised_L_compact", "_complement_L", "apply_L")
+
+    @pytest.mark.parametrize("density,f,X,kernel", [
+        ("const2", cf.HalfSpacePower(2, S, alpha=0.3), [[0.3, 0.8], [1.1, 0.2]],
+         "_closed_rows"),
+        ("const2", cf.translate_truncate(cf.kelvin(0.25, 2, S)),
+         [[0.3, 0.8], [0.7, 2.0]], "_tt_kelvin_L"),
+        ("const2", cf.kelvin(0.25, 2, S), [[0.7, -1.3], [-0.4, -0.6]],
+         "_mass_only_L"),
+        ("cone2", cf.Bump(2, S, center=(0.0, 3.0), r_in=0.2, r_out=0.4),
+         [[0.0, 1.0], [0.5, 2.2]], "_conv_source"),
+        ("const2", cf.Bump(2, S, center=(0.0, 3.0), r_in=0.2, r_out=0.4),
+         [[0.1, 3.1]], "_excised_L_compact"),
+        ("const2", cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                              cf.Bump(2, S, center=(0.0, 0.75), r_in=0.875,
+                                      r_out=1.0)),
+         [[0.2, 0.05]], "_complement_L"),
+        ("const2", cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                              cf.Bump(2, S, center=(0.0, 0.75), r_in=0.875,
+                                      r_out=1.0)),
+         [[1.1, 0.05]], "apply_L"),
+    ], ids=["closed", "tt_kelvin", "mass_only", "convolution", "excision",
+            "complement", "polar"])
+    def test_a_scalar_multiple_routes_its_unscaled_function(
+            self, monkeypatch, request, cfg, density, f, X, kernel):
+        # L is linear: the route table evaluates the unscaled function once
+        # and scales its rows, values by eps and errors by |eps|, bit for
+        # bit, with the same kernel calls; a zero multiple is the zero
+        # function, whose closed form costs nothing
+        a = request.getfixturevalue(density)
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        X = np.array(X)
+        calls = dict.fromkeys(self.KERNELS, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def field(g):
+            calls.update(dict.fromkeys(self.KERNELS, 0))
+            with monkeypatch.context() as m:
+                for name in self.KERNELS:
+                    m.setattr(operators, name,
+                              counted(name, getattr(operators, name)))
+                out = _L_field(a, S, g, X, loose)
+            return out, {k: v for k, v in calls.items() if v}
+
+        (vals, errs, nev), routes = field(f)
+        assert calls[kernel] > 0
+        for g, eps in ((cf.ScalarMultiple(-2.7, f), -2.7),
+                       (cf.ScalarMultiple(-0.7, cf.ScalarMultiple(3.0, f)),
+                        -0.7 * 3.0)):
+            (sv, se, sn), s_routes = field(g)
+            np.testing.assert_array_equal((vals * eps).view(np.int64),
+                                          sv.view(np.int64))
+            np.testing.assert_array_equal((errs * abs(eps)).view(np.int64),
+                                          se.view(np.int64))
+            assert (sn, s_routes) == (nev, routes)
+        (zv, ze, zn), z_routes = field(cf.ScalarMultiple(0.0, f))
+        assert not np.any(zv) and not np.any(ze) and zn == 0
+        assert set(z_routes) <= {"_closed_rows"}
 
     def test_far_rows_of_a_plane_crossing_support_take_the_excision_form(
             self, const2, cfg):
