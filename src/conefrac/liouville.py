@@ -74,9 +74,13 @@ __all__ = [
 # critical exponents and envelope exponents
 # --------------------------------------------------------------------------
 
-def _check_N_s(N: int, s: float) -> None:
+def _check_N(N: int) -> None:
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise InputDomainError(f"dimension must be a positive integer, got {N}")
+
+
+def _check_N_s(N: int, s: float) -> None:
+    _check_N(N)
     if not (0.0 < s < 1.0):
         raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
 
@@ -210,6 +214,7 @@ def default_certification_points(N: int, mode: str = "halfspace") -> np.ndarray:
     every scale; the axial tail reaches far enough to expose amplitudes
     whose first failure sits deep in the far field.  Whole-space mode mirrors
     a subset below the boundary plane."""
+    _check_N(N)
     if mode not in ("halfspace", "wholespace"):
         raise InputDomainError(f"unknown mode {mode!r}")
     heights = np.geomspace(1e-2, 10.0, 14)
@@ -735,7 +740,8 @@ def liouville_scan(a: SpectralDensity, s: float, p_grid, mode: str,
     own mass.  Construction is only available for constant densities; rows
     for anisotropic densities above threshold record that.  Per-row errors
     are recorded in the row (regime "error", with the exception's class and
-    message in ``error``) rather than aborting the scan.
+    message in ``error``) rather than aborting the scan; malformed points
+    raise InputDomainError before any row is computed.
     """
     if mode not in ("halfspace", "wholespace"):
         raise InputDomainError(f"unknown mode {mode!r}")
@@ -749,7 +755,7 @@ def liouville_scan(a: SpectralDensity, s: float, p_grid, mode: str,
     if points is None:
         all_pts = default_certification_points(N, mode)
     else:
-        all_pts = np.atleast_2d(np.asarray(points, dtype=float))
+        all_pts = _sample_points(points, N)
     upper_pts = all_pts[all_pts[:, -1] > 0.0]
     nan = float("nan")
     rows = []

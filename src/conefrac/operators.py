@@ -107,14 +107,6 @@ def _check_match(a: SpectralDensity, s: float, f: CatalogFunction) -> None:
         raise InputDomainError("function was built for a different order")
 
 
-def _unwrap_scale(f: CatalogFunction):
-    scale = 1.0
-    while isinstance(f, ScalarMultiple):
-        scale *= f.epsilon
-        f = f.f
-    return scale, f
-
-
 def _local_scale(x: np.ndarray) -> float:
     return max(1.0, float(np.linalg.norm(x)))
 
@@ -274,10 +266,8 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
         raise InputDomainError("factor dimensions differ")
     x = _point(x, g.dim)
 
-    sg, gcore = _unwrap_scale(g)
-    sh, hcore = _unwrap_scale(h)
-    if isinstance(gcore, (Zero, Constant)) or isinstance(hcore, (Zero, Constant)) \
-            or sg == 0.0 or sh == 0.0:
+    # l vanishes when either factor is constant; a zero multiple is Zero
+    if any(isinstance(_family(u)[0][0], (Zero, Constant)) for u in (g, h)):
         return OperatorEvaluation(0.0, 0.0, "closed_form",
                                   tuple(float(c) for c in x))
 
@@ -752,49 +742,54 @@ def _density_angular_moments(a: SpectralDensity):
 
 
 def _family(f: CatalogFunction | tuple):
-    """The members of f, a catalog function or a tuple of them (a family),
-    unscaled (a zero multiple becomes Zero), the factor g that a family's
-    members share (None for a function), and each member's scale, (k,).
+    """f in the one form the route kernels take: a tuple of unscaled members
+    (a zero multiple becomes Zero), their common factor g, and each member's
+    scale, (k,).  A catalog function is one member with g None.  No other
+    code reads a ScalarMultiple or tells a function from a family.
 
-    Each family member is a product x_N^alpha_j g of a half-space power and
-    g, in that order, optionally scaled by a nonzero factor; members that do
-    not share g raise InputDomainError.  A zero member is refused: its L
-    is the closed form 0, which no family route takes."""
-    if not isinstance(f, tuple):
-        scale, core = _unwrap_scale(f)
-        return (core if scale else Zero(f.dim, f.s),), None, np.array([scale])
+    Each member of a family (a tuple) is a product x_N^alpha_j g of a
+    half-space power and g, in that order, optionally scaled by a nonzero
+    factor; members that do not share g raise InputDomainError.  A zero
+    member is refused: its L is the closed form 0, which no family route
+    takes."""
+    family = isinstance(f, tuple)
     members, scales = [], []
-    for m in f:
-        scale, core = _unwrap_scale(m)
-        if not (scale != 0.0 and isinstance(core, Product)
-                and isinstance(core.f, HalfSpacePower)):
-            raise InputDomainError(
-                "a family member is a nonzero multiple of a half-space power "
-                "times a common factor")
-        members.append(core)
+    for m in f if family else (f,):
+        scale = 1.0
+        while isinstance(m, ScalarMultiple):
+            scale *= m.epsilon
+            m = m.f
+        members.append(m if scale else Zero(m.dim, m.s))
         scales.append(scale)
+    if not family:
+        return tuple(members), None, np.array(scales)
+    if not all(isinstance(m, Product) and isinstance(m.f, HalfSpacePower)
+               for m in members):
+        raise InputDomainError(
+            "a family member is a nonzero multiple of a half-space power "
+            "times a common factor")
     if not members or any(m.g != members[0].g for m in members):
         raise InputDomainError("the members of a family must share one factor")
     return tuple(members), members[0].g, np.array(scales)
 
 
-def _excised_L_compact(a: SpectralDensity, s: float,
-                       f: CatalogFunction | tuple, X: np.ndarray):
-    """Lf at points where f is twice differentiable, for compact f: the ball
-    |y| < delta contributes its Hessian quadratic in closed form, the rest is
-    an x-centered polar integral of f(z) - f(x) out to the row's reach, the
-    power of two at or above the farthest support point from x, with the
-    analytic tail beyond it added exactly.  Two resolutions give the error.
-    Rows of one reach share a grid pair, and each row is summed on its own:
-    a row's value does not depend on the rest of its batch.
+def _excised_L_compact(a: SpectralDensity, s: float, members: tuple,
+                       X: np.ndarray, g: CatalogFunction | None):
+    """L of each compact member at points where it is twice differentiable:
+    the ball |y| < delta contributes its Hessian quadratic in closed form,
+    the rest is an x-centered polar integral of f(z) - f(x) out to the row's
+    reach, the power of two at or above the farthest support point from x,
+    with the analytic tail beyond it added exactly.  Two resolutions give the
+    error.  Rows of one reach share a grid pair, and each row is summed on
+    its own: a row's value does not depend on the rest of its batch.
 
-    f may be a family of unscaled members (see _family): each chunk then
-    builds its x-centred nodes, the density and the radial weights once,
-    evaluates the common factor once and each power once, and sums one row
-    per member, giving (k, n) arrays equal to the members' own calls.  The
-    evaluation count is the sum of theirs."""
-    members = f if isinstance(f, tuple) else (f,)
-    g = f[0].g if isinstance(f, tuple) else None
+    members and g are _family's unscaled members and their common factor
+    (a one-member tuple and None for a single function).  Each chunk builds
+    its x-centred nodes, the density and the radial weights once, evaluates
+    g once and each power once, and sums one row per member, giving (k, n)
+    arrays, each row what that member alone gives.  The evaluation count is
+    the sum of the members' own.  X stays fourth: bench/tracing.py counts
+    this layer's rows there."""
     ball = members[0].support_ball
     c = np.asarray(ball.center, dtype=float)
     reach = np.exp2(np.ceil(np.log2(
@@ -855,8 +850,6 @@ def _excised_L_compact(a: SpectralDensity, s: float,
         v2, n2 = run(rows, rmax, 0.01, 26, 1.7, 4)
         vals[:, rows], errs[:, rows] = v1, np.abs(v1 - v2)
         nev += n1 + n2
-    if g is None:
-        return vals[0], errs[0], nev
     return vals, errs, nev
 
 
@@ -881,20 +874,12 @@ def _cluster_edges(lo: float, hi: float, base_step: float, anchor: float,
                         lo, hi)
 
 
-def _times_powers(w: np.ndarray, zn: np.ndarray, alpha) -> np.ndarray:
-    """w times zn^alpha, or one such row per exponent when alpha is a tuple:
-    (m,) or (k, m), each row as the single exponent gives it."""
-    if isinstance(alpha, tuple):
-        return np.stack([w * zn ** al for al in alpha])
-    return w * zn ** alpha
-
-
-def _frame_mesh(c: np.ndarray, alpha, g: int, zn_ratio: float, n1p: int):
+def _frame_mesh(c: np.ndarray, alphas: tuple, g: int, zn_ratio: float,
+                n1p: int):
     """Quadrature nodes on the dyadic frames beyond the plate around c,
-    frame by frame, their weights times z_N^alpha (the bump's complement is
-    identically one out there; one weight row per exponent when alpha is a
-    tuple) and the node index at which each frame starts, with the node
-    count appended."""
+    frame by frame, their weights times z_N^alpha, one row per exponent,
+    (k, m) (the bump's complement is identically one out there), and the
+    node index at which each frame starts, with the node count appended."""
     c1, cn = c
     zs, ws, starts = [], [], [0]
     for j in range(_N_FRAMES):
@@ -913,15 +898,15 @@ def _frame_mesh(c: np.ndarray, alpha, g: int, zn_ratio: float, n1p: int):
         ws.append(w)
         starts.append(sum(wi.size for wi in ws))
     z, w = np.concatenate(zs), np.concatenate(ws)
-    return z, _times_powers(w, z[:, 1], alpha), starts
+    return z, np.stack([w * z[:, 1] ** al for al in alphas]), starts
 
 
 def _frame_sums(a: SpectralDensity, s: float, X: np.ndarray, mesh):
     """Mass of the frames beyond the plate at each row of X, completed by
-    _epsilon_limit: values and errors, (n,) or (k, n) as the mesh has one
-    weight row or k, and the node-point pairs summed."""
+    _epsilon_limit: values and errors, (k, n) for the mesh's k weight rows,
+    and the node-point pairs summed."""
     z, w, starts = mesh
-    S = np.stack([_conv_L(a, s, z[i:j], w[..., i:j], X)
+    S = np.stack([_conv_L(a, s, z[i:j], w[:, i:j], X)
                   for i, j in zip(starts[:-1], starts[1:])], axis=-1)
     val, err = _epsilon_limit(np.cumsum(S, axis=-1).reshape(-1, S.shape[-1]))
     return (val.reshape(S.shape[:-1]), err.reshape(S.shape[:-1]),
@@ -949,26 +934,26 @@ def _inner_mass(a: SpectralDensity, s: float, alphas: tuple, bump: Bump,
     prof = 1.0 - bump.values(z)
     keep = prof > 0.0
     z, w = z[keep], w[keep] * prof[keep]
-    wv = _times_powers(w, z[:, 1], alphas)
+    wv = np.stack([w * z[:, 1] ** al for al in alphas])
     return _conv_L(a, s, z, wv, x[None, :])[:, 0], wv.size
 
 
-def _complement_L(a: SpectralDensity, s: float, alpha, bump: Bump,
+def _complement_L(a: SpectralDensity, s: float, alphas: tuple, bump: Bump,
                   X: np.ndarray, cfg: QuadratureConfig):
     """L of (x_N)_+^alpha times the bump at upper points of its plateau, in
-    N = 2: the power's closed form minus the mass of the power times the
-    bump's complement.  That mass is summed on a fine and a coarse plate,
-    each graded toward x from h0 = max(clearance / 6, 2e-3), plus the
-    dyadic frames beyond the plate, which _epsilon_limit completes.  The
-    error sums the fine-coarse gap, the frame completion, the mass below the
-    lowest node (bounded along the plane) and the closed form's own error.
+    N = 2, for each exponent alpha of the tuple alphas: the power's closed
+    form minus the mass of the power times the bump's complement.  That mass
+    is summed on a fine and a coarse plate, each graded toward x from
+    h0 = max(clearance / 6, 2e-3), plus the dyadic frames beyond the plate,
+    which _epsilon_limit completes.  The error sums the fine-coarse gap, the
+    frame completion, the mass below the lowest node (bounded along the
+    plane) and the closed form's own error.
 
-    alpha may be a tuple of exponents: each plate grid, its bump complement,
-    each frame mesh and each kernel chunk is then built once for all of
-    them, and the values and errors are (k, n), each row what its exponent
-    alone gives; the closed form and the plane bound are taken per
-    exponent.  The evaluation count is the sum of the exponents' own."""
-    alphas = alpha if isinstance(alpha, tuple) else (alpha,)
+    Each plate grid, its bump complement, each frame mesh and each kernel
+    chunk is built once for all exponents, and the values and errors are
+    (k, n), each row what its exponent alone gives; the closed form and the
+    plane bound are taken per exponent.  The evaluation count is the sum of
+    the exponents' own."""
     c = np.asarray(bump.center, dtype=float)
     n = X.shape[0]
     V, Vc = np.empty((len(alphas), n)), np.empty((len(alphas), n))
@@ -994,9 +979,7 @@ def _complement_L(a: SpectralDensity, s: float, alpha, bump: Bump,
     vals = power - G
     errs = np.abs(Vc + tc - G) + tf_err + plane + power_err
     nev += n3 + n4 + sum(p[2] for p in closed)
-    if isinstance(alpha, tuple):
-        return vals, errs, nev
-    return vals[0], errs[0], nev
+    return vals, errs, nev
 
 
 def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
@@ -1040,7 +1023,10 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
     their sums share nothing without changing their order.  A family has no
     closed form or translate-truncation (routes 1, 2).  Values and errors
     are then (k, n), each row what its member alone gives, bit for bit, and
-    the evaluations are the members' summed."""
+    the evaluations are the members' summed.
+
+    Every route kernel sees _family's member tuple, one member for a single
+    function; only here does a single function get (n,) arrays back."""
     members, g, scales = _family(f)
     lead = members[0]
     n = X.shape[0]
@@ -1084,8 +1070,7 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
         rows = ~done & np.all(
             kinks.distances(X)[:, :len(kinks.planes)] > 0.1, axis=1)
         if np.any(rows):
-            take(rows, *_excised_L_compact(
-                a, s, lead if g is None else members, X[rows]))
+            take(rows, *_excised_L_compact(a, s, members, X[rows], g))
     # route 6 takes a bump whose support fits inside the plate (beyond it
     # the frames take the bump's complement as one)
     bump = lead.g if isinstance(lead, Product) else None

@@ -9,12 +9,14 @@ declared runtime dependencies."""
 
 import ast
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conefrac
@@ -97,6 +99,32 @@ def test_tracer_hook_targets_resolve():
                       "liouville:_CutoffMassField.L_pair",
                       "liouville:_CutoffMassField._plate",
                       "liouville:_CutoffMassField._frame_sums"}
+
+
+def test_tracer_row_counts_read_the_points():
+    # a hook built by _first_rows counts the rows of one positional
+    # argument.  If the batch of points (X, or thetas for a density) moves
+    # to another position, the hook counts one row per call without any
+    # error; here that is a failure.  Probe arguments whose row counts equal
+    # their positions give the position each hook reads
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    probe = tuple(np.zeros((i, 1)) for i in range(8))
+    read = {}
+    for target, _, counts in tracing.HOOKS:
+        if counts is None or not counts.__qualname__.startswith("_first_rows."):
+            continue
+        pos = counts(probe, {}, None)["points"]
+        for owner, attr in tracer._targets(target):
+            params = list(inspect.signature(vars(owner)[attr]).parameters)
+            read[f"{target} {owner.__name__}.{attr}"] = (
+                params[pos] if pos < len(params) else None,
+                "thetas" if attr == "_eval_unit" else "X")
+    assert read
+    assert {k: v for k, v in read.items() if v[0] != v[1]} == {}
 
 
 def test_import_loads_no_scipy():

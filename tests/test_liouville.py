@@ -122,6 +122,11 @@ class TestCertification:
         # the half-space sampler stays on the closed upper half-space
         assert (half[:, -1] >= 0.0).all()
 
+    @pytest.mark.parametrize("N", [0, -1, 2.5])
+    def test_default_points_need_a_positive_integer_dimension(self, N):
+        with pytest.raises(InputDomainError):
+            cf.default_certification_points(N, "halfspace")
+
 
 class TestRefutation:
     def test_subcritical_family_never_certifies(self, const2, cfg):
@@ -193,6 +198,16 @@ class TestScan:
         assert rows[0].regime == "kelvin" and rows[0].error == ""
         assert rows[1].regime == "error"
         assert rows[1].error == "AccuracyError: budget exhausted"
+
+    @pytest.mark.parametrize("points", [
+        np.ones((2, 3)), [[0.3, 0.5], [0.0, math.nan]], np.zeros((0, 2)),
+    ], ids=["three_coordinates", "nonfinite_point", "no_points"])
+    def test_points_are_validated(self, const2, cfg, points):
+        # malformed points are refused up front, not once per power as an
+        # "error" row
+        with pytest.raises(InputDomainError):
+            cf.liouville_scan(const2, 0.5, [1.5, 1.8], "halfspace", cfg,
+                              points=points)
 
 
 class TestGammaSearch:
@@ -273,15 +288,15 @@ class TestCutoffMassField:
         phi = cf.Product(cf.HalfSpacePower(2, s, alpha=alpha0), bump)
         loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
         X = np.array([[0.0, 0.05], [0.3, 0.08]])
-        z, w, starts = operators._frame_mesh(np.array(bump.center), alpha0,
+        z, w, starts = operators._frame_mesh(np.array(bump.center), (alpha0,),
                                              4, 2.4, 3)
         for x in X:
-            S = [operators._conv_L(const2, s, z[i:j], w[i:j], x[None, :])[0]
+            S = [operators._conv_L(const2, s, z[i:j], w[0, i:j], x[None, :])[0]
                  for i, j in zip(starts[-3:-1], starts[-2:])]
             assert S[1] / S[0] >= 0.97
         va, ea, _ = _L_field(const2, s, phi, X, loose)
-        vp, ep, _ = operators._complement_L(const2, s, alpha0, bump, X, loose)
-        assert np.array_equal(va, vp) and np.array_equal(ea, ep)
+        vp, ep, _ = operators._complement_L(const2, s, (alpha0,), bump, X, loose)
+        assert np.array_equal(va, vp[0]) and np.array_equal(ea, ep[0])
         assert np.all(np.isfinite(ea))
         tight = cfg.with_tol(abs_tol=1e-9, rel_tol=1e-9)
         for x, v, e in zip(X, va, ea):

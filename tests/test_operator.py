@@ -64,6 +64,25 @@ class TestClosedForms:
                         np.array([0.3, 1.0]), fast_cfg)
         assert ev.value == 0.0
 
+    @pytest.mark.parametrize("factor", [
+        lambda f: cf.ScalarMultiple(0.0, f),
+        lambda f: cf.ScalarMultiple(-0.7, cf.ScalarMultiple(0.0, f)),
+        lambda f: cf.Constant(2, S, c=2.0),
+        lambda f: cf.ScalarMultiple(-0.7, cf.Constant(2, S, c=2.0)),
+    ], ids=["zero_multiple", "nested_zero_multiple", "constant",
+            "constant_multiple"])
+    @pytest.mark.parametrize("side", ["g", "h"])
+    def test_correction_with_a_constant_factor_is_zero(self, const2, fast_cfg,
+                                                        factor, side):
+        # l[g, h] integrates the product of both factors' differences, so a
+        # constant factor, or a zero multiple of any, gives 0 at no cost
+        f = cf.Bump(2, S, center=(0.0, 1.0), r_in=0.6, r_out=1.4)
+        other = cf.HalfSpacePower(2, S, alpha=0.4)
+        g, h = (factor(f), other) if side == "g" else (other, factor(f))
+        ev = cf.correction_l(const2, S, g, h, (0.3, 1.0), fast_cfg)
+        assert ev.path == "closed_form"
+        assert (ev.value, ev.abs_error_estimate, ev.n_evals) == (0.0, 0.0, 0)
+
     def test_halfspace_power_closed_value(self, const2, cfg):
         # L(x_N)_+^a = c_a * moment * x_N^{a-2s} above the plane
         alpha = 0.4
@@ -432,8 +451,9 @@ class TestRouteTable:
         loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
         vals, errs, _ = _L_field(const2, S, f, X, loose)
         for i in range(X.shape[0]):
-            alone, alone_err, _ = _excised_L_compact(const2, S, f, X[i:i + 1])
-            assert (vals[i], errs[i]) == (alone[0], alone_err[0])
+            alone, alone_err, _ = _excised_L_compact(const2, S, (f,),
+                                                     X[i:i + 1], None)
+            assert (vals[i], errs[i]) == (alone[0, 0], alone_err[0, 0])
 
     @pytest.mark.parametrize("density,far,crossing", [
         ("const2", [True, True, True, False], [False] * 4),
@@ -577,8 +597,8 @@ class TestRouteTable:
                        cf.Bump(2, S, center=(0.0, 0.2), r_in=0.2, r_out=0.4))
         X = np.array([[1.0, 0.5], [0.0, 1.2], [-0.9, 0.3]])
         vals, errs, nev = _L_field(const2, S, f, X, cfg)
-        ref = _excised_L_compact(const2, S, f, X)
-        assert np.array_equal(vals, ref[0]) and np.array_equal(errs, ref[1])
+        ref = _excised_L_compact(const2, S, (f,), X, None)
+        assert np.array_equal(vals, ref[0][0]) and np.array_equal(errs, ref[1][0])
         assert nev == ref[2]
 
     def test_lower_kelvin_points_against_polar_quad(self, const2, cfg):
