@@ -179,6 +179,9 @@ class _Run:
         except ValueError:
             raise _Invalid(f"{key} must be a number, got {raw!r}") from None
 
+    def f_or_none(self, key: str):
+        return None if self.get(key) == "" else self.f(key)
+
     def i(self, key: str) -> int:
         raw = self.get(key)
         try:
@@ -349,9 +352,8 @@ def _run_identity(run: _Run):
     check = run.choice("problem.check", ("scaling", "product", "kelvin"))
     a = run.density(N)
     cfg = run.quad_config()
-    xs_raw = run.get("problem.x")
-    pts = (np.asarray([[float(t) for t in xs_raw.split(",")]])
-           if xs_raw else _identity_points(N))
+    x = run.flist("problem.x")
+    pts = np.asarray([x]) if x else _identity_points(N)
     if pts.shape[1] != N:
         raise _Invalid(f"problem.x needs {N} coordinates")
     rows = []
@@ -423,9 +425,8 @@ def _run_certify(run: _Run):
     mode = run.choice("problem.mode", ("halfspace", "wholespace"))
     tol = run.f("problem.tolerance")
     a = run.density(N)
-    eps_raw = run.get("problem.epsilon")
-    eps = None if eps_raw == "" else float(eps_raw)
-    con = construct_supersolution(N, s, p, epsilon=eps,
+    con = construct_supersolution(N, s, p,
+                                  epsilon=run.f_or_none("problem.epsilon"),
                                   cfg=run.quad_config())
     run.note("problem.epsilon", "%.17g" % con.epsilon)
     pts = default_certification_points(N, mode)
@@ -446,9 +447,8 @@ def _run_construct(run: _Run):
     N = run.i("problem.N")
     s = run.f("problem.s")
     p = run.f("problem.p")
-    eps_raw = run.get("problem.epsilon")
-    eps = None if eps_raw == "" else float(eps_raw)
-    con = construct_supersolution(N, s, p, epsilon=eps,
+    con = construct_supersolution(N, s, p,
+                                  epsilon=run.f_or_none("problem.epsilon"),
                                   cfg=run.quad_config())
     run.note("problem.epsilon", "%.17g" % con.epsilon)
     rows = [(N, s, p, con.regime, con.alpha, con.C_alpha, con.eps_max)]

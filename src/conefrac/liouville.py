@@ -767,6 +767,9 @@ def liouville_scan(a: SpectralDensity, s: float, p_grid, mode: str,
                                         nan, nan, nan, False))
                     continue
                 con = construct_supersolution(N, s, p, cfg=cfg)
+                if not upper_pts.shape[0]:
+                    raise InputDomainError(
+                        "no sample point lies in the upper half-space")
                 rep = certify(a, s, p, con.function, upper_pts, cfg,
                               tolerance=tolerance)
                 rows.append(ScanRow(

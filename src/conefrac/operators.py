@@ -38,7 +38,9 @@ from .quadrature import (
     _graded_rows,
     _jump_angles_2d,
     _merge_edges,
+    _point,
     _radial_batch,
+    _second_difference,
     c_alpha,
     sphere_quadrature,
     sphere_surface_area,
@@ -88,16 +90,6 @@ class PairingResult:
     truncation_bound: float
 
 
-def _point(x, dim: int) -> np.ndarray:
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if p.size != dim:
-        raise InputDomainError(
-            f"evaluation point has {p.size} coordinates, expected {dim}")
-    if not np.all(np.isfinite(p)):
-        raise InputDomainError("evaluation point must be finite")
-    return p
-
-
 def _check_match(a: SpectralDensity, s: float, f: CatalogFunction) -> None:
     if not (0.0 < s < 1.0):
         raise InputDomainError("order must lie in (0, 1)")
@@ -131,25 +123,21 @@ def _sphere_hints(kinks: _KinkSet, x: np.ndarray):
     return list(kinks.normals), toward(kinks.centers), toward(kinks.points)
 
 
-def _node_tols(a: SpectralDensity, cfg: QuadratureConfig):
-    lam_bound = max(a.upper_bound * sphere_surface_area(a.dim), 1e-3)
-    return cfg.abs_tol / (3.0 * lam_bound), cfg.rel_tol / 3.0
-
-
 def _run_polar(a: SpectralDensity, s: float, kinks: _KinkSet, x: np.ndarray,
-               cfg: QuadratureConfig, *, numer, taylor_fn, inner_mode: str,
-               tail_mode: str, analytic_const: float, strict: bool,
+               cfg: QuadratureConfig, numer, taylor, tail, *, strict: bool,
                what: str) -> OperatorEvaluation:
+    """The sphere rule over _radial_batch's integrals of (numer, taylor,
+    tail) at x.  Each direction is held to cfg's absolute target over
+    3 max(sup a |S^{N-1}|, 1e-3) and its relative target over 3; strict
+    raises AccuracyError, naming what, if the sphere rule does not converge."""
     normals, graded, strong = _sphere_hints(kinks, x)
-    tol_abs_node, tol_rel_node = _node_tols(a, cfg)
+    lam_bound = max(a.upper_bound * sphere_surface_area(a.dim), 1e-3)
+    node_cfg = cfg.with_tol(cfg.abs_tol / (3.0 * lam_bound), cfg.rel_tol / 3.0)
 
     def node_eval(thetas: np.ndarray):
-        qc, rc = taylor_fn(thetas) if taylor_fn is not None else (None, None)
         vals, errs, nev, _ok = _radial_batch(
-            x=x, thetas=thetas, s=s, cfg=cfg, kinks=kinks,
-            numer=numer, quad_coefs=qc, round_coefs=rc, inner_mode=inner_mode,
-            tail_mode=tail_mode, analytic_const=analytic_const,
-            tol_abs_node=tol_abs_node, tol_rel_node=tol_rel_node)
+            x=x, thetas=thetas, s=s, cfg=node_cfg, kinks=kinks,
+            numer=numer, taylor=taylor, tail=tail)
         return vals, errs, nev
 
     res = sphere_quadrature(a, None, cfg, kink_normals=normals,
@@ -190,31 +178,8 @@ def apply_L(a: SpectralDensity, s: float, f: CatalogFunction, x,
 
     kinks = _KinkSet.of(f)
     _refuse_near(kinks, x, _REFUSE_FACTOR * _local_scale(x))
-    f0 = float(f.value(x))
-    H = f.hessian(x)
-    df = f.gradient(x)
-
-    if f.support_ball is not None:
-        tail_mode, const = "compact", -2.0 * f0
-    else:
-        g = f.growth
-        if g is None or not (g.delta > 0.0):
-            raise InputDomainError(
-                "function grows too fast for the operator to converge")
-        tail_mode, const = "u_map", 0.0
-
-    def numer(P: np.ndarray, M: np.ndarray) -> np.ndarray:
-        return f.values(P) + f.values(M) - 2.0 * f0
-
-    def taylor_fn(thetas: np.ndarray):
-        # quadratic coefficients, and the cancelled f(x +- t theta), 2 f0
-        return (np.einsum("ki,ij,kj->k", thetas, H, thetas),
-                (np.full(thetas.shape[0], 4.0 * abs(f0)), 2.0 * np.abs(thetas @ df)))
-
-    return _run_polar(a, s, kinks, x, cfg, numer=numer, taylor_fn=taylor_fn,
-                      inner_mode="subtract", tail_mode=tail_mode,
-                      analytic_const=const, strict=strict,
-                      what="operator evaluation")
+    return _run_polar(a, s, kinks, x, cfg, *_second_difference(f, x),
+                      strict=strict, what="operator evaluation")
 
 
 def _weighted_difference_constant(a: SpectralDensity, s: float, alpha: float,
@@ -293,14 +258,12 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
         return ((g.values(P) - g0) * (h.values(P) - h0)
                 + (g.values(M) - g0) * (h.values(M) - h0))
 
-    if boundary:
-        inner_mode, taylor_fn = "open", None
-    else:
-        inner_mode = "subtract"
+    taylor = None
+    if not boundary:
         dg = g.gradient(x)
         dh = h.gradient(x)
 
-        def taylor_fn(thetas: np.ndarray):
+        def taylor(thetas: np.ndarray):
             # quadratic coefficients, and the cancelled g(x +- t theta), g0
             # (h likewise), each pair times the other factor's difference
             pg, ph = thetas @ dg, thetas @ dh
@@ -312,18 +275,16 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
     # beyond the last split the numerator is the constant 2 g0 h0 when both
     # factors are compact, and 0 when a compact factor vanishes at x
     if (g_comp and h_comp) or (g_comp and g0 == 0.0) or (h_comp and h0 == 0.0):
-        tail_mode, const = "compact", 2.0 * g0 * h0
+        tail = 2.0 * g0 * h0
     else:
         dg_growth = 2.0 * s if g_comp else g.growth.delta
         dh_growth = 2.0 * s if h_comp else h.growth.delta
         if not (dg_growth + dh_growth > 2.0 * s):
             raise InputDomainError(
                 "factors grow too fast for the correction to converge")
-        tail_mode, const = "u_map", 0.0
+        tail = None
 
-    return _run_polar(a, s, kinks, x, cfg, numer=numer, taylor_fn=taylor_fn,
-                      inner_mode=inner_mode, tail_mode=tail_mode,
-                      analytic_const=const, strict=strict,
+    return _run_polar(a, s, kinks, x, cfg, numer, taylor, tail, strict=strict,
                       what="product-rule correction")
 
 

@@ -745,26 +745,63 @@ def mc_region_volume(predicate, center: Sequence[float], radius: float,
 # radial integrals along both rays of a direction
 # --------------------------------------------------------------------------
 
+def _point(x, dim: int, what: str = "evaluation point") -> np.ndarray:
+    """x as a finite float vector of dim coordinates, or InputDomainError."""
+    p = np.asarray(x, dtype=float).reshape(-1)
+    if p.size != dim:
+        raise InputDomainError(f"{what} has {p.size} coordinates, expected {dim}")
+    if not np.all(np.isfinite(p)):
+        raise InputDomainError(f"{what} must be finite")
+    return p
+
+
+def _second_difference(f, x: np.ndarray):
+    """The one builder of the polar integrand of Lf at x: the triple
+    (numer, taylor, tail) that _radial_batch reads.  numer(P, M) =
+    f(P) + f(M) - 2 f(x); taylor(thetas) = (theta . H theta,
+    (4 |f(x)|, 2 |theta . grad f(x)|)), the quadratic subtracted on the inner
+    segment and the bounds m0 + m1 t of the terms it cancels; tail = -2 f(x)
+    beyond the support of a compact f, else None (u-mapped) once f is known
+    to decay (growth delta > 0), or InputDomainError.  The Hessian and
+    gradient refuse x on a kink surface."""
+    f0 = float(f.value(x))
+    H = f.hessian(x)
+    df = f.gradient(x)
+    compact = f.support_ball is not None
+    if not compact and (f.growth is None or not (f.growth.delta > 0.0)):
+        raise InputDomainError(
+            "function grows too fast for the operator to converge")
+
+    def numer(P: np.ndarray, M: np.ndarray) -> np.ndarray:
+        return f.values(P) + f.values(M) - 2.0 * f0
+
+    def taylor(thetas: np.ndarray):
+        return (np.einsum("ki,ij,kj->k", thetas, H, thetas),
+                (np.full(thetas.shape[0], 4.0 * abs(f0)), 2.0 * np.abs(thetas @ df)))
+
+    return numer, taylor, -2.0 * f0 if compact else None
+
+
 def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, *,
-                     inner_mode: str, tail_mode: str):
+                     subtract: bool, compact: bool):
     """Build the task table for both-ray radial integration along K directions.
 
     The inner segment is [0, t_in], t_in = _T0_FACTOR times the distance from
-    x to the nearest kink surface or singular point, capped at 1 ("open"
-    mode skips the surfaces through x).  Direction k splits [t_in, T0_k] at
-    every time at which either ray crosses a kink surface, and at the
-    distance along the ray to each singular point the ray passes close to;
-    T0_k = max(last split, 2 t_in, 1).  Splits closer than 1e-12 (1 + t) to
-    the previous one kept are dropped.  Task ends at a split are graded, no
-    others: not t_in or T0, and not t = 0 (see _radial_batch).
-    The table is direction-major: for each direction the inner task (in
-    "subtract" mode), then its pieces in increasing t.
+    x to the nearest kink surface or singular point, capped at 1 (the open
+    inner range, subtract False, skips the surfaces through x).  Direction k
+    splits [t_in, T0_k] at every time at which either ray crosses a kink
+    surface, and at the distance along the ray to each singular point the
+    ray passes close to; T0_k = max(last split, 2 t_in, 1).  Splits closer
+    than 1e-12 (1 + t) to the previous one kept are dropped.  Task ends at a
+    split are graded, no others: not t_in or T0, and not t = 0 (see
+    _radial_batch).  The table is direction-major: for each direction the
+    subtracted inner task (if subtract), then its pieces in increasing t.
 
-    inner_mode: "subtract" (quadratic Taylor subtraction on [0, t_in]) or
-    "open" (no subtraction; the inner range is integrated on octaves toward 0,
-    for integrable endpoint singularities at a kinked base point).
-    tail_mode: "compact" (integrand constant beyond the last split) or
-    "u_map" (map [T0, inf) by t = 1/u and integrate octaves).
+    subtract: the inner range [0, t_in] is one task whose quadratic Taylor
+    term is subtracted; else it is open, integrated on octaves toward 0 (for
+    integrable endpoint singularities at a kinked base point).  compact: the
+    integrand is constant beyond the last split; else [T0, inf) is mapped by
+    t = 1/u and integrated on octaves.
 
     Returns the task arrays (lo, hi, grading flags gl/gh, mode 1 for the
     subtracted inner task and 0 otherwise, direction theta, group), one
@@ -773,7 +810,7 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, *,
     the u-mapped tail (0, 1/T0]; inner sources first), T0 and t_in.
     """
     K = thetas.shape[0]
-    if inner_mode == "subtract":
+    if subtract:
         rho = min(1.0, kinks.distance(x))
     else:
         rho = max(min(1.0, kinks.distance(x, beyond=1e-9)), 1e-9)
@@ -807,7 +844,7 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, *,
 
     # one edge row per direction: [0,] t_in, splits, T0 (unless T0 is the
     # last split), padded with inf
-    p = 1 if inner_mode == "subtract" else 0
+    p = int(subtract)
     E = np.full((K, p + T.shape[1] + 2), np.inf)
     E[:, :p] = 0.0
     E[:, p] = t_in
@@ -823,7 +860,7 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, *,
         "mode": np.broadcast_to((j < p).astype(np.int64), valid.shape)[valid],
         "theta": k_col, "group": k_col,
     }
-    use = np.repeat([inner_mode != "subtract", tail_mode == "u_map"], K)
+    use = np.repeat([not subtract, not compact], K)
     octaves = {"hi": np.concatenate((np.full(K, t_in), 1.0 / T0))[use],
                "theta": np.tile(np.arange(K), 2)[use],
                "mode": np.repeat(np.array([0, 2], dtype=np.int64), K)[use]}
@@ -832,28 +869,29 @@ def _assemble_radial(kinks: _KinkSet, x: np.ndarray, thetas: np.ndarray, *,
 
 def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
                   cfg: QuadratureConfig, kinks: _KinkSet, numer,
-                  quad_coefs: np.ndarray = None, round_coefs=None,
-                  inner_mode: str = "subtract", tail_mode: str = "u_map",
-                  analytic_const: float = 0.0,
-                  tol_abs_node: float = None, tol_rel_node: float = None):
+                  taylor=None, tail: float = None):
     """Integrate numer(plus_points, minus_points) / t^{1+2s} dt over (0, inf)
     for each direction, with Taylor subtraction, kink splitting, tail mapping
     and an epsilon-algorithm completion of the octave sources.
 
     thetas (K, dim) are unit directions; kinks is the _KinkSet of every
     function in the numerator, which places the inner segment and the splits
-    (see _assemble_radial).  numer(P, M) evaluates the numerator at the two
-    ray point batches.  quad_coefs[k] is the exact quadratic coefficient
-    subtracted on the inner segment for direction k (required in "subtract"
-    mode), and round_coefs = (m0, m1) bounds the terms the numerator cancels
-    there: at t they sum to about m0[k] + m1[k] t in magnitude.  The
-    tolerances per direction default to the config's.
+    (see _assemble_radial).  The integrand is the triple numer, taylor, tail
+    (see _second_difference), and its modes are read from it.
+    numer(P, M) evaluates the numerator at the two ray point batches.
+    taylor(thetas) returns (quad_coefs, (m0, m1)): quad_coefs[k] is the exact
+    quadratic coefficient subtracted on the inner segment for direction k,
+    and the terms the numerator cancels there sum to about m0[k] + m1[k] t
+    in magnitude; taylor None leaves the inner range open.  tail is the
+    numerator's constant value beyond the last split, integrated in closed
+    form; None maps the tail by t = 1/u.  cfg's tolerances are the targets
+    of each direction.
 
     The closed-form inner quadratic, the compact tail constant and the
     octave sources of _assemble_radial's one octave table (the open inner
     range and the u-mapped tail) are computed first, the sources in one
     _octave_batch call that stops each once its completion error is at most
-    0.25 tol_abs.  Their per-direction sum is the offset of _run_tasks'
+    0.25 abs_tol.  Their per-direction sum is the offset of _run_tasks'
     relative target, which holds each direction to its final value.  At a
     zero of the operator (alpha = s for a half-space power) the main tasks
     alone are O(1), and a target on them would pass directions that then
@@ -869,19 +907,17 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
     """
     K = thetas.shape[0]
     ts2 = 2.0 * s
-    tol_a = cfg.abs_tol if tol_abs_node is None else tol_abs_node
-    tol_r = cfg.rel_tol if tol_rel_node is None else tol_rel_node
+    tol_a, tol_r = cfg.abs_tol, cfg.rel_tol
 
     tasks, octaves, T0, t_in = _assemble_radial(
-        kinks, x, thetas, inner_mode=inner_mode, tail_mode=tail_mode)
+        kinks, x, thetas, subtract=taylor is not None, compact=tail is not None)
+    quad_coefs, (m0, m1) = ((np.zeros(K), np.zeros((2, K))) if taylor is None
+                            else taylor(thetas))
 
     n_main = tasks["lo"].size
     # the evalf task table spans the main tasks, then the octave sources
     all_theta = np.concatenate((tasks["theta"], octaves["theta"]))
     all_mode = np.concatenate((tasks["mode"], octaves["mode"]))
-    if quad_coefs is None:
-        quad_coefs = np.zeros(K)
-    m0, m1 = np.zeros((2, K)) if round_coefs is None else round_coefs
     qq = quad_coefs[all_theta]
     # ray points are built as (dim, n) rows and handed on as (n, dim) views,
     # so elementwise work downstream runs along the long axis, not along dim
@@ -890,26 +926,26 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
 
     def evalf(ts, task_ids):
         md = all_mode[task_ids]
-        tail = md == 2
+        mapped = md == 2
         sub = md == 1
         te = ts.copy()
-        te[tail] = 1.0 / ts[tail]
+        te[mapped] = 1.0 / ts[mapped]
         step = te * np.take(thetas_t, all_theta[task_ids], axis=1)
         X = numer((x_col + step).T, (x_col - step).T)
         ts_, tid = te[sub], task_ids[sub]
         X[sub] -= qq[tid] * ts_ * ts_
         kern = te ** (-1.0 - ts2)
-        kern[tail] = ts[tail] ** (ts2 - 1.0)
+        kern[mapped] = ts[mapped] ** (ts2 - 1.0)
         return X * kern
 
     order = _order_for_tol(max(tol_a, tol_r / 30.0))
     offset, errs_rest, nev = _octave_batch(
         evalf, octaves["hi"], octaves["theta"], K, 0.25 * tol_a,
         task_ids=n_main + np.arange(octaves["hi"].size), order=order)
-    if inner_mode == "subtract":
+    if taylor is not None:
         offset += quad_coefs * t_in ** (2.0 - ts2) / (2.0 - ts2)
-    if tail_mode == "compact":
-        offset += analytic_const * T0 ** (-ts2) / ts2
+    if tail is not None:
+        offset += tail * T0 ** (-ts2) / ts2
 
     xk, wk, _ = _kronrod01(order)
 
@@ -937,29 +973,22 @@ def _radial_batch(*, x: np.ndarray, thetas: np.ndarray, s: float,
 
 def radial_integral(f, x, theta, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Both-ray radial integral of the second difference of f at x along
-    theta: int_0^inf [f(x+t theta)+f(x-t theta)-2 f(x)] / t^{1+2s} dt."""
+    theta: int_0^inf [f(x+t theta)+f(x-t theta)-2 f(x)] / t^{1+2s} dt.
+
+    The integrand is apply_L's (_second_difference), held to cfg's
+    tolerances, and what apply_L refuses raises InputDomainError here too:
+    an order that is not f's, a point or direction that is not a finite
+    f.dim-vector, and a non-compact f that does not decay."""
     if not (0.0 < s < 1.0):
         raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    nrm = float(np.linalg.norm(theta))
-    if abs(nrm - 1.0) > 1e-9:
+    if abs(f.s - s) > 1e-12:
+        raise InputDomainError("function was built for a different order")
+    x = _point(x, f.dim)
+    theta = _point(theta, f.dim, "direction")
+    if abs(float(np.linalg.norm(theta)) - 1.0) > 1e-9:
         raise InputDomainError("direction must be a unit vector")
-    f.require_smooth_at(x)
-    f0 = f.value(x)
-    H = f.hessian(x)
-    thetas = theta[None, :]
-    qc = np.asarray([float(theta @ H @ theta)])
-    rc = np.asarray([[4.0 * abs(f0)], [2.0 * abs(float(theta @ f.gradient(x)))]])
-
-    def numer(P, M):
-        return f.values(P) + f.values(M) - 2.0 * f0
-
-    compact = f.support_ball is not None
+    numer, taylor, tail = _second_difference(f, x)
     vals, errs, nev, ok = _radial_batch(
-        x=x, thetas=thetas, s=s, cfg=cfg, kinks=_KinkSet.of(f),
-        numer=numer, quad_coefs=qc, round_coefs=rc,
-        inner_mode="subtract",
-        tail_mode="compact" if compact else "u_map",
-        analytic_const=-2.0 * f0 if compact else 0.0)
+        x=x, thetas=theta[None, :], s=s, cfg=cfg, kinks=_KinkSet.of(f),
+        numer=numer, taylor=taylor, tail=tail)
     return IntegralResult(float(vals[0]), float(errs[0]), nev, bool(ok[0]))

@@ -272,7 +272,7 @@ class TestKinkSet:
         phi = rng.uniform(0.0, 2.0 * math.pi, 50)
         thetas = np.stack((np.cos(phi), np.sin(phi)), axis=1)
         tasks, _, T0, t_in = _assemble_radial(
-            kinks, x, thetas, inner_mode="subtract", tail_mode="u_map")
+            kinks, x, thetas, subtract=True, compact=False)
         for k, th in enumerate(thetas):
             mine = tasks["group"] == k
             splits = tasks["hi"][mine & tasks["gh"]]

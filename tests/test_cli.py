@@ -328,6 +328,20 @@ class TestDegenerateInputs:
         code, _ = run_cli(tmp_path, "construct", "--s", "0.5", "--p", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["identity", "--s", "0.5", "--x", "0.3,abc"],
+        ["certify", "--s", "0.5", "--p", "1.8", "--epsilon", "abc"],
+        ["construct", "--s", "0.5", "--p", "1.8", "--epsilon", "abc"],
+    ], ids=["identity_x", "certify_epsilon", "construct_epsilon"])
+    def test_malformed_number_is_invalid_config(self, tmp_path, capsys, args):
+        # a number that does not parse is a configuration error naming its
+        # key, not a traceback
+        code, _ = run_cli(tmp_path, *args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-config: problem.")
+        assert "abc'" in err
+
 
 def test_module_entry_point(tmp_path):
     # run the package under test, whether it is installed or imported from

@@ -101,6 +101,32 @@ def test_tracer_hook_targets_resolve():
                       "liouville:_CutoffMassField._frame_sums"}
 
 
+def test_tracer_counts_the_polar_engine():
+    # the radial hook reads thetas as a keyword and the result's evaluation
+    # count and converged flags; a call of _radial_batch that passes thetas
+    # positionally, or a result of another shape, leaves its span uncounted.
+    # Each caller of the engine is run once: apply_L, correction_l with the
+    # open inner range on the boundary plane, and radial_integral
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cfg = conefrac.DEFAULT_CONFIG.with_tol(1e-4, 1e-3)
+    a = conefrac.ConstantDensity(2)
+    bump = conefrac.Bump(2, 0.5, center=(0.0, 1.0), r_in=0.6, r_out=1.4)
+    power = conefrac.HalfSpacePower(2, 0.5, alpha=0.6)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        conefrac.apply_L(a, 0.5, bump, (0.3, 0.8), cfg, force_numeric=True)
+        conefrac.correction_l(a, 0.5, power, bump, (0.2, 0.0), cfg)
+        conefrac.radial_integral(bump, (0.3, 0.8), (0.6, 0.8), 0.5, cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.uncounted == set()
+    assert tracer.metrics()["quadrature.radial.directions"] > 0
+
+
 def test_tracer_row_counts_read_the_points():
     # a hook built by _first_rows counts the rows of one positional
     # argument.  If the batch of points (X, or thetas for a density) moves

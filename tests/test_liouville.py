@@ -209,6 +209,20 @@ class TestScan:
             cf.liouville_scan(const2, 0.5, [1.5, 1.8], "halfspace", cfg,
                               points=points)
 
+    @pytest.mark.parametrize("mode, p, points", [
+        ("wholespace", 2.5, [[0.0, -1.0], [0.5, -2.0]]),
+        ("halfspace", 1.8, [[0.0, -1.0]]),
+    ], ids=["wholespace", "halfspace"])
+    def test_construction_row_names_an_empty_upper_sample(self, const2, cfg,
+                                                           mode, p, points):
+        # a construction is certified on the sample points above the plane;
+        # with none there the row is an error that says so, not one about
+        # malformed points
+        (row,) = cf.liouville_scan(const2, 0.5, [p], mode, cfg, points=points)
+        assert row.regime == "error"
+        assert row.error == ("InputDomainError: no sample point lies in the "
+                             "upper half-space")
+
 
 class TestGammaSearch:
     def test_full_aperture_cone(self, cfg):

@@ -466,6 +466,24 @@ class TestRadialIntegral:
                     misses.append((xn, phi, res.value, res.abs_error_estimate))
         assert not misses, (len(misses), misses[:5])
 
+    @pytest.mark.parametrize("x, theta, order", [
+        ((math.nan, 1.0), (1.0, 0.0), 0.5),
+        ((0.3, 1.0, 0.0), (1.0, 0.0), 0.5),
+        ((0.3, 1.0), (1.0, 0.0, 0.0), 0.5),
+        ((0.3, 1.0), (math.nan, 0.0), 0.5),
+        ((0.3, 1.0), (1.0, 0.0), 0.7),
+    ], ids=["nonfinite_point", "three_coordinates", "three_vector_direction",
+            "nonfinite_direction", "other_order"])
+    def test_refuses_what_apply_L_refuses(self, cfg, x, theta, order):
+        # the integrand is apply_L's, and so are the checks on its inputs:
+        # none of these may come back as a number or a raw numpy error
+        f = cf.Bump(2, 0.5, center=(0.4, 0.9), r_in=0.5, r_out=1.0)
+        with pytest.raises(InputDomainError):
+            cf.radial_integral(f, x, theta, order, cfg)
+        if theta == (1.0, 0.0):
+            with pytest.raises(InputDomainError):
+                cf.apply_L(cf.ConstantDensity(2), order, f, x, cfg)
+
 
 class TestMonteCarlo:
     def test_ball_volume_within_three_sigma(self, cfg):
