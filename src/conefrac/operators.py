@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (
-    Bump,
     CatalogFunction,
     Constant,
     HalfSpacePower,
@@ -32,14 +31,17 @@ from .errors import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    _epsilon_limit,
+    _REFUSE_FACTOR,
     _gauss01,
     _geom_edges,
     _graded_rows,
     _jump_angles_2d,
+    _kronrod01,
+    _local_scale,
     _merge_edges,
     _point,
     _radial_batch,
+    _refuse_near,
     _second_difference,
     c_alpha,
     sphere_quadrature,
@@ -55,9 +57,6 @@ __all__ = [
     "correction_l",
     "pairing",
 ]
-
-# evaluation is refused closer to a kink than this fraction of the local scale
-_REFUSE_FACTOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,20 +96,6 @@ def _check_match(a: SpectralDensity, s: float, f: CatalogFunction) -> None:
         raise InputDomainError("density and function dimensions differ")
     if abs(f.s - s) > 1e-12:
         raise InputDomainError("function was built for a different order")
-
-
-def _local_scale(x: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(x)))
-
-
-def _refuse_near(kinks: _KinkSet, x: np.ndarray, lim: float, *,
-                 planes: bool = True) -> None:
-    """Raise NonsmoothPointError when x lies within lim of a kink surface or
-    a singular point; planes=False leaves the kink planes out."""
-    d = kinks.distances(x)[0 if planes else len(kinks.planes):]
-    if np.any(d < lim):
-        raise NonsmoothPointError(
-            "evaluation point is too close to a kink surface or singular point")
 
 
 def _sphere_hints(kinks: _KinkSet, x: np.ndarray):
@@ -683,23 +668,14 @@ def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
     return vals, errs, nev
 
 
-def _angular_panel_edges(a: SpectralDensity, per_half_turn: int) -> np.ndarray:
-    """Panel edges on [0, 2 pi] aligned with the density's jump circles."""
-    two_pi = 2.0 * math.pi
-    brk = _merge_edges([_jump_angles_2d(a)], 0.0, two_pi)
-    return _merge_edges(
-        [np.linspace(lo, hi, max(2, int(per_half_turn * (hi - lo) / math.pi)))
-         for lo, hi in zip(brk[:-1], brk[1:])], 0.0, two_pi)
-
-
 def _density_angular_moments(a: SpectralDensity):
     """Second moment matrix Q of the density on the circle, by the sphere
-    rule at the default tolerances, and its total mass Q_11 + Q_22."""
+    rule at the default tolerances."""
     Q = np.empty((2, 2))
     for i, j in ((0, 0), (0, 1), (1, 1)):
         Q[i, j] = Q[j, i] = sphere_quadrature(
             a, lambda th, i=i, j=j: th[:, i] * th[:, j], DEFAULT_CONFIG).value
-    return Q[0, 0] + Q[1, 1], Q
+    return Q
 
 
 def _family(f: CatalogFunction | tuple):
@@ -734,212 +710,305 @@ def _family(f: CatalogFunction | tuple):
     return tuple(members), members[0].g, np.array(scales)
 
 
+# the excision form (route 5): the largest radius of its Hessian ball, and
+# that radius over the distance to the boundary plane; the ratio of a
+# chord's geometric panels, the fewest panels between two kink spheres, and
+# the halvings toward a chord's end on the boundary plane; the order n of
+# the nested pair G_n / K_2n+1 on the radial and on the angular panels, the
+# angular panels per half turn, and the ratio and the first step (over x_N)
+# of the angular grading toward the plane; the most nodes of one chunk
+_BALL, _BALL_PLANE = 0.003, 0.02
+_RAY_RATIO, _SHELL_PANELS, _PLANE_LEVELS = 2.0, 3, 6
+_RAY_ORDER, _ANGLE_ORDER, _ANGLE_PANELS = 3, 3, 4
+_GRADE_RATIO, _GRADE_STEP = 4.0, 1.0
+_CHUNK_NODES = 500_000
+
+
+def _row_angles(lo, hi, circle, cuts):
+    """Every row's angles for the excision form, flattened in row order,
+    with their Kronrod and Gauss weights and the count per row: the nested
+    pair _kronrod01(_ANGLE_ORDER) on the panels of [lo, hi] that a uniform
+    grid of at most pi / _ANGLE_PANELS and the row's cuts (nan for none) mark
+    out.  A circle row's arc is [0, pi), and its nodes turned by pi follow,
+    so that every node's antipode is a node of the same weights.  An edge
+    within 1e-10 (1 + |e|) of the next one is dropped, and a row's panels do
+    not depend on the rest of the batch."""
+    nb = np.maximum(2.0 - circle,
+                    np.ceil(_ANGLE_PANELS * (hi - lo) / math.pi))
+    k = np.arange(int(nb.max()) + 1)
+    edges = lo[:, None] + (hi - lo)[:, None] * np.minimum(k / nb[:, None], 1.0)
+    edges = np.sort(np.clip(np.concatenate(
+        (edges, np.where(np.isnan(cuts), lo[:, None], cuts)), axis=1),
+        lo[:, None], hi[:, None]), axis=1)
+    wid = np.diff(edges, axis=1)
+    keep = wid > 1e-10 * (1.0 + np.abs(edges[:, 1:]))
+    xk, wk, wg = _kronrod01(_ANGLE_ORDER)
+    ang = edges[:, :-1, None] + wid[..., None] * xk
+    ang = np.stack((ang, ang + math.pi), axis=1)
+    mask = np.broadcast_to(keep[:, None, :, None], ang.shape).copy()
+    mask[:, 1] &= circle[:, None, None]
+    wid = np.broadcast_to(wid[:, None, :, None], ang.shape)
+    return (ang[mask], (wid * wk)[mask], (wid * wg)[mask],
+            mask.sum(axis=(1, 2, 3)))
+
+
+def _ray_segments(x, th, inner, delta, kinks, c, r, clip):
+    """The chords of the rays x + t theta, t > 0, one per row of x and th,
+    through supp f, the disc |z - c| < r, cut at the boundary plane when
+    clip: each from max(t_in, delta) to hi, hi = lo where a ray has no
+    chord.  Returns hi and the chord's segments between the kink spheres'
+    crossings, as (lo, hi, panel count, whether it starts a ball row's
+    chord, whether it ends on the plane), each (rays, m).
+
+    A ball row's first segment takes geometric panels lo rho^k from its
+    start delta (rho = _RAY_RATIO, the last panel's ratio between rho^0.3
+    and rho^1.3), so that rho delta is an edge; every other segment takes
+    the fewest panels of ratio at most rho, and at least _SHELL_PANELS, in
+    geometric progression.  A segment that ends on the plane takes
+    _PLANE_LEVELS more, halving its last panel toward the plane."""
+    def crossings(cs, rs):
+        d = x - cs[None, :]
+        b = d[:, 0] * th[:, 0] + d[:, 1] * th[:, 1]
+        disc = b * b - (d[:, 0] ** 2 + d[:, 1] ** 2 - rs * rs)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        return disc > 0.0, -b - root, -b + root
+
+    hit, t_in, hi = crossings(c, r)
+    lo = np.maximum(t_in, delta)
+    end = np.zeros(hi.shape, dtype=bool)
+    if clip:
+        down = th[:, 1] < 0.0
+        tstar = np.full(hi.shape, np.inf)
+        tstar[down] = x[down, 1] / -th[down, 1]
+        end = tstar < hi
+        hi = np.minimum(hi, tstar)
+    hit &= hi > lo
+    hi = np.where(hit, hi, lo)
+    cuts = [lo]
+    for cs, rs in zip(kinks.centers, kinks.radii):
+        cross, t1, t2 = crossings(cs, rs)
+        cuts += [np.where(cross, t1, lo), np.where(cross, t2, lo)]
+    bp = np.sort(np.clip(np.stack(cuts + [hi], axis=-1), lo[:, None],
+                         hi[:, None]), axis=-1)
+    b0, b1 = bp[:, :-1], bp[:, 1:]
+    first = inner[:, None] & (b0 == lo[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.log(b1 / b0) / math.log(_RAY_RATIO)
+        n = np.where(first, np.maximum(1.0, np.ceil(q - 0.3)),
+                     np.maximum(float(_SHELL_PANELS), np.ceil(q)))
+    n = np.where(b1 > b0 * (1.0 + 1e-12), n, 0.0).astype(np.int64)
+    graded = (n > 0) & (b1 == hi[:, None]) & end[:, None]
+    return hi, (b0, b1, n, first, graded)
+
+
+def _segment_panels(b0, b1, n, first, graded):
+    """The panels of _ray_segments' segments, flattened in ray order: their
+    (lo, hi), the ray each belongs to, whether it is a ball row's first
+    panel, and the panel count per ray."""
+    total = n + _PLANE_LEVELS * graded
+    m = b0.shape[-1]
+    nt = total.ravel()
+    unit = np.repeat(np.arange(nt.size), nt)
+    k = np.arange(unit.size) - np.repeat(np.cumsum(nt) - nt, nt)
+    u0, u1, un = b0.ravel()[unit], b1.ravel()[unit], n.ravel()[unit]
+    anc, gr = first.ravel()[unit], graded.ravel()[unit]
+    geo = np.minimum(k, un - 1)
+
+    def edge(e):
+        return np.where(anc, u0 * _RAY_RATIO ** e, u0 * (u1 / u0) ** (e / un))
+
+    plo = edge(geo)
+    phi = np.where(geo + 1 < un, edge(geo + 1), u1)
+    # a segment's last panel [e, hi] ending on the plane, as the edges
+    # hi - (hi - e) 2^-j, j = 0 .. _PLANE_LEVELS, and hi
+    j = k - geo
+    gr &= geo == un - 1
+    w = u1 - plo
+    plo = np.where(gr, u1 - w * 0.5 ** j, plo)
+    phi = np.where(gr, np.where(j < _PLANE_LEVELS, u1 - w * 0.5 ** (j + 1), u1),
+                   phi)
+    return plo, phi, unit // m, anc & (geo == 0), total.sum(axis=-1)
+
+
 def _excised_L_compact(a: SpectralDensity, s: float, members: tuple,
                        X: np.ndarray, g: CatalogFunction | None):
-    """L of each compact member at points where it is twice differentiable:
-    the ball |y| < delta contributes its Hessian quadratic in closed form,
-    the rest is an x-centered polar integral of f(z) - f(x) out to the row's
-    reach, the power of two at or above the farthest support point from x,
-    with the analytic tail beyond it added exactly.  Two resolutions give the
-    error.  Rows of one reach share a grid pair, and each row is summed on
-    its own: a row's value does not depend on the rest of its batch.
+    """L of each compact member at points of N = 2 where it is twice
+    differentiable, from rays about x clipped to the support.
+
+    A row x within delta of the support ball B(c, r) takes the ball
+    |y| < delta from its Hessian quadratic in closed form, with delta =
+    min(_BALL, _BALL_PLANE x_N) for a member that vanishes on the lower
+    half-space and _BALL otherwise.  The ball leaves out the quartic term
+    of the second difference: for the power (x_N)^alpha it is 2 binom(alpha,
+    4) x_N^(alpha - 4) (t theta_N)^4, whose integral over the ball is
+    |binom(alpha, 4)| m_4 _BALL_PLANE^(4 - 2s) x_N^(alpha - 2s) / (2 - s),
+    m_4 the density's fourth moment of theta_N.  At _BALL_PLANE = 0.02 that
+    is 1.1e-5 for alpha = s = 1/2 at x_N = 2e-3 with the constant density
+    (m_4 = 3 pi / 4), where L of the power is 0: below step_one_M's
+    absolute target, 2e-5, there.  Such a row takes rays over the whole
+    circle.  A row farther out takes no ball,
+    since f vanishes about it, and rays only over the arc of directions
+    that meets the support (_row_angles).
+
+    Every ray gets nodes only on its chord through the support cut at the
+    boundary plane, in segments between the kink spheres' crossings
+    (_ray_segments, _segment_panels): geometric from the chord's start, and
+    halved toward an end on the plane, where f ~ (t* - t)^alpha.  Beyond
+    the chord f = 0, so a ball row's ray adds -f(x) hi^(-2s) / (2s) in
+    closed form, hi the chord's end (delta for a ray with no chord).  A ray
+    that misses the support costs no node.
+
+    The error brackets each axis with the nested pair of _kronrod01: the
+    Gauss rule against the Kronrod rule on the radial panels, with the Gauss
+    side starting at rho delta and taking the ball of that radius, so that
+    the gap also sees the ball's truncation, which grows by rho^(4 - 2s);
+    plus the Gauss against the Kronrod rule on the angular panels.  Every
+    node serves both rules of its axis.  Each row is summed on its own in a
+    fixed order, and chunks hold whole rows: a row's value does not depend
+    on the rest of its batch.
 
     members and g are _family's unscaled members and their common factor
-    (a one-member tuple and None for a single function).  Each chunk builds
-    its x-centred nodes, the density and the radial weights once, evaluates
-    g once and each power once, and sums one row per member, giving (k, n)
-    arrays, each row what that member alone gives.  The evaluation count is
-    the sum of the members' own.  X stays fourth: bench/tracing.py counts
-    this layer's rows there."""
-    ball = members[0].support_ball
+    (a one-member tuple and None for a single function).  Each chunk of at
+    most _CHUNK_NODES nodes (one row may exceed it) builds its nodes and
+    weights once, evaluates g once and each power once, and sums one row
+    per member, giving (k, n) arrays, each row what that member alone
+    gives.  The evaluation count is the sum of the members' own.  X stays
+    fourth: bench/tracing.py counts this layer's rows there."""
+    lead = members[0]
+    ball = lead.support_ball
     c = np.asarray(ball.center, dtype=float)
-    reach = np.exp2(np.ceil(np.log2(
-        np.linalg.norm(X - c[None, :], axis=1) + ball.radius)))
-    f0 = np.stack([m.values(X) for m in members])
-    mass, Q = _density_angular_moments(a)
-    hq = np.empty(f0.shape)
-    for j, m in enumerate(members):
-        # _hess, not hessian, whose kink check would refuse a node on a kink
-        # sphere: the only ones are Bump's C-infinity scale markers, where
-        # _hess is exact (0), and route 5 of _L_field keeps X 0.1 from every
-        # kink plane, leaving the points nearer to the plane to routes 6, 7
-        H = np.stack([m._hess(x) for x in X])
-        H = 0.5 * (H + H.transpose(0, 2, 1))
-        hq[j] = np.einsum("kij,ij->k", H, Q)
+    r = float(ball.radius)
+    kinks = _KinkSet.of(lead)
+    clip = lead.vanishes_lower_halfspace
     ts2 = 2.0 * s
-
-    def run(rows, rmax, delta, n_ang, ratio, gauss):
-        Xr, f0r = X[rows], f0[:, rows]
-        near = hq[:, rows] * delta ** (2.0 - ts2) / (2.0 - ts2)
-        rr, wr = _gauss_on_panels(_geom_edges(delta, rmax, ratio, 4), gauss)
-        ang, wa = _gauss_on_panels(_angular_panel_edges(a, n_ang // 2), gauss)
-        th = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        th_t = np.ascontiguousarray(th.T)
-        wav = wa * a._eval_unit(th)
-        kern = wr * rr ** (-1.0 - ts2)
-        out = np.empty(f0r.shape)
-        # rows per chunk: a chunk's temporaries (Z, the intermediates of
-        # f.values, fv - f0) are about ten arrays of its node count and set
-        # the peak RSS of a run that takes this form; 500k nodes keep them
-        # near 40 MB.  A family holds one member's values at a time
-        step = max(1, 500_000 // (rr.size * ang.size))
-        for i in range(0, Xr.shape[0], step):
-            Xi = Xr[i:i + step]
-            # coordinates lead, as in _conv_L; f sees an (n, 2) view.  A
-            # family's g is evaluated once, and a power times it gives the
-            # member's values() bit for bit
-            Z = (np.ascontiguousarray(Xi.T)[:, :, None, None]
-                 + rr[None, None, :, None] * th_t[:, None, None, :])
-            P = Z.reshape(2, -1).T
-            gv = None if g is None else g.values(P)
-            for j, m in enumerate(members):
-                fv = m.values(P) if g is None else m.f.values(P) * gv
-                fv = fv.reshape(Xi.shape[0], rr.size, ang.size)
-                out[j, i:i + step] = 2.0 * np.einsum(
-                    "r,a,kra->k", kern, wav,
-                    fv - f0r[j, i:i + step, None, None])
-            # free this chunk's points and g before the next chunk's exist
-            del P, gv
-        tail = -2.0 * f0r * mass * rmax ** (-ts2) / ts2
-        return near + out + tail, f0r.size * rr.size * ang.size
-
-    vals, errs = np.empty(f0.shape), np.empty(f0.shape)
-    nev = 0
-    for rmax in np.unique(reach):
-        rows = reach == rmax
-        v1, n1 = run(rows, rmax, 0.003, 40, 1.35, 5)
-        v2, n2 = run(rows, rmax, 0.01, 26, 1.7, 4)
-        vals[:, rows], errs[:, rows] = v1, np.abs(v1 - v2)
-        nev += n1 + n2
-    return vals, errs, nev
-
-
-# geometry of the complement form's mass integrals: the plate is the
-# L-infinity ball of this radius around the bump center, clipped to the
-# upper half-plane; dyadic frames beyond it feed the tail completion
-_PLATE_SPAN = 4.0
-_N_FRAMES = 12
-_PLANE_EPS = 1e-8
-
-
-def _cluster_edges(lo: float, hi: float, base_step: float, anchor: float,
-                   h0: float, ratio: float) -> np.ndarray:
-    """Edges on [lo, hi]: uniform coverage plus geometric accumulation
-    toward the anchor, starting at offset h0."""
-    n = max(2, int(math.ceil((hi - lo) / base_step)))
-    offs = [h0]
-    while offs[-1] < 0.45 * (hi - lo):
-        offs.append(offs[-1] * ratio)
-    offs = np.asarray(offs)
-    return _merge_edges([np.linspace(lo, hi, n + 1), anchor - offs, anchor + offs],
-                        lo, hi)
-
-
-def _frame_mesh(c: np.ndarray, alphas: tuple, g: int, zn_ratio: float,
-                n1p: int):
-    """Quadrature nodes on the dyadic frames beyond the plate around c,
-    frame by frame, their weights times z_N^alpha, one row per exponent,
-    (k, m) (the bump's complement is identically one out there), and the
-    node index at which each frame starts, with the node count appended."""
-    c1, cn = c
-    zs, ws, starts = [], [], [0]
-    for j in range(_N_FRAMES):
-        r0 = _PLATE_SPAN * 2.0 ** j
-        r1 = 2.0 * r0
-        zn_col = _geom_edges(_PLANE_EPS, cn + r1, zn_ratio)
-        for sgn in (-1.0, 1.0):
-            z1 = c1 + sgn * np.geomspace(r0, r1, n1p + 1)
-            z, w = _tensor_nodes([np.sort(z1), zn_col], g)
-            zs.append(z)
-            ws.append(w)
-        z1_top = np.linspace(c1 - r0, c1 + r0, 2 * n1p + 3)
-        zn_top = np.geomspace(cn + r0, cn + r1, n1p + 1)
-        z, w = _tensor_nodes([z1_top, zn_top], g)
-        zs.append(z)
-        ws.append(w)
-        starts.append(sum(wi.size for wi in ws))
-    z, w = np.concatenate(zs), np.concatenate(ws)
-    return z, np.stack([w * z[:, 1] ** al for al in alphas]), starts
-
-
-def _frame_sums(a: SpectralDensity, s: float, X: np.ndarray, mesh):
-    """Mass of the frames beyond the plate at each row of X, completed by
-    _epsilon_limit: values and errors, (k, n) for the mesh's k weight rows,
-    and the node-point pairs summed."""
-    z, w, starts = mesh
-    S = np.stack([_conv_L(a, s, z[i:j], w[:, i:j], X)
-                  for i, j in zip(starts[:-1], starts[1:])], axis=-1)
-    val, err = _epsilon_limit(np.cumsum(S, axis=-1).reshape(-1, S.shape[-1]))
-    return (val.reshape(S.shape[:-1]), err.reshape(S.shape[:-1]),
-            X.shape[0] * w.size)
-
-
-def _inner_mass(a: SpectralDensity, s: float, alphas: tuple, bump: Bump,
-                x: np.ndarray, g: int, base: float, h0: float, ratio: float,
-                zn_ratio: float):
-    """Mass of z_N^alpha times the bump's complement over the plate against
-    the kernel centered at x, one per exponent, on a plane-aligned tensor
-    grid graded toward x that every exponent shares, and the node-exponent
-    pairs summed."""
-    c1, cn = bump.center
-    lo1, hi1, top = c1 - _PLATE_SPAN, c1 + _PLATE_SPAN, cn + _PLATE_SPAN
-    a1 = min(max(x[0], lo1), hi1)
-    an = min(max(x[1], _PLANE_EPS), top)
-    z1e = _cluster_edges(lo1, hi1, base, a1, h0, ratio)
-    zne = _merge_edges([
-        _geom_edges(_PLANE_EPS, 0.5, zn_ratio),
-        _cluster_edges(0.5, top, base, an, h0, ratio),
-        _cluster_edges(_PLANE_EPS, min(0.5 + h0, top), 0.5, an, h0, ratio),
-    ], _PLANE_EPS, top)
-    z, w = _tensor_nodes([z1e, zne], g)
-    prof = 1.0 - bump.values(z)
-    keep = prof > 0.0
-    z, w = z[keep], w[keep] * prof[keep]
-    wv = np.stack([w * z[:, 1] ** al for al in alphas])
-    return _conv_L(a, s, z, wv, x[None, :])[:, 0], wv.size
-
-
-def _complement_L(a: SpectralDensity, s: float, alphas: tuple, bump: Bump,
-                  X: np.ndarray, cfg: QuadratureConfig):
-    """L of (x_N)_+^alpha times the bump at upper points of its plateau, in
-    N = 2, for each exponent alpha of the tuple alphas: the power's closed
-    form minus the mass of the power times the bump's complement.  That mass
-    is summed on a fine and a coarse plate, each graded toward x from
-    h0 = max(clearance / 6, 2e-3), plus the dyadic frames beyond the plate,
-    which _epsilon_limit completes.  The error sums the fine-coarse gap, the
-    frame completion, the mass below the lowest node (bounded along the
-    plane) and the closed form's own error.
-
-    Each plate grid, its bump complement, each frame mesh and each kernel
-    chunk is built once for all exponents, and the values and errors are
-    (k, n), each row what its exponent alone gives; the closed form and the
-    plane bound are taken per exponent.  The evaluation count is the sum of
-    the exponents' own."""
-    c = np.asarray(bump.center, dtype=float)
     n = X.shape[0]
-    V, Vc = np.empty((len(alphas), n)), np.empty((len(alphas), n))
-    clr = np.empty(n)
-    nev = 0
-    for i, x in enumerate(X):
-        clr[i] = bump.r_in - float(np.linalg.norm(x - c))
-        h0 = max(clr[i] / 6.0, 2e-3)
-        V[:, i], n1 = _inner_mass(a, s, alphas, bump, x, 4, 0.4, h0, 1.7, 2.2)
-        Vc[:, i], n2 = _inner_mass(a, s, alphas, bump, x, 3, 0.55, 2.0 * h0,
-                                   2.1, 3.0)
-        nev += n1 + n2
-    ts2 = 2.0 * s
-    line = 2.0 * (1.0 + 1.0 / (1.0 + ts2)) * clr ** (-1.0 - ts2)
-    plane = np.stack([_PLANE_EPS ** (1.0 + al) / (1.0 + al)
-                      * (2.0 * a.upper_bound) * line for al in alphas])
-    tf, tf_err, n3 = _frame_sums(a, s, X, _frame_mesh(c, alphas, 4, 2.4, 3))
-    tc, _, n4 = _frame_sums(a, s, X, _frame_mesh(c, alphas, 3, 3.2, 2))
-    closed = [_kelvin_closed_batch(a, s, al, X, cfg) for al in alphas]
-    power = np.stack([p[0] for p in closed])
-    power_err = np.stack([p[1] for p in closed])
-    G = V + tf
-    vals = power - G
-    errs = np.abs(Vc + tc - G) + tf_err + plane + power_err
-    nev += n3 + n4 + sum(p[2] for p in closed)
+    delta = np.full(n, _BALL)
+    if clip:
+        delta = np.minimum(delta, _BALL_PLANE * X[:, 1])
+    d = X - c[None, :]
+    dist = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+    inner = dist < r + delta
+    delta = np.where(inner, delta, 0.0)
+    f0 = np.stack([m.values(X) for m in members])
+    Q = _density_angular_moments(a)
+    hq = np.zeros(f0.shape)
+    for i in np.nonzero(inner)[0]:
+        # _hess, not hessian, whose kink check would refuse a point on a
+        # kink sphere: the only ones are Bump's C-infinity scale markers,
+        # where _hess is exact
+        hq[:, i] = [np.sum(m._hess(X[i]) * Q) for m in members]
+    rd = _RAY_RATIO * delta
+    near = hq * delta ** (2.0 - ts2) / (2.0 - ts2)
+    near_c = hq * rd ** (2.0 - ts2) / (2.0 - ts2)
+
+    # each row's angles: a ball row's whole circle, another row's arc of
+    # directions that meet the support.  Panels end at the density's jumps,
+    # at the directions tangent to each kink sphere that x lies outside
+    # (where a ray starts or stops crossing the bump's shell), and, for a
+    # member cut at the plane, at k pi +- g _GRADE_RATIO^j below one base
+    # panel, g = _GRADE_STEP x_N: the rays about the horizontal, whose
+    # chords end on the plane, change on the angular scale x_N / t
+    phi_c = np.arctan2(-d[:, 1], -d[:, 0])
+    beta = np.arcsin(r / np.maximum(dist, r))
+    a_lo = np.where(inner, 0.0, phi_c - beta)
+    a_hi = np.where(inner, math.pi, phi_c + beta)
+    turns = math.pi * np.arange(-2.0, 3.0)
+    jumps = np.asarray(_jump_angles_2d(a), dtype=float)
+    cuts = [np.broadcast_to(np.add.outer(2.0 * turns, jumps).ravel(),
+                            (n, turns.size * jumps.size))]
+    for ck, rk in zip(kinks.centers, kinks.radii):
+        dk = ck[None, :] - X
+        lk = np.sqrt(dk[:, 0] ** 2 + dk[:, 1] ** 2)
+        bk = np.where(lk > rk, np.arcsin(rk / np.maximum(lk, rk)), np.nan)
+        for side in (-1.0, 1.0):
+            tk = np.arctan2(dk[:, 1], dk[:, 0]) + side * bk
+            # within [0, pi) on a circle, else within pi of the arc's middle
+            tk = np.where(inner, tk % math.pi, phi_c - math.pi
+                          + (tk - phi_c + math.pi) % (2.0 * math.pi))
+            cuts.append(tk[:, None])
+    if clip:
+        top = math.pi / _ANGLE_PANELS
+        grade = np.minimum(_GRADE_STEP * X[:, 1], top)
+        levels = int(np.ceil(np.log(top / grade.min()) / math.log(_GRADE_RATIO)))
+        steps = grade[:, None] * _GRADE_RATIO ** np.arange(levels)
+        steps = np.where(steps < top, steps, np.nan)
+        cuts.append((turns[None, :, None] + np.concatenate(
+            (-steps, steps), axis=1)[:, None, :]).reshape(n, -1))
+    ang, wK, wG, n_ang = _row_angles(a_lo, a_hi, inner,
+                                     np.concatenate(cuts, axis=1))
+    first_ang = np.cumsum(n_ang) - n_ang
+    xk, wk, wg = _kronrod01(_RAY_ORDER)
+
+    def rays(i0, i1):
+        # the rays of rows i0 .. i1 - 1, their rows and their angles' slice
+        pick = slice(first_ang[i0], first_ang[i1 - 1] + n_ang[i1 - 1])
+        row = np.repeat(np.arange(i0, i1), n_ang[i0:i1])
+        th = np.stack([np.cos(ang[pick]), np.sin(ang[pick])], axis=1)
+        return row, pick, th, _ray_segments(X[row], th, inner[row],
+                                            delta[row], kinks, c, r, clip)
+
+    # nodes per row, counted in blocks, and chunks of whole rows
+    counts = np.zeros(n, dtype=np.int64)
+    for i in range(0, n, 256):
+        row, _, _, (_, (_, _, k, _, graded)) = rays(i, min(i + 256, n))
+        np.add.at(counts, row, (k + _PLANE_LEVELS * graded).sum(axis=1))
+    cum = np.cumsum(counts * xk.size)
+    vals, errs = np.empty(f0.shape), np.empty(f0.shape)
+    nev, i0 = 0, 0
+    while i0 < n:
+        base = cum[i0 - 1] if i0 else 0
+        i1 = max(i0 + 1, int(np.searchsorted(cum, base + _CHUNK_NODES, "right")))
+        rows = slice(i0, i1)
+        row, pick, th, (hi, seg) = rays(i0, i1)
+        plo, phi, ray, first, npan = _segment_panels(*seg)
+        dens = a._eval_unit(th)
+        wKd, wGd = 2.0 * dens * wK[pick], 2.0 * dens * wG[pick]
+        # node-major (rule node, panel): each rule node's values are
+        # contiguous, and a panel's sums run over the rule in a fixed
+        # order.  The points lead with their coordinates, as in _conv_L; f
+        # sees an (m, 2) view
+        wid = phi - plo
+        t = plo[None, :] + xk[:, None] * wid[None, :]
+        kern = wid * t ** (-1.0 - ts2)
+        rr = row[ray]
+        P = np.empty((2,) + t.shape)
+        P[0] = X[rr, 0] + t * th[ray, 0]
+        P[1] = X[rr, 1] + t * th[ray, 1]
+        P = P.reshape(2, -1).T
+        gv = None if g is None else g.values(P)
+        # each ray's panels from its first in the ray-ordered list, each
+        # row's rays likewise; the radial Gauss side leaves out a ball
+        # row's first panel
+        full = npan > 0
+        starts = (np.cumsum(npan) - npan)[full]
+        row_starts = np.cumsum(n_ang[rows]) - n_ang[rows]
+        inn = inner[row]
+        for j, m in enumerate(members):
+            fv = m.values(P) if g is None else m.f.values(P) * gv
+            y = (fv.reshape(t.shape) - f0[j, rr]) * kern
+            pk = wk[0] * y[0]
+            pg = np.zeros(pk.shape)
+            for q in range(1, xk.size):
+                pk += wk[q] * y[q]
+                if wg[q]:
+                    pg += wg[q] * y[q]
+            RK, RG = np.zeros(npan.size), np.zeros(npan.size)
+            if ray.size:
+                RK[full] = np.add.reduceat(pk, starts)
+                RG[full] = np.add.reduceat(np.where(first, 0.0, pg), starts)
+            fr = f0[j, row]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                RK += np.where(inn, -fr * hi ** -ts2 / ts2, 0.0)
+                RG += np.where(inn, -fr * np.maximum(hi, rd[row]) ** -ts2
+                               / ts2, 0.0)
+            v = near[j, rows] + np.add.reduceat(RK * wKd, row_starts)
+            v_ang = near[j, rows] + np.add.reduceat(RK * wGd, row_starts)
+            v_rad = near_c[j, rows] + np.add.reduceat(RG * wKd, row_starts)
+            vals[j, rows] = v
+            errs[j, rows] = np.abs(v - v_ang) + np.abs(v - v_rad)
+        nev += len(members) * P.shape[0]
+        del P, gv
+        i0 = i1
     return vals, errs, nev
 
 
@@ -962,12 +1031,13 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
        directions lies within asin(rho) of c - x; the others the direct
        sum (_mass_pair), with a cut-cell bound added to the error of a
        point whose jump line (of any density) meets the support;
-    5. the excision form (_excised_L_compact): other points of a compact f
-       in N = 2 farther than 0.1 from every kink plane;
-    6. the complement form (_complement_L): the remaining upper points of a
-       product of a half-space power and a bump in N = 2 that lie 0.044 or
-       more inside the bump's plateau;
-    7. the polar evaluation, apply_L(..., strict=False), point by point.
+    5. the excision form (_excised_L_compact): every other point of a
+       compact f in N = 2 with no singular point and no kink plane but the
+       boundary plane of an f that vanishes below it, upper points only
+       when it does (near the plane included);
+    6. the polar evaluation, apply_L(..., strict=False), point by point:
+       in N = 2 only points of a non-compact f, the lower points of one
+       that no route above takes, and compact ones that route 5 refuses.
     A route's kernel runs only when some point takes it.  Returns (values,
     error estimates, evaluations).
 
@@ -978,9 +1048,9 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
     f may also be a family: a tuple of nonzero multiples of products
     x_N^alpha_j g that share the factor g (see _family).  The rows are then
     routed once, from what the members share: the support ball, the kink
-    set, lower half-space vanishing and the far field.  The excision and
-    complement forms build their geometry once for all members; the
-    mass-only, convolution and polar forms run member by member, since
+    set, lower half-space vanishing and the far field.  The excision form
+    builds its geometry once for all members; the mass-only, convolution
+    and polar forms run member by member, since
     their sums share nothing without changing their order.  A family has no
     closed form or translate-truncation (routes 1, 2).  Values and errors
     are then (k, n), each row what its member alone gives, bit for bit, and
@@ -1028,20 +1098,20 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
             rows = ~done & (dist >= 0.35 * ball.radius)
             if np.any(rows):
                 each(rows, lambda m, Xr: _conv_form(a, s, m, Xr))
-        rows = ~done & np.all(
-            kinks.distances(X)[:, :len(kinks.planes)] > 0.1, axis=1)
-        if np.any(rows):
-            take(rows, *_excised_L_compact(a, s, members, X[rows], g))
-    # route 6 takes a bump whose support fits inside the plate (beyond it
-    # the frames take the bump's complement as one)
-    bump = lead.g if isinstance(lead, Product) else None
-    if (isinstance(bump, Bump) and isinstance(lead.f, HalfSpacePower)
-            and bump.r_out <= _PLATE_SPAN and X.shape[1] == 2):
-        rho = np.linalg.norm(X - np.asarray(bump.center)[None, :], axis=1)
-        rows = ~done & (X[:, -1] > 0.0) & (bump.r_in - rho >= 0.044)
-        if np.any(rows):
-            take(rows, *_complement_L(a, s, tuple(m.f.alpha for m in members),
-                                      bump, X[rows], cfg))
+        # route 5 follows each chord to the boundary plane, and no further
+        # kink: another kink plane, or a singular point, leaves every row to
+        # the polar route, as do the rows that apply_L refuses as too near
+        # the plane
+        clip = lead.vanishes_lower_halfspace
+        if not len(kinks.points) and all(
+                clip and k.offset == 0.0 and abs(k.normal[-1]) == 1.0
+                for k in kinks.planes):
+            rows = ~done
+            if clip:
+                rows &= X[:, -1] > _REFUSE_FACTOR * np.maximum(
+                    1.0, np.linalg.norm(X, axis=1))
+            if np.any(rows):
+                take(rows, *_excised_L_compact(a, s, members, X[rows], g))
     for i in np.nonzero(~done)[0]:
         rs = [apply_L(a, s, m, X[i], cfg, strict=False) for m in members]
         take(i, [r.value for r in rs], [r.abs_error_estimate for r in rs],

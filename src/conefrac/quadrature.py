@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .catalog import _KinkSet
-from .errors import AccuracyError, InputDomainError
+from .errors import AccuracyError, InputDomainError, NonsmoothPointError
 from .spectral import SpectralDensity
 
 _TWO_PI = 2.0 * math.pi
@@ -755,6 +755,24 @@ def _point(x, dim: int, what: str = "evaluation point") -> np.ndarray:
     return p
 
 
+# evaluation is refused closer to a kink than this fraction of the local scale
+_REFUSE_FACTOR = 1e-6
+
+
+def _local_scale(x: np.ndarray) -> float:
+    return max(1.0, float(np.linalg.norm(x)))
+
+
+def _refuse_near(kinks: _KinkSet, x: np.ndarray, lim: float, *,
+                 planes: bool = True) -> None:
+    """Raise NonsmoothPointError when x lies within lim of a kink surface or
+    a singular point; planes=False leaves the kink planes out."""
+    d = kinks.distances(x)[0 if planes else len(kinks.planes):]
+    if np.any(d < lim):
+        raise NonsmoothPointError(
+            "evaluation point is too close to a kink surface or singular point")
+
+
 def _second_difference(f, x: np.ndarray):
     """The one builder of the polar integrand of Lf at x: the triple
     (numer, taylor, tail) that _radial_batch reads.  numer(P, M) =
@@ -978,7 +996,9 @@ def radial_integral(f, x, theta, s: float, cfg: QuadratureConfig = DEFAULT_CONFI
     The integrand is apply_L's (_second_difference), held to cfg's
     tolerances, and what apply_L refuses raises InputDomainError here too:
     an order that is not f's, a point or direction that is not a finite
-    f.dim-vector, and a non-compact f that does not decay."""
+    f.dim-vector, and a non-compact f that does not decay.  A point within
+    _REFUSE_FACTOR of a kink surface or singular point (relative to
+    max(1, |x|)) raises NonsmoothPointError, as in apply_L."""
     if not (0.0 < s < 1.0):
         raise InputDomainError(f"order parameter s must lie in (0, 1), got {s}")
     if abs(f.s - s) > 1e-12:
@@ -987,8 +1007,10 @@ def radial_integral(f, x, theta, s: float, cfg: QuadratureConfig = DEFAULT_CONFI
     theta = _point(theta, f.dim, "direction")
     if abs(float(np.linalg.norm(theta)) - 1.0) > 1e-9:
         raise InputDomainError("direction must be a unit vector")
+    kinks = _KinkSet.of(f)
+    _refuse_near(kinks, x, _REFUSE_FACTOR * _local_scale(x))
     numer, taylor, tail = _second_difference(f, x)
     vals, errs, nev, ok = _radial_batch(
-        x=x, thetas=theta[None, :], s=s, cfg=cfg, kinks=_KinkSet.of(f),
+        x=x, thetas=theta[None, :], s=s, cfg=cfg, kinks=kinks,
         numer=numer, taylor=taylor, tail=tail)
     return IntegralResult(float(vals[0]), float(errs[0]), nev, bool(ok[0]))

@@ -287,29 +287,22 @@ def sup_ratio_misses(a, s, alpha0, gamma0, rep):
 
 class TestCutoffMassField:
     """L of the cutoff's test functions (x_N)_+^alpha times a bump, which
-    step_one_M takes from the route table: excision away from the boundary
-    plane, the complement form on the plateau next to it."""
+    step_one_M takes from the route table: the excision form at every
+    sample and audit point, near the boundary plane too."""
 
-    def test_frames_near_alpha_two_s_complete_with_a_finite_error(self, const2, cfg):
-        # with alpha0 = 0.98 and s = 0.5 the frame sums decay at
-        # 2^(alpha0 - 2s) ~ 0.986; the far field beyond the last frame is
-        # ~70 times its sum, and the epsilon table must complete it with a
-        # finite error that covers a tight polar evaluation.  The points lie
-        # on the plateau within 0.1 of the plane, where the complement form
-        # serves them
+    def test_alpha_near_two_s_near_the_plane_covers_a_tight_oracle(
+            self, const2, cfg):
+        # with alpha0 = 0.98 and s = 0.5 the power x_N^alpha0 is nearly
+        # x_N^(2s), and the plateau points within 0.1 of the plane take the
+        # excision form, with chords cut at the plane: its error must be
+        # finite and cover a tight polar evaluation
         s, alpha0 = 0.5, 0.98
         bump = cf.Bump(2, s, center=(0.0, 0.5), r_in=0.75, r_out=1.0)
         phi = cf.Product(cf.HalfSpacePower(2, s, alpha=alpha0), bump)
         loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
         X = np.array([[0.0, 0.05], [0.3, 0.08]])
-        z, w, starts = operators._frame_mesh(np.array(bump.center), (alpha0,),
-                                             4, 2.4, 3)
-        for x in X:
-            S = [operators._conv_L(const2, s, z[i:j], w[0, i:j], x[None, :])[0]
-                 for i, j in zip(starts[-3:-1], starts[-2:])]
-            assert S[1] / S[0] >= 0.97
         va, ea, _ = _L_field(const2, s, phi, X, loose)
-        vp, ep, _ = operators._complement_L(const2, s, (alpha0,), bump, X, loose)
+        vp, ep, _ = operators._excised_L_compact(const2, s, (phi,), X, None)
         assert np.array_equal(va, vp[0]) and np.array_equal(ea, ep[0])
         assert np.all(np.isfinite(ea))
         tight = cfg.with_tol(abs_tol=1e-9, rel_tol=1e-9)
@@ -318,8 +311,8 @@ class TestCutoffMassField:
             assert abs(v - ref.value) <= e + ref.abs_error_estimate
 
     def test_step_one_reports_the_error_of_each_sup_ratio(self, const2, cfg):
-        # same field as above (gamma0 = 0.5): the far-field completion's
-        # error on L phi_alpha0 must be carried by the ratio's error
+        # same field as above (gamma0 = 0.5): the error of L phi_alpha0
+        # must be carried by the ratio's error
         s, alpha0 = 0.5, 0.98
         rep = cf.step_one_M(const2, s, alpha0, 0.5, cfg)
         found = [r for r in rep.regions if r.n_points]

@@ -525,7 +525,7 @@ class TestRouteTable:
 
     # route kernels, each counted by the name _L_field calls it under
     KERNELS = ("_closed_rows", "_tt_kelvin_L", "_mass_only_L", "_conv_source",
-               "_excised_L_compact", "_complement_L", "apply_L")
+               "_excised_L_compact", "apply_L")
 
     @pytest.mark.parametrize("density,f,X,kernel", [
         ("const2", cf.HalfSpacePower(2, S, alpha=0.3), [[0.3, 0.8], [1.1, 0.2]],
@@ -541,13 +541,10 @@ class TestRouteTable:
         ("const2", cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
                               cf.Bump(2, S, center=(0.0, 0.75), r_in=0.875,
                                       r_out=1.0)),
-         [[0.2, 0.05]], "_complement_L"),
-        ("const2", cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
-                              cf.Bump(2, S, center=(0.0, 0.75), r_in=0.875,
-                                      r_out=1.0)),
-         [[1.1, 0.05]], "apply_L"),
+         [[0.2, 0.05], [1.1, 0.05]], "_excised_L_compact"),
+        ("cone2", cf.kelvin(0.25, 2, S), [[0.3, 0.8]], "apply_L"),
     ], ids=["closed", "tt_kelvin", "mass_only", "convolution", "excision",
-            "complement", "polar"])
+            "excision_near_plane", "polar"])
     def test_a_scalar_multiple_routes_its_unscaled_function(
             self, monkeypatch, request, cfg, density, f, X, kernel):
         # L is linear: the route table evaluates the unscaled function once
@@ -656,23 +653,22 @@ class TestFamily:
     member alone gives."""
 
     # route kernels, each counted by the name _L_field calls it under:
-    # mass-only (3), the convolution form's sources (4), excision (5),
-    # complement (6) and the polar evaluation (7)
+    # mass-only (3), the convolution form's sources (4), excision (5) and
+    # the polar evaluation (6)
     KERNELS = ("_mass_only_L", "_conv_source", "_excised_L_compact",
-               "_complement_L", "apply_L")
+               "apply_L")
 
     @pytest.mark.parametrize("center,r_in,r_out,X,routes", [
         # clear of the plane: mass-only below it, convolution far away,
         # excision near the support
         ((0.0, 3.0), 0.2, 0.4, [[0.5, -1.0], [0.0, 1.0], [0.1, 3.1]],
          {"_mass_only_L": 3, "_conv_source": 6, "_excised_L_compact": 1}),
-        # crossing it: excision on the plateau away from the plane, the
-        # complement form on the plateau next to it, and the polar route
-        # near the plane outside the plateau
+        # crossing it: mass-only below it, and excision on the plateau away
+        # from the plane, on the plateau next to it and near the plane
+        # outside the plateau, in one call
         ((0.0, 0.75), 0.875, 1.0,
          [[0.3, -0.5], [0.0, 0.75], [0.2, 0.05], [1.1, 0.05]],
-         {"_mass_only_L": 3, "_excised_L_compact": 1, "_complement_L": 1,
-          "apply_L": 3}),
+         {"_mass_only_L": 3, "_excised_L_compact": 1}),
     ], ids=["clear", "crossing"])
     def test_every_route_matches_member_calls(self, monkeypatch, const2, cfg,
                                               center, r_in, r_out, X, routes):
@@ -694,7 +690,7 @@ class TestFamily:
             for name in self.KERNELS:
                 m.setattr(operators, name, counted(name, getattr(operators, name)))
             _L_field(const2, S, family, X, loose)
-        # routes 3, 4 and 7 run member by member, 5 and 6 once
+        # routes 3, 4 and 6 run member by member, 5 once
         assert {k: v for k, v in calls.items() if v} == routes
         assert_family_rows(const2, family, X, loose)
         # and a row does not depend on the rest of the family's batch
@@ -754,6 +750,104 @@ class TestFamily:
                 _L_field(a, S, family, X, loose)
             return
         assert_family_rows(a, family, X, loose)
+
+
+def no_polar(monkeypatch):
+    """Make every apply_L that the route table calls fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compact member's row reached apply_L")
+    monkeypatch.setattr(operators, "apply_L", refuse)
+
+
+class TestExcisionForm:
+    """Route 5 takes every row of a compact member in N = 2 that the
+    convolution form does not, near the boundary plane included: its chords
+    stop at the plane and at the support, and its error brackets both
+    axes with a nested Gauss-Kronrod pair."""
+
+    # the former complement-form rows (plateau points within 0.1 of the
+    # plane) and the former polar rows (step_one_M's four audit points at
+    # x_N = 0.05, outside the support) of the criterion-08 inputs
+    POINTS = ([[t, xn] for xn in (2e-3, 0.01, 0.05, 0.095) for t in (0.0, 0.3)]
+              + [[sg * (math.sqrt(1.0 - 0.75 ** 2) + dt), 0.05]
+                 for dt in (0.2, 0.6) for sg in (-1.0, 1.0)])
+
+    @pytest.mark.parametrize("density", ["const2", "cone2"])
+    def test_near_plane_rows_cover_a_tight_polar_oracle(
+            self, monkeypatch, request, cfg, density):
+        a = request.getfixturevalue(density)
+        bump = cf.Bump(2, S, center=(0.0, 0.75), r_in=0.875, r_out=1.0)
+        family = family_of(bump, (0.75, S))
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        X = np.array(self.POINTS)
+        with monkeypatch.context() as m:
+            no_polar(m)
+            vals, errs, _ = _L_field(a, S, family, X, loose)
+        tight = cfg.with_tol(abs_tol=1e-10, rel_tol=1e-10)
+        for j, phi in enumerate(family):
+            for i, x in enumerate(X):
+                ref = cf.apply_L(a, S, phi, x, tight)
+                miss = abs(vals[j, i] - ref.value) - ref.abs_error_estimate
+                assert miss <= errs[j, i], (j, tuple(x))
+
+    @pytest.mark.parametrize("density", ["const2", "cone2"])
+    def test_no_compact_row_reaches_the_polar_route(self, monkeypatch,
+                                                    request, cfg, density):
+        # a weight whose support crosses the plane, at rows within 0.1 of
+        # the plane on its plateau, in its shell, and outside it; and all
+        # of step_one_M, both passes and the audit
+        a = request.getfixturevalue(density)
+        v = cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                       cf.Bump(2, S, center=(0.0, 0.2), r_in=0.2, r_out=0.4))
+        X = np.array([[t, xn] for xn in (1e-3, 0.01, 0.05, 0.09)
+                      for t in (0.0, 0.1, 0.3, 0.5, 1.0)])
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        no_polar(monkeypatch)
+        vals, errs, _ = _L_field(a, S, v, X, loose)
+        assert np.all(np.isfinite(vals)) and np.all(errs > 0.0)
+        rep = cf.step_one_M(a, S, 0.75, 0.25, cfg)
+        assert rep.audit_n > 0 and math.isfinite(rep.M_err)
+
+    def test_the_worst_former_excision_miss_is_covered(self, cone2, cfg):
+        # a plateau sample of step_one_M's first pass (k = 2), and its
+        # mirror: the former fine-coarse gap read 9.6e-6 at the first
+        # against a miss of 8.6e-4 for phi_0.75
+        from conefrac.liouville import _step_one_samples
+        X = _step_one_samples(0.75, 0.875, 2)
+        X = X[np.argsort(np.linalg.norm(np.abs(X) - [0.123, 0.453], axis=1))[:2]]
+        assert np.allclose(np.abs(X), [0.1231, 0.4528], atol=1e-4)
+        phi = cf.Product(cf.HalfSpacePower(2, S, alpha=0.75),
+                         cf.Bump(2, S, center=(0.0, 0.75), r_in=0.875,
+                                 r_out=1.0))
+        loose = cfg.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        vals, errs, _ = _L_field(cone2, S, phi, X, loose)
+        tight = cfg.with_tol(abs_tol=1e-10, rel_tol=1e-10)
+        for x, v, e in zip(X, vals, errs):
+            ref = cf.apply_L(cone2, S, phi, x, tight)
+            assert abs(v - ref.value) - ref.abs_error_estimate <= e
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.floats(min_value=0.5, max_value=4.0),
+           st.floats(min_value=-0.5, max_value=0.5),
+           st.floats(min_value=1e-3, max_value=0.1),
+           st.sampled_from([0.4, 0.75]), st.booleans())
+    def test_rescaling_scales_the_near_plane_field(self, R, x1, xn, alpha,
+                                                   cone):
+        # L(phi(./R))(R x) = R^(-2s) L phi(x) for a weight whose support
+        # crosses the plane, at points within 0.1 of it; the two sides'
+        # layouts differ (the ball's radius is capped, the angular grading
+        # is not scaled), so they agree within both estimates
+        a = (cf.ConePlateauDensity(2, cf.Cone((1.0, 0.0), 0.3), 1.0, 0.25)
+             if cone else cf.ConstantDensity(2))
+        phi = cf.Product(cf.HalfSpacePower(2, S, alpha=alpha),
+                         cf.Bump(2, S, center=(0.0, 0.3), r_in=0.45,
+                                 r_out=0.6))
+        loose = cf.DEFAULT_CONFIG.with_tol(abs_tol=2e-5, rel_tol=1e-4)
+        x = np.array([[x1, xn]])
+        v, e, _ = _L_field(a, S, phi, x, loose)
+        vr, er, _ = _L_field(a, S, cf.Rescale(phi, R), R * x, loose)
+        scale = R ** (-2.0 * S)
+        assert abs(vr[0] - scale * v[0]) <= er[0] + scale * e[0]
 
 
 class TestPairing:

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.special import binom
 
 import conefrac as cf
-from conefrac.errors import InputDomainError
+from conefrac.errors import InputDomainError, NonsmoothPointError
 from conefrac.quadrature import (DEFAULT_CONFIG, QuadratureConfig, _eval_panels,
                                   _epsilon_limit, _gauss01, _geom_edges,
                                   _graded_rows, _initial_panels, _kronrod01,
@@ -483,6 +483,19 @@ class TestRadialIntegral:
         if theta == (1.0, 0.0):
             with pytest.raises(InputDomainError):
                 cf.apply_L(cf.ConstantDensity(2), order, f, x, cfg)
+
+    @pytest.mark.parametrize("xn", [1e-11, 1e-9])
+    def test_refuses_as_near_a_kink_as_apply_L(self, cfg, xn):
+        # both refuse within 1e-6 max(1, |x|) of a kink surface: along
+        # phi = 0.7 the half-space power's integral is 0, and at
+        # x_N = 1e-11 it once read 40,913 +- 19,978
+        f = cf.HalfSpacePower(2, 0.5, alpha=0.5)
+        theta = (math.cos(0.7), math.sin(0.7))
+        with pytest.raises(NonsmoothPointError):
+            cf.radial_integral(f, (0.3, xn), theta, 0.5, cfg)
+        with pytest.raises(NonsmoothPointError):
+            cf.apply_L(cf.ConstantDensity(2), 0.5, f, (0.3, xn), cfg,
+                       force_numeric=True)
 
 
 class TestMonteCarlo:
