@@ -710,42 +710,37 @@ def _family(f: CatalogFunction | tuple):
     return tuple(members), members[0].g, np.array(scales)
 
 
-# the excision form (route 5): the largest radius of its Hessian ball, and
-# that radius over the distance to the boundary plane; the ratio of a
-# chord's geometric panels, the fewest panels between two kink spheres, and
-# the halvings toward a chord's end on the boundary plane; the order n of
-# the nested pair G_n / K_2n+1 on the radial and on the angular panels, the
-# angular panels per half turn, and the ratio and the first step (over x_N)
-# of the angular grading toward the plane; the most nodes of one chunk
+# the excision form (route 5): the Hessian ball's largest radius, and that
+# radius over x_N; the ratio of a chord's geometric panels, the fewest
+# panels between kink spheres, and the halvings toward a chord's end on the
+# plane; the order n of the nested pair G_n / K_2n+1 on every panel, the
+# angular panels per half turn and the ratio of the angular grading toward
+# the plane; the most nodes of one chunk of rows
 _BALL, _BALL_PLANE = 0.003, 0.02
 _RAY_RATIO, _SHELL_PANELS, _PLANE_LEVELS = 2.0, 3, 6
-_RAY_ORDER, _ANGLE_ORDER, _ANGLE_PANELS = 3, 3, 4
-_GRADE_RATIO, _GRADE_STEP = 4.0, 1.0
-_CHUNK_NODES = 500_000
+_EXC_ORDER, _ANGLE_PANELS, _GRADE_RATIO = 3, 4, 4.0
+_CHUNK_NODES = 200_000
 
 
 def _row_angles(lo, hi, circle, cuts):
-    """Every row's angles for the excision form, flattened in row order,
-    with their Kronrod and Gauss weights and the count per row: the nested
-    pair _kronrod01(_ANGLE_ORDER) on the panels of [lo, hi] that a uniform
-    grid of at most pi / _ANGLE_PANELS and the row's cuts (nan for none) mark
-    out.  A circle row's arc is [0, pi), and its nodes turned by pi follow,
-    so that every node's antipode is a node of the same weights.  An edge
-    within 1e-10 (1 + |e|) of the next one is dropped, and a row's panels do
-    not depend on the rest of the batch."""
-    nb = np.maximum(2.0 - circle,
-                    np.ceil(_ANGLE_PANELS * (hi - lo) / math.pi))
+    """Every row's angles, flattened in row order, their Kronrod and Gauss
+    weights and the count per row: the pair _kronrod01(_EXC_ORDER) on the
+    panels of [lo, hi] that a uniform grid of at most pi / _ANGLE_PANELS and
+    the row's cuts (nan for none) mark out, panels narrower than 1e-10
+    (1 + |e|) left out.  A circle row's arc is [0, pi), followed by its
+    nodes turned by pi: every node's antipode is a node of the same weights."""
+    nb = np.maximum(2.0 - circle, np.ceil(_ANGLE_PANELS * (hi - lo) / math.pi))
     k = np.arange(int(nb.max()) + 1)
     edges = lo[:, None] + (hi - lo)[:, None] * np.minimum(k / nb[:, None], 1.0)
     edges = np.sort(np.clip(np.concatenate(
         (edges, np.where(np.isnan(cuts), lo[:, None], cuts)), axis=1),
         lo[:, None], hi[:, None]), axis=1)
     wid = np.diff(edges, axis=1)
-    keep = wid > 1e-10 * (1.0 + np.abs(edges[:, 1:]))
-    xk, wk, wg = _kronrod01(_ANGLE_ORDER)
+    xk, wk, wg = _kronrod01(_EXC_ORDER)
     ang = edges[:, :-1, None] + wid[..., None] * xk
     ang = np.stack((ang, ang + math.pi), axis=1)
-    mask = np.broadcast_to(keep[:, None, :, None], ang.shape).copy()
+    mask = np.broadcast_to((wid > 1e-10 * (1.0 + np.abs(edges[:, 1:])))[
+        :, None, :, None], ang.shape).copy()
     mask[:, 1] &= circle[:, None, None]
     wid = np.broadcast_to(wid[:, None, :, None], ang.shape)
     return (ang[mask], (wid * wk)[mask], (wid * wg)[mask],
@@ -753,19 +748,15 @@ def _row_angles(lo, hi, circle, cuts):
 
 
 def _ray_segments(x, th, inner, delta, kinks, c, r, clip):
-    """The chords of the rays x + t theta, t > 0, one per row of x and th,
-    through supp f, the disc |z - c| < r, cut at the boundary plane when
-    clip: each from max(t_in, delta) to hi, hi = lo where a ray has no
-    chord.  Returns hi and the chord's segments between the kink spheres'
-    crossings, as (lo, hi, panel count, whether it starts a ball row's
-    chord, whether it ends on the plane), each (rays, m).
-
-    A ball row's first segment takes geometric panels lo rho^k from its
-    start delta (rho = _RAY_RATIO, the last panel's ratio between rho^0.3
-    and rho^1.3), so that rho delta is an edge; every other segment takes
-    the fewest panels of ratio at most rho, and at least _SHELL_PANELS, in
-    geometric progression.  A segment that ends on the plane takes
-    _PLANE_LEVELS more, halving its last panel toward the plane."""
+    """The chord of each ray x + t theta (one per row of x and th) through
+    the disc |z - c| < r, cut at the boundary plane when clip, from
+    max(t_in, delta) to hi (hi = lo for no chord), and its segments between
+    the kink spheres' crossings.  Returns hi and the segments' (lo, hi,
+    panel count, starts a ball row's chord, ends on the plane), (rays, m).
+    A ball row's first segment takes panels lo rho^k (rho = _RAY_RATIO, the
+    last one's ratio within rho^0.3 .. rho^1.3), so that rho delta is an
+    edge; any other the fewest, at least _SHELL_PANELS, in geometric
+    progression of ratio at most rho."""
     def crossings(cs, rs):
         d = x - cs[None, :]
         b = d[:, 0] * th[:, 0] + d[:, 1] * th[:, 1]
@@ -797,21 +788,20 @@ def _ray_segments(x, th, inner, delta, kinks, c, r, clip):
         n = np.where(first, np.maximum(1.0, np.ceil(q - 0.3)),
                      np.maximum(float(_SHELL_PANELS), np.ceil(q)))
     n = np.where(b1 > b0 * (1.0 + 1e-12), n, 0.0).astype(np.int64)
-    graded = (n > 0) & (b1 == hi[:, None]) & end[:, None]
-    return hi, (b0, b1, n, first, graded)
+    return hi, (b0, b1, n, first, (n > 0) & (b1 == hi[:, None]) & end[:, None])
 
 
 def _segment_panels(b0, b1, n, first, graded):
-    """The panels of _ray_segments' segments, flattened in ray order: their
-    (lo, hi), the ray each belongs to, whether it is a ball row's first
-    panel, and the panel count per ray."""
+    """The segments' panels in ray order, a graded segment's last panel
+    [e, hi] split at hi - (hi - e) 2^-j, j = 1 .. _PLANE_LEVELS: their (lo,
+    hi), ray, whether each is a ball row's first panel, and the panels per
+    ray."""
     total = n + _PLANE_LEVELS * graded
-    m = b0.shape[-1]
     nt = total.ravel()
     unit = np.repeat(np.arange(nt.size), nt)
     k = np.arange(unit.size) - np.repeat(np.cumsum(nt) - nt, nt)
     u0, u1, un = b0.ravel()[unit], b1.ravel()[unit], n.ravel()[unit]
-    anc, gr = first.ravel()[unit], graded.ravel()[unit]
+    anc = first.ravel()[unit]
     geo = np.minimum(k, un - 1)
 
     def edge(e):
@@ -819,72 +809,55 @@ def _segment_panels(b0, b1, n, first, graded):
 
     plo = edge(geo)
     phi = np.where(geo + 1 < un, edge(geo + 1), u1)
-    # a segment's last panel [e, hi] ending on the plane, as the edges
-    # hi - (hi - e) 2^-j, j = 0 .. _PLANE_LEVELS, and hi
     j = k - geo
-    gr &= geo == un - 1
+    gr = graded.ravel()[unit] & (geo == un - 1)
     w = u1 - plo
     plo = np.where(gr, u1 - w * 0.5 ** j, plo)
     phi = np.where(gr, np.where(j < _PLANE_LEVELS, u1 - w * 0.5 ** (j + 1), u1),
                    phi)
-    return plo, phi, unit // m, anc & (geo == 0), total.sum(axis=-1)
+    return plo, phi, unit // b0.shape[-1], anc & (geo == 0), total.sum(axis=-1)
 
 
 def _excised_L_compact(a: SpectralDensity, s: float, members: tuple,
                        X: np.ndarray, g: CatalogFunction | None):
     """L of each compact member at points of N = 2 where it is twice
-    differentiable, from rays about x clipped to the support.
+    differentiable, on rays about x clipped to the support.
 
-    A row x within delta of the support ball B(c, r) takes the ball
-    |y| < delta from its Hessian quadratic in closed form, with delta =
-    min(_BALL, _BALL_PLANE x_N) for a member that vanishes on the lower
-    half-space and _BALL otherwise.  The ball leaves out the quartic term
-    of the second difference: for the power (x_N)^alpha it is 2 binom(alpha,
-    4) x_N^(alpha - 4) (t theta_N)^4, whose integral over the ball is
-    |binom(alpha, 4)| m_4 _BALL_PLANE^(4 - 2s) x_N^(alpha - 2s) / (2 - s),
-    m_4 the density's fourth moment of theta_N.  At _BALL_PLANE = 0.02 that
-    is 1.1e-5 for alpha = s = 1/2 at x_N = 2e-3 with the constant density
-    (m_4 = 3 pi / 4), where L of the power is 0: below step_one_M's
-    absolute target, 2e-5, there.  Such a row takes rays over the whole
-    circle.  A row farther out takes no ball,
-    since f vanishes about it, and rays only over the arc of directions
-    that meets the support (_row_angles).
+    A row within delta of the support ball B(c, r) takes the ball |y| <
+    delta from the Hessian quadratic in closed form, delta = min(_BALL,
+    _BALL_PLANE x_N) for a member that vanishes below the plane (else
+    _BALL), and rays over the whole circle.  The ball leaves out the
+    quartic term, for the power (x_N)^alpha |binom(alpha, 4)| m_4
+    _BALL_PLANE^(4 - 2s) x_N^(alpha - 2s) / (2 - s), m_4 the density's
+    fourth moment of theta_N: 1.1e-5 at alpha = s = 1/2, x_N = 2e-3 and the
+    constant density, where L of the power is 0, below step_one_M's
+    absolute target 2e-5.  A row farther out takes no ball (f vanishes
+    about it), and only the arc of directions that meets the support.
 
-    Every ray gets nodes only on its chord through the support cut at the
-    boundary plane, in segments between the kink spheres' crossings
-    (_ray_segments, _segment_panels): geometric from the chord's start, and
-    halved toward an end on the plane, where f ~ (t* - t)^alpha.  Beyond
-    the chord f = 0, so a ball row's ray adds -f(x) hi^(-2s) / (2s) in
-    closed form, hi the chord's end (delta for a ray with no chord).  A ray
-    that misses the support costs no node.
-
-    The error brackets each axis with the nested pair of _kronrod01: the
-    Gauss rule against the Kronrod rule on the radial panels, with the Gauss
-    side starting at rho delta and taking the ball of that radius, so that
-    the gap also sees the ball's truncation, which grows by rho^(4 - 2s);
-    plus the Gauss against the Kronrod rule on the angular panels.  Every
-    node serves both rules of its axis.  Each row is summed on its own in a
-    fixed order, and chunks hold whole rows: a row's value does not depend
-    on the rest of its batch.
+    Each ray gets nodes only on its chord through the support cut at the
+    plane (_ray_segments, _segment_panels): geometric from its start, split
+    at the kink spheres' crossings, and halved toward an end on the plane,
+    where f ~ (t* - t)^alpha.  Beyond it f = 0, and a ball row's ray adds
+    -f(x) hi^(-2s) / (2s), hi its end (delta without a chord).  The error
+    is |K - G| of the nested pair on the radial panels, the Gauss side also
+    taking the ball of radius rho delta (its truncation grows by rho^(4 -
+    2s)), plus |K - G| on the angular panels: every node serves both rules.
 
     members and g are _family's unscaled members and their common factor
-    (a one-member tuple and None for a single function).  Each chunk of at
-    most _CHUNK_NODES nodes (one row may exceed it) builds its nodes and
-    weights once, evaluates g once and each power once, and sums one row
-    per member, giving (k, n) arrays, each row what that member alone
-    gives.  The evaluation count is the sum of the members' own.  X stays
-    fourth: bench/tracing.py counts this layer's rows there."""
+    (a one-member tuple and None for a single function).  Each chunk of
+    whole rows, at most _CHUNK_NODES nodes unless one row exceeds it,
+    evaluates g once and each power once, and sums each row on its own in
+    a fixed order: values and errors are (k, n), each row what that member
+    alone gives in any batch, and the evaluations are the members' summed.
+    X stays fourth: bench/tracing.py counts this layer's rows there."""
     lead = members[0]
-    ball = lead.support_ball
-    c = np.asarray(ball.center, dtype=float)
-    r = float(ball.radius)
+    c = np.asarray(lead.support_ball.center, dtype=float)
+    r = float(lead.support_ball.radius)
     kinks = _KinkSet.of(lead)
     clip = lead.vanishes_lower_halfspace
     ts2 = 2.0 * s
     n = X.shape[0]
-    delta = np.full(n, _BALL)
-    if clip:
-        delta = np.minimum(delta, _BALL_PLANE * X[:, 1])
+    delta = np.minimum(_BALL, _BALL_PLANE * X[:, 1]) if clip else np.full(n, _BALL)
     d = X - c[None, :]
     dist = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
     inner = dist < r + delta
@@ -894,24 +867,19 @@ def _excised_L_compact(a: SpectralDensity, s: float, members: tuple,
     hq = np.zeros(f0.shape)
     for i in np.nonzero(inner)[0]:
         # _hess, not hessian, whose kink check would refuse a point on a
-        # kink sphere: the only ones are Bump's C-infinity scale markers,
-        # where _hess is exact
+        # kink sphere: the only ones are Bump's C-infinity scale markers
         hq[:, i] = [np.sum(m._hess(X[i]) * Q) for m in members]
     rd = _RAY_RATIO * delta
     near = hq * delta ** (2.0 - ts2) / (2.0 - ts2)
     near_c = hq * rd ** (2.0 - ts2) / (2.0 - ts2)
 
-    # each row's angles: a ball row's whole circle, another row's arc of
-    # directions that meet the support.  Panels end at the density's jumps,
-    # at the directions tangent to each kink sphere that x lies outside
-    # (where a ray starts or stops crossing the bump's shell), and, for a
-    # member cut at the plane, at k pi +- g _GRADE_RATIO^j below one base
-    # panel, g = _GRADE_STEP x_N: the rays about the horizontal, whose
-    # chords end on the plane, change on the angular scale x_N / t
+    # angular panels end at the density's jumps, at the directions tangent
+    # to each kink sphere that x lies outside (where rays start crossing
+    # the bump's shell) and, when cut at the plane, at k pi +- x_N
+    # _GRADE_RATIO^j below one base panel: about the horizontal the chords
+    # end on the plane and change on the angular scale x_N / t
     phi_c = np.arctan2(-d[:, 1], -d[:, 0])
     beta = np.arcsin(r / np.maximum(dist, r))
-    a_lo = np.where(inner, 0.0, phi_c - beta)
-    a_hi = np.where(inner, math.pi, phi_c + beta)
     turns = math.pi * np.arange(-2.0, 3.0)
     jumps = np.asarray(_jump_angles_2d(a), dtype=float)
     cuts = [np.broadcast_to(np.add.outer(2.0 * turns, jumps).ravel(),
@@ -922,32 +890,33 @@ def _excised_L_compact(a: SpectralDensity, s: float, members: tuple,
         bk = np.where(lk > rk, np.arcsin(rk / np.maximum(lk, rk)), np.nan)
         for side in (-1.0, 1.0):
             tk = np.arctan2(dk[:, 1], dk[:, 0]) + side * bk
-            # within [0, pi) on a circle, else within pi of the arc's middle
-            tk = np.where(inner, tk % math.pi, phi_c - math.pi
-                          + (tk - phi_c + math.pi) % (2.0 * math.pi))
-            cuts.append(tk[:, None])
+            cuts.append(np.where(inner, tk % math.pi, phi_c - math.pi + (
+                tk - phi_c + math.pi) % (2.0 * math.pi))[:, None])
     if clip:
         top = math.pi / _ANGLE_PANELS
-        grade = np.minimum(_GRADE_STEP * X[:, 1], top)
-        levels = int(np.ceil(np.log(top / grade.min()) / math.log(_GRADE_RATIO)))
-        steps = grade[:, None] * _GRADE_RATIO ** np.arange(levels)
+        grade = np.minimum(X[:, 1], top)
+        steps = grade[:, None] * _GRADE_RATIO ** np.arange(int(np.ceil(
+            np.log(top / grade.min()) / math.log(_GRADE_RATIO))))
         steps = np.where(steps < top, steps, np.nan)
         cuts.append((turns[None, :, None] + np.concatenate(
             (-steps, steps), axis=1)[:, None, :]).reshape(n, -1))
-    ang, wK, wG, n_ang = _row_angles(a_lo, a_hi, inner,
-                                     np.concatenate(cuts, axis=1))
+    arc_lo = np.where(inner, 0.0, phi_c - beta)
+    arc_hi = np.where(inner, math.pi, phi_c + beta)
+    cuts = np.concatenate(cuts, axis=1)
+    ang, wK, wG, n_ang = (np.concatenate(part) for part in zip(*(
+        _row_angles(arc_lo[i:i + 256], arc_hi[i:i + 256], inner[i:i + 256],
+                    cuts[i:i + 256]) for i in range(0, n, 256))))
     first_ang = np.cumsum(n_ang) - n_ang
-    xk, wk, wg = _kronrod01(_RAY_ORDER)
+    xk, wk, wg = _kronrod01(_EXC_ORDER)
 
     def rays(i0, i1):
-        # the rays of rows i0 .. i1 - 1, their rows and their angles' slice
+        # the rays of rows i0 .. i1 - 1: their rows, angles and segments
         pick = slice(first_ang[i0], first_ang[i1 - 1] + n_ang[i1 - 1])
         row = np.repeat(np.arange(i0, i1), n_ang[i0:i1])
         th = np.stack([np.cos(ang[pick]), np.sin(ang[pick])], axis=1)
         return row, pick, th, _ray_segments(X[row], th, inner[row],
                                             delta[row], kinks, c, r, clip)
 
-    # nodes per row, counted in blocks, and chunks of whole rows
     counts = np.zeros(n, dtype=np.int64)
     for i in range(0, n, 256):
         row, _, _, (_, (_, _, k, _, graded)) = rays(i, min(i + 256, n))
@@ -956,17 +925,15 @@ def _excised_L_compact(a: SpectralDensity, s: float, members: tuple,
     vals, errs = np.empty(f0.shape), np.empty(f0.shape)
     nev, i0 = 0, 0
     while i0 < n:
-        base = cum[i0 - 1] if i0 else 0
-        i1 = max(i0 + 1, int(np.searchsorted(cum, base + _CHUNK_NODES, "right")))
+        i1 = max(i0 + 1, int(np.searchsorted(
+            cum, (cum[i0 - 1] if i0 else 0) + _CHUNK_NODES, "right")))
         rows = slice(i0, i1)
         row, pick, th, (hi, seg) = rays(i0, i1)
         plo, phi, ray, first, npan = _segment_panels(*seg)
         dens = a._eval_unit(th)
         wKd, wGd = 2.0 * dens * wK[pick], 2.0 * dens * wG[pick]
-        # node-major (rule node, panel): each rule node's values are
-        # contiguous, and a panel's sums run over the rule in a fixed
-        # order.  The points lead with their coordinates, as in _conv_L; f
-        # sees an (m, 2) view
+        # (rule node, panel) order, so that each panel sums its rule in a
+        # fixed order; the points lead with their coordinates, as in _conv_L
         wid = phi - plo
         t = plo[None, :] + xk[:, None] * wid[None, :]
         kern = wid * t ** (-1.0 - ts2)
@@ -976,13 +943,9 @@ def _excised_L_compact(a: SpectralDensity, s: float, members: tuple,
         P[1] = X[rr, 1] + t * th[ray, 1]
         P = P.reshape(2, -1).T
         gv = None if g is None else g.values(P)
-        # each ray's panels from its first in the ray-ordered list, each
-        # row's rays likewise; the radial Gauss side leaves out a ball
-        # row's first panel
         full = npan > 0
         starts = (np.cumsum(npan) - npan)[full]
         row_starts = np.cumsum(n_ang[rows]) - n_ang[rows]
-        inn = inner[row]
         for j, m in enumerate(members):
             fv = m.values(P) if g is None else m.f.values(P) * gv
             y = (fv.reshape(t.shape) - f0[j, rr]) * kern
@@ -992,15 +955,16 @@ def _excised_L_compact(a: SpectralDensity, s: float, members: tuple,
                 pk += wk[q] * y[q]
                 if wg[q]:
                     pg += wg[q] * y[q]
+            # per ray, the radial Gauss side without a ball row's first panel
             RK, RG = np.zeros(npan.size), np.zeros(npan.size)
             if ray.size:
                 RK[full] = np.add.reduceat(pk, starts)
                 RG[full] = np.add.reduceat(np.where(first, 0.0, pg), starts)
             fr = f0[j, row]
             with np.errstate(divide="ignore", invalid="ignore"):
-                RK += np.where(inn, -fr * hi ** -ts2 / ts2, 0.0)
-                RG += np.where(inn, -fr * np.maximum(hi, rd[row]) ** -ts2
-                               / ts2, 0.0)
+                RK += np.where(inner[row], -fr * hi ** -ts2 / ts2, 0.0)
+                RG += np.where(inner[row], -fr * np.maximum(hi, rd[row])
+                               ** -ts2 / ts2, 0.0)
             v = near[j, rows] + np.add.reduceat(RK * wKd, row_starts)
             v_ang = near[j, rows] + np.add.reduceat(RK * wGd, row_starts)
             v_rad = near_c[j, rows] + np.add.reduceat(RG * wKd, row_starts)

@@ -371,10 +371,10 @@ class TestCutoffMassField:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_cone_step_one_peak_memory(self):
-        # the excision form evaluates its catalog function in chunks of
-        # about 500k nodes, whose temporaries stay near 40 MB; with 2 M-node
-        # chunks a cone step_one_M at the criterion-08 inputs peaks near
-        # 190 MB.  A fresh process, so that nothing else this suite ran
+        # the excision form evaluates its catalog function in chunks of at
+        # most 200k nodes, whose temporaries stay near 30 MB; with 2 M-node
+        # chunks a cone step_one_M at the criterion-08 inputs once peaked
+        # near 190 MB.  A fresh process, so that nothing else this suite ran
         # counts, and its VmHWM, not ru_maxrss: Linux carries ru_maxrss
         # across exec, so a child of this (large) test process would start
         # at its size
