@@ -544,7 +544,7 @@ class TestRouteTable:
          [[0.2, 0.05], [1.1, 0.05]], "_excised_L_compact"),
         ("cone2", cf.kelvin(0.25, 2, S), [[0.3, 0.8]], "apply_L"),
     ], ids=["closed", "tt_kelvin", "mass_only", "convolution", "excision",
-            "excision_near_plane", "polar"])
+            "near_plane", "polar"])
     def test_a_scalar_multiple_routes_its_unscaled_function(
             self, monkeypatch, request, cfg, density, f, X, kernel):
         # L is linear: the route table evaluates the unscaled function once
