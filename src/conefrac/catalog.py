@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputDomainError, NonsmoothPointError
+from .spectral import _sum_squares
 
 _KINK_TOL = 1e-12
 
@@ -469,7 +470,7 @@ class Bump(CatalogFunction):
 
     def values(self, pts) -> np.ndarray:
         pts = _pts2d(pts, self.dim)
-        rho = np.linalg.norm(pts - np.asarray(self.center)[None, :], axis=1)
+        rho = np.sqrt(_sum_squares(pts.T - np.asarray(self.center)[:, None]))
         return _smooth_step(self._u_of_rho(rho))
 
     def _grad(self, x):

@@ -112,7 +112,10 @@ def _run_polar(a: SpectralDensity, s: float, kinks: _KinkSet, x: np.ndarray,
                cfg: QuadratureConfig, numer, taylor, tail, *, strict: bool,
                what: str) -> OperatorEvaluation:
     """The sphere rule over _radial_batch's integrals of (numer, taylor,
-    tail) at x.  Each direction is held to cfg's absolute target over
+    tail) at x.  _radial_batch integrates both rays, so directions theta and
+    -theta give the same integral with P and M swapped; node_eval is even,
+    and the sphere rule reads it on one half of the sphere only.  Each
+    direction is held to cfg's absolute target over
     3 max(sup a |S^{N-1}|, 1e-3) and its relative target over 3; strict
     raises AccuracyError, naming what, if the sphere rule does not converge."""
     normals, graded, strong = _sphere_hints(kinks, x)

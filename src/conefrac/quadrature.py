@@ -10,7 +10,10 @@ tails are mapped by t = 1/u, integrated on dyadic octaves and finished by
 Wynn's epsilon algorithm.  Every radial, octave and circle panel is one
 nested Gauss-Kronrod pair G_n / K_2n+1 with |K_2n+1 - G_n| as its error; the
 subtracted inner panels add the rounding of the terms their numerator
-cancels, and c_alpha's error is its own rounding bound.
+cancels, and c_alpha's error is its own rounding bound.  Every density is
+even, and so is every sphere integrand (a g passed without node_eval is
+symmetrised), so each sphere rule reads one half of the sphere and doubles
+what it finds.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ def _tol_met(value: float, err: float, abs_tol: float, rel_tol: float) -> bool:
 # --------------------------------------------------------------------------
 
 _N_LOW, _N_HIGH = 7, 15
-# azimuthal nodes of the N = 3 product rule, samples of the N >= 4 rule
-_AZIMUTHAL_NODES, _SPHERE_MC_SAMPLES = 48, 8192
+# azimuthal nodes of the N = 3 product rule, directions of the N >= 4 rule
+_AZIMUTHAL_NODES, _SPHERE_MC_SAMPLES = 48, 4096
 # base panels of the circle rule; the radial inner segment's end as a
 # fraction of the distance to the nearest kink surface (capped at 1)
 _SPHERE_PANELS, _T0_FACTOR = 16, 0.5
@@ -508,6 +511,12 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
     """Adaptive panel rule on the circle.  The weight a(theta) multiplies the
     node values; panels never straddle a declared jump of a.
 
+    The integrand is even, so the rule walks the half turn [b0, b0 + pi) of
+    the arc ends of _sphere_breakpoints_2d and doubles its panel values,
+    rule errors and node errors.  Those ends are pi-periodic (jumps, kink
+    crossings, graded and strong directions come in antipodal pairs), so the
+    half-turn layout is the first half of the full turn's, and with the
+    panel cap halved to 10,000 refinement takes the full turn's decisions.
     Each panel is the nested Gauss-Kronrod pair of _eval_panels, n from
     _order_for_tol: node_eval runs on the 2n+1 Kronrod directions, whose
     weighted values give K_2n+1 and the embedded G_n.  Arc ends at kink-plane
@@ -523,6 +532,7 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
     """
     edges, marked, strong = _sphere_breakpoints_2d(a, kink_normals, graded_dirs,
                                                    strong_dirs)
+    edges = _merge_edges([edges], edges[0], edges[0] + math.pi)
 
     def is_marked(angs, marks) -> np.ndarray:
         angs = np.asarray(angs, dtype=float)[..., None]
@@ -557,15 +567,16 @@ def _sphere_integrate_2d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
         thetas = np.stack((np.cos(angs), np.sin(angs)), axis=1)
         gvals, gerrs, n_inner = node_eval(thetas)
         avals = a._eval_unit(thetas)
-        vk, vg = ((gvals * avals).reshape(-1, xk.size) @ w_pair).T * wid
-        ne = ((gerrs * avals).reshape(-1, xk.size) @ wk) * wid
+        # each panel stands for itself and its antipodal twin
+        vk, vg = ((gvals * avals).reshape(-1, xk.size) @ w_pair).T * (2.0 * wid)
+        ne = ((gerrs * avals).reshape(-1, xk.size) @ wk) * (2.0 * wid)
         return vk, np.abs(vk - vg), np.abs(ne), n_inner
 
     val, err, nev = _run_tasks(
         plo, phi, np.zeros(plo.size, dtype=np.int64), is_marked(plo, marked),
         is_marked(phi, marked), np.zeros(1, dtype=np.int64), 1, eval_panels,
         cfg.abs_tol, cfg.rel_tol, 0.0, cfg.max_subdivisions, np.full(1, 1e-12),
-        20_000, False)
+        10_000, False)
     total, err = float(val[0]), float(err[0])
     return IntegralResult(total, err, nev, _tol_met(total, err, cfg.abs_tol, cfg.rel_tol))
 
@@ -586,6 +597,13 @@ def _rotation_to(pole: np.ndarray) -> np.ndarray:
 
 def _sphere_integrate_3d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
                          kink_normals=()):
+    """Product rule on the hemisphere mu >= 0 of a pole frame, doubled: the
+    integrand is even, and the rule's mirror image on mu < 0 (symmetric mu
+    cuts, an even number of azimuthal nodes) would repeat its values.  The
+    pole is the density's jump axis, else the first kink normal, else e_3,
+    and mu is cut at the equator and at the declared jump cosines.  Gauss in
+    mu times the equispaced azimuthal rule, (15, 48) nodes against (7, 24):
+    their difference plus the node errors is the error."""
     if a.jump_cosines:
         pole = np.asarray(a.jump_axis, dtype=float)
     elif kink_normals:
@@ -593,17 +611,7 @@ def _sphere_integrate_3d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
     else:
         pole = np.asarray([0.0, 0.0, 1.0])
     rot = _rotation_to(pole)
-
-    # split the polar cosine at declared jumps (aligned with the pole) and at
-    # the equator of every kink normal parallel to the pole
-    cuts = {-1.0, 0.0, 1.0}
-    for c in a.jump_cosines:
-        cuts.add(float(c))
-        cuts.add(-float(c))
-    for w in kink_normals:
-        if abs(abs(float(np.asarray(w) @ pole)) - 1.0) < 1e-9:
-            cuts.add(0.0)
-    mu_edges = np.asarray(sorted(cuts))
+    mu_edges = np.asarray(sorted({0.0, 1.0} | {abs(float(c)) for c in a.jump_cosines}))
 
     def run(n_mu: int, n_phi: int):
         xg, wg = _gauss01(n_mu)
@@ -625,7 +633,7 @@ def _sphere_integrate_3d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
         thetas = local @ rot.T
         gvals, gerrs, n_inner = node_eval(thetas)
         avals = a._eval_unit(thetas)
-        wts = np.repeat(wmu, n_phi) * wphi
+        wts = np.repeat(wmu, n_phi) * (2.0 * wphi)
         val = float(np.sum(wts * gvals * avals))
         node_err = float(np.sum(wts * np.abs(avals) * gerrs))
         return val, node_err, n_inner
@@ -638,12 +646,14 @@ def _sphere_integrate_3d(a: SpectralDensity, node_eval, cfg: QuadratureConfig,
 
 
 def _sphere_integrate_mc(a: SpectralDensity, node_eval, cfg: QuadratureConfig):
+    """Seeded Monte Carlo over _SPHERE_MC_SAMPLES uniform directions.  The
+    integrand is even, so a drawn direction's mirror image would repeat its
+    value; the spread is 3 sigma over the square root of the draws, not a
+    bound, plus the node errors."""
     dim = a.dim
     rng = np.random.Generator(np.random.PCG64(cfg.mc_seed))
-    k = _SPHERE_MC_SAMPLES // 2
-    raw = rng.standard_normal(size=(k, dim))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    thetas = np.concatenate((raw, -raw), axis=0)
+    thetas = rng.standard_normal(size=(_SPHERE_MC_SAMPLES, dim))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
     gvals, gerrs, n_inner = node_eval(thetas)
     avals = a._eval_unit(thetas)
     f = gvals * avals
@@ -661,26 +671,35 @@ def sphere_quadrature(a: SpectralDensity, g, cfg: QuadratureConfig = DEFAULT_CON
                       node_eval=None, strong_dirs: Sequence = ()) -> IntegralResult:
     """Integral of g(theta) a(theta) over the unit sphere of R^N.
 
-    N = 1 sums the two points; N = 2 uses adaptive arc panels split exactly at
-    the declared jumps of a; N = 3 uses a polar/azimuthal product rule; N >= 4
-    uses seeded antithetic Monte Carlo, whose error is a 3 sigma spread plus
-    the node errors, not a bound.  ``kink_normals`` lists unit vectors w such
-    that g loses smoothness on the great circle {theta . w = 0}.  N = 2
-    grades panels toward ``graded_dirs`` (kink-sphere centres, in the polar
-    route) and deeper toward ``strong_dirs`` (its point singularities).
+    The density a is even, so every rule reads the integrand on one half of
+    the sphere and doubles the result.  g is symmetrised as
+    (g(theta) + g(-theta)) / 2, as CustomDensity symmetrises its evaluator,
+    so an odd part of g integrates to zero; each node costs two evaluations
+    of g.  node_eval(thetas), which replaces g and returns (values, node
+    errors, evaluations), must be even itself, as the polar route's is.
+
+    N = 1 doubles the point +1; N = 2 uses adaptive arc panels on a half
+    turn, split exactly at the declared jumps of a; N = 3 uses a
+    polar/azimuthal product rule on a hemisphere; N >= 4 uses seeded Monte
+    Carlo, whose error is a 3 sigma spread plus the node errors, not a
+    bound.  ``kink_normals`` lists unit vectors w such that g loses
+    smoothness on the great circle {theta . w = 0}.  N = 2 grades panels
+    toward ``graded_dirs`` (kink-sphere centres, in the polar route) and
+    deeper toward ``strong_dirs`` (its point singularities).
     """
     if node_eval is None:
         def node_eval(thetas: np.ndarray):
-            vals = np.asarray(g(thetas), dtype=float)
-            return vals, np.zeros_like(vals), vals.size
+            both = np.asarray(g(np.concatenate((thetas, -thetas))), dtype=float)
+            vals = 0.5 * (both[:thetas.shape[0]] + both[thetas.shape[0]:])
+            return vals, np.zeros_like(vals), both.size
 
     dim = a.dim
     if dim == 1:
-        thetas = np.asarray([[1.0], [-1.0]])
+        thetas = np.asarray([[1.0]])
         gv, ge, n = node_eval(thetas)
         av = a._eval_unit(thetas)
-        val = float(np.sum(gv * av))
-        err = float(np.sum(np.abs(av) * ge))
+        val = 2.0 * float(gv[0] * av[0])
+        err = 2.0 * float(abs(av[0]) * ge[0])
         return IntegralResult(val, err, n, _tol_met(val, err, cfg.abs_tol, cfg.rel_tol))
     if dim == 2:
         return _sphere_integrate_2d(a, node_eval, cfg, kink_normals, graded_dirs, strong_dirs)

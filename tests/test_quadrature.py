@@ -372,6 +372,61 @@ class TestSphereQuadrature:
         res = cf.sphere_quadrature(cf.ConstantDensity(2), g, cfg)
         assert res.value == pytest.approx(math.pi, rel=1e-10)
 
+    @pytest.mark.parametrize("which", ["constant", "cone"])
+    def test_circle_reads_one_half_turn(self, cfg, cone2, which):
+        # the even stub theta_1^2 is read on one half turn only: no two
+        # evaluated directions are antipodal, the one gap wider than pi is
+        # the half left out, and the value is int theta_1^2 a
+        a = cf.ConstantDensity(2) if which == "constant" else cone2
+        seen = []
+
+        def node_eval(thetas):
+            seen.append(thetas.copy())
+            return thetas[:, 0] ** 2, np.zeros(thetas.shape[0]), thetas.shape[0]
+
+        res = cf.sphere_quadrature(
+            a, None, cfg, kink_normals=(np.array([0.6, 0.8]),),
+            strong_dirs=(np.array([math.cos(1.0), math.sin(1.0)]),),
+            node_eval=node_eval)
+        th = np.concatenate(seen)
+        assert res.n_evals == th.shape[0]
+        ang = np.arctan2(th[:, 1], th[:, 0]) % (2.0 * math.pi)
+        order = np.argsort(ang)
+        angs, th = ang[order], th[order]
+        # the evaluated directions on either side of each antipode
+        j = np.searchsorted(angs, (angs + math.pi) % (2.0 * math.pi)) % angs.size
+        for k in (j, j - 1):
+            assert np.linalg.norm(th + th[k], axis=1).min() > 1e-9
+        gaps = np.sort(np.diff(np.concatenate((angs, [angs[0] + 2.0 * math.pi]))))
+        assert math.pi < gaps[-1] < math.pi + 0.01
+        assert gaps[-2] < 0.5
+        g = math.acos(0.7)
+        inside = 2.0 * g + math.sin(2.0 * g)
+        exact = (math.pi if which == "constant"
+                 else inside + 0.25 * (math.pi - inside))
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4.0 * np.finfo(float).eps * exact
+
+    def test_odd_parts_of_g_integrate_to_zero(self, cfg, cone2):
+        # g is symmetrised, so its odd part drops out on every half-sphere rule
+        two = cf.sphere_quadrature(cf.ConstantDensity(2),
+                                   lambda th: th[:, 0] + th[:, 0] ** 2, cfg)
+        assert two.value == pytest.approx(math.pi, rel=1e-12)
+        odd = cf.sphere_quadrature(cone2, lambda th: th[:, 0], cfg)
+        assert odd.value == 0.0
+        three = cf.sphere_quadrature(cf.ConstantDensity(3),
+                                     lambda th: th[:, 2] + 1.0, cfg)
+        assert three.value == pytest.approx(4.0 * math.pi, rel=1e-12)
+
+    def test_four_dimensional_rule_evaluates_the_drawn_directions_only(self, cfg):
+        def node_eval(thetas):
+            n = thetas.shape[0]
+            return np.ones(n), np.zeros(n), n
+
+        res = cf.sphere_quadrature(cf.ConstantDensity(4), None, cfg,
+                                   node_eval=node_eval)
+        assert res.n_evals == 4096
+        assert res.value == pytest.approx(2.0 * math.pi ** 2, rel=1e-14)
+
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
     def test_four_dimensional_rule(self, cfg, s):
