@@ -38,6 +38,7 @@ from .catalog import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _gauss01,
     _geom_edges,
     _merge_edges,
     mc_region_volume,
@@ -681,7 +682,7 @@ def rescaled_inequality_experiment(a: SpectralDensity, s: float, p: float,
             ge = np.geomspace(1e-4, 0.5, na)
             te = _merge_edges([ge, np.linspace(0.5, math.pi - 0.5, 7), math.pi - ge],
                               0.0, math.pi)
-            RT, W = _tensor_nodes([re, te], g)
+            RT, W = _tensor_nodes([re, te], _gauss01(g))
             rr, th = RT[:, 0], RT[:, 1]
             P = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
             W = W * rr

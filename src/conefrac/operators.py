@@ -79,7 +79,9 @@ class OperatorEvaluation:
 
 @dataclass(frozen=True)
 class PairingResult:
-    """Both sides of the symmetry identity on a truncated box."""
+    """Both sides of the symmetry identity on a truncated box.  The estimate
+    is outer_error (both sides' nested outer-rule gaps) + row_error (both
+    sides' weighted L row errors) + truncation_bound."""
 
     I_uLv: float
     I_vLu: float
@@ -87,6 +89,8 @@ class PairingResult:
     abs_error_estimate: float
     n_evals: int
     truncation_bound: float
+    outer_error: float
+    row_error: float
 
 
 def _check_match(a: SpectralDensity, s: float, f: CatalogFunction) -> None:
@@ -280,36 +284,34 @@ def correction_l(a: SpectralDensity, s: float, g: CatalogFunction,
 # pairing on a truncated box
 # --------------------------------------------------------------------------
 
-def _gauss_on_panels(edges: np.ndarray, n: int):
-    xg, wg = _gauss01(n)
-    lo = edges[:-1]
-    wid = np.diff(edges)
-    pts = (lo[:, None] + wid[:, None] * xg[None, :]).ravel()
-    wts = (wid[:, None] * wg[None, :]).ravel()
-    return pts, wts
-
-
-def _tensor_nodes(edge_list, n_gauss: int):
-    """Tensor product of composite Gauss rules, one per axis: nodes (m, dim)
-    with the first axis varying slowest, and weights (m,)."""
-    axes = [_gauss_on_panels(e, n_gauss) for e in edge_list]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+def _tensor_nodes(edge_list, rule):
+    """Tensor product of a composite 1-D rule (nodes, weights, ...) on
+    [0, 1], as _gauss01 and _kronrod01 return it, over each axis's panels:
+    nodes (m, dim), the first axis varying slowest, then one product weight
+    array (m,) per weight vector of the rule."""
+    x, *ws = rule
+    wid = [np.diff(e)[:, None] for e in edge_list]
+    grids = np.meshgrid(*[(e[:-1, None] + d * x).ravel()
+                          for e, d in zip(edge_list, wid)], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    wts = np.ones(pts.shape[0])
-    for w in wgrids:
-        wts *= w.ravel()
-    return pts, wts
+    out = []
+    for w in ws:
+        wts = np.ones(pts.shape[0])
+        for g in np.meshgrid(*[(d * w).ravel() for d in wid], indexing="ij"):
+            wts *= g.ravel()
+        out.append(wts)
+    return (pts, *out)
 
 
-def _support_edges(v: CatalogFunction, n_side: int, graded_min: int):
-    """Per-dimension panel edges covering supp v clipped to the upper half."""
+def _support_edges(v: CatalogFunction):
+    """Panel edges covering supp v clipped to the upper half: 4 panels a
+    side, and in x_N 8 rows graded toward the plane if the support meets it."""
     ball = v.support_ball
     c = np.asarray(ball.center, dtype=float)
     r = float(ball.radius)
-    dims = [np.linspace(ci - r, ci + r, n_side + 1) for ci in c]
+    dims = [np.linspace(ci - r, ci + r, 5) for ci in c]
     if c[-1] - r < 1e-9:
-        dims[-1] = _graded_rows(0.0, c[-1] + r, True, max(graded_min, n_side) - 1, 1.5)
+        dims[-1] = _graded_rows(0.0, c[-1] + r, True, 7, 1.5)
     return dims
 
 
@@ -326,7 +328,7 @@ def _conv_source(v: CatalogFunction, fine: bool):
     r = float(ball.radius)
     nr, na = _CONV_PANELS[0 if fine else 1]
     RA, W = _tensor_nodes([np.linspace(0.0, r, nr + 1),
-                           np.linspace(0.0, 2.0 * math.pi, na + 1)], 4)
+                           np.linspace(0.0, 2.0 * math.pi, na + 1)], _gauss01(4))
     R, A = RA[:, 0], RA[:, 1]
     z = np.stack([c[0] + R * np.cos(A), c[1] + R * np.sin(A)], axis=1)
     w = W * R * v.values(z)
@@ -602,7 +604,7 @@ def _slab_source(k: KelvinHalfSpacePower, fine: bool):
     en = _graded_rows(0.0, 1.0, True, nn - 1)
     half = np.concatenate(([0.0], np.geomspace(1e-7, _SLAB_SPAN, nt)))
     et = np.concatenate((-half[::-1][:-1], half))
-    z, W = _tensor_nodes([et, en], gauss)
+    z, W = _tensor_nodes([et, en], _gauss01(gauss))
     rr = np.linalg.norm(z, axis=1)
     w = W * z[:, 1] ** k.alpha / rr ** (k.dim - 2.0 * k.s + 2.0 * k.alpha)
     return z, w
@@ -653,7 +655,7 @@ def _mass_only_L(a: SpectralDensity, s: float, u: CatalogFunction,
         edges = [_merge_edges([-ze, [0.0], ze, ext[:, i]], -span, span)
                  for i in range(N - 1)]
         edges.append(_merge_edges([ze, ext[:, -1]], 1e-6, span))
-        Z, W = _tensor_nodes(edges, g)
+        Z, W = _tensor_nodes(edges, _gauss01(g))
         uv = u.values(Z)
         keep = uv != 0.0
         return Z[keep], W[keep] * uv[keep]
@@ -1091,15 +1093,21 @@ def _L_field(a: SpectralDensity, s: float, f: CatalogFunction | tuple,
 
 
 def _integrate_weighted(a, s, weight: CatalogFunction, field: CatalogFunction,
-                        edge_list, n_gauss: int, cfg):
-    pts, wts = _tensor_nodes(edge_list, n_gauss)
+                        edge_list, cfg):
+    """int weight * L field on the panels of edge_list: one _L_field call at
+    the K7 x K7 nodes of _kronrod01(3) where weight is nonzero.  Returns the
+    Kronrod sum, its gap to the embedded G3 x G3 rule, sum |w_K weight| *
+    (row error), and the evaluations."""
+    pts, wk, wg = _tensor_nodes(edge_list, _kronrod01(3))
     wvals = weight.values(pts)
     keep = wvals != 0.0
-    pts, wts, wvals = pts[keep], wts[keep], wvals[keep]
+    pts, wk, wg, wvals = pts[keep], wk[keep], wg[keep], wvals[keep]
     fvals, ferrs, nev = _L_field(a, s, field, pts, cfg)
-    total = float(np.sum(wts * wvals * fvals))
-    node_err = float(np.sum(np.abs(wts * wvals) * ferrs))
-    return total, node_err, nev
+    wf = wvals * fvals
+    total = float(np.sum(wk * wf))
+    outer = abs(total - float(np.sum(wg * wf)))
+    row = float(np.sum(np.abs(wk * wvals) * ferrs))
+    return total, outer, row, nev
 
 
 def _truncation_bound(a: SpectralDensity, u: CatalogFunction,
@@ -1139,6 +1147,9 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
     support); u must vanish on the closed lower half-space and have admissible
     growth.  The box must contain supp v and be wide enough that the exterior
     remainder, bounded through the growth metadata, is at most 1e-6.
+
+    Each side evaluates L once (_integrate_weighted): v Lu over supp v, u Lv
+    over the box, graded toward the plane and refined across both supports.
     """
     _check_match(a, s, u)
     _check_match(a, s, v)
@@ -1179,50 +1190,35 @@ def pairing(a: SpectralDensity, s: float, u: CatalogFunction,
                          rel_tol=max(cfg.rel_tol, 2e-5))
 
     # side 1: v times Lu over the support of v
-    e_f = _support_edges(v, 6, 12)
-    e_c = _support_edges(v, 4, 8)
-    vu_f, vu_fe, n1 = _integrate_weighted(a, s, v, u, e_f, 4, loose)
-    vu_c, _, n2 = _integrate_weighted(a, s, v, u, e_c, 3, loose)
-    I_vLu = vu_f
-    err_vLu = abs(vu_f - vu_c) + vu_fe
+    I_vLu, outer, row, nev = _integrate_weighted(a, s, v, u, _support_edges(v),
+                                                 loose)
     if u is v:
-        return PairingResult(I_vLu, I_vLu, 0.0, err_vLu + bound, n1 + n2, bound)
+        return PairingResult(I_vLu, I_vLu, 0.0, outer + row + bound, nev,
+                             bound, outer, row)
 
     # side 2: u times Lv over the whole box; the grid is refined across the
     # support block where Lv swings on the scale of the cutoff shell
-    forced_t = (c[0] - r, c[0] + r, -c[0] - r, -c[0] + r)
-    forced_n = (max(c[1] - r, 0.0), c[1] + r)
     h0 = min(2.0 * (c[1] + r), W)
     r1 = min(max(2.0 * (abs(c[0]) + r), 2.0), W)
-
+    en = [_graded_rows(0.0, h0, True, 7, 1.5), (max(c[1] - r, 0.0), c[1] + r)]
+    if h0 < W:
+        en.append(_geom_edges(h0, W, 2.0))
+    et = [np.linspace(-r1, r1, 7), (c[0] - r, c[0] + r, -c[0] - r, -c[0] + r)]
+    if r1 < W:
+        right = _geom_edges(r1, W, 2.0)
+        et += [right, -right]
     blocks = [(c, r)]
     if u.support_ball is not None:
         bu = u.support_ball
         blocks.append((np.asarray(bu.center, dtype=float), float(bu.radius)))
+    for cb, rb in blocks:
+        p = 0.2971 * rb
+        en.append(np.linspace(max(cb[1] - rb - p, 0.0), min(cb[1] + rb + p, W), 14))
+        et.append(np.linspace(max(cb[0] - rb - p, -W), min(cb[0] + rb + p, W), 14))
+    I_uLv, outer2, row2, nev2 = _integrate_weighted(
+        a, s, u, v, [_merge_edges(et, -W, W), _merge_edges(en, 0.0, W)], loose)
 
-    def box_edges(n_graded: int, n_mid: int, n_near: int, ratio: float):
-        en = [_graded_rows(0.0, h0, True, n_graded - 1, 1.5), forced_n]
-        if h0 < W:
-            en.append(_geom_edges(h0, W, ratio))
-        et = [np.linspace(-r1, r1, n_mid + 1), forced_t]
-        if r1 < W:
-            right = _geom_edges(r1, W, ratio)
-            et += [right, -right]
-        for cb, rb in blocks:
-            p = 0.2971 * rb
-            en.append(np.linspace(max(cb[1] - rb - p, 0.0),
-                                  min(cb[1] + rb + p, W), n_near + 1))
-            et.append(np.linspace(max(cb[0] - rb - p, -W),
-                                  min(cb[0] + rb + p, W), n_near + 1))
-        return [_merge_edges(et, -W, W), _merge_edges(en, 0.0, W)]
-
-    ef = box_edges(12, 8, 20, 1.6)
-    ec = box_edges(8, 6, 13, 2.0)
-    uv_f, uv_fe, n3 = _integrate_weighted(a, s, u, v, ef, 4, loose)
-    uv_c, _, n4 = _integrate_weighted(a, s, u, v, ec, 3, loose)
-    I_uLv = uv_f
-    err_uLv = abs(uv_f - uv_c) + uv_fe
-
-    total_err = err_vLu + err_uLv + bound
-    return PairingResult(I_uLv, I_vLu, abs(I_uLv - I_vLu), total_err,
-                         n1 + n2 + n3 + n4, bound)
+    outer += outer2
+    row += row2
+    return PairingResult(I_uLv, I_vLu, abs(I_uLv - I_vLu), outer + row + bound,
+                         nev + nev2, bound, outer, row)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import conefrac as cf
 from conefrac.quadrature import DEFAULT_CONFIG
+
+# every property test draws the same examples on every run and keeps no
+# example database
+settings.register_profile("conefrac", derandomize=True, database=None)
+settings.load_profile("conefrac")
 
 
 @pytest.fixture(scope="session")

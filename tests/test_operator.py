@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
@@ -384,6 +384,32 @@ class TestMassKernel:
 class TestRouteTable:
     """_L_field gives each point the first route that applies to it, and a
     point's value does not depend on the rest of its batch."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(phi=st.floats(0.0, 2.0 * math.pi), height=st.floats(0.3, 1.5),
+           rho=st.one_of(st.floats(0.0, 0.15), st.floats(0.25, 0.35),
+                         st.floats(0.45, 2.5)),
+           psi=st.floats(0.0, 2.0 * math.pi))
+    def test_rotation_equivariance_for_the_constant_density(
+            self, const2, cfg, phi, height, rho, psi):
+        # L commutes with rotations about the origin when a is constant: a
+        # bump centred at (0, height) and a point x at distance rho from the
+        # centre, clear of both kink circles, rotated together by phi, give
+        # the same value within both estimates.  The rotation may move the
+        # point across the plane or the bump onto it, so the two rows can
+        # take different routes among the mass-only, convolution and
+        # excision forms
+        rot = np.array([[math.cos(phi), -math.sin(phi)],
+                        [math.sin(phi), math.cos(phi)]])
+        c = np.array([0.0, height])
+        x = c + rho * np.array([math.cos(psi), math.sin(psi)])
+        xr = rot @ x
+        assume(min(abs(x[1]), abs(xr[1])) > 0.05)
+        f = cf.Bump(2, S, center=tuple(c), r_in=0.2, r_out=0.4)
+        fr = cf.Bump(2, S, center=tuple(rot @ c), r_in=0.2, r_out=0.4)
+        v, e, _ = _L_field(const2, S, f, x[None, :], cfg)
+        vr, er, _ = _L_field(const2, S, fr, xr[None, :], cfg)
+        assert abs(vr[0] - v[0]) <= e[0] + er[0]
 
     @pytest.mark.parametrize("a,f,X", [
         (cf.ConstantDensity(1), cf.Bump(1, S, center=(2.0,), r_in=0.5, r_out=1.0),
@@ -856,12 +882,13 @@ class TestPairing:
                        cf.Bump(2, S, center=(0.0, 1.0), r_in=0.25, r_out=0.5))
         rep = cf.pairing(const2, S, v, v, 50.0, cfg)
         assert rep.residual == 0.0
-        assert rep.I_uLv == pytest.approx(-24.1342539, rel=1e-6)
+        assert rep.I_uLv == pytest.approx(-24.0786744, rel=1e-6)
 
     def test_symmetric_case_estimate_covers_a_refined_reference(self, const2, cfg):
-        # reference: the same route (v times Lv over the support of v) on
-        # _support_edges(v, 16, 30) with 6-point Gauss nodes, 166 M
-        # evaluations; the default grid misses it by 0.047
+        # reference: the same route (v times Lv over the support of v) on 16
+        # equal panels across the support in x_1 and 30 rows graded toward
+        # the plane (ratio 1.5) in x_N, with 6-point Gauss nodes on each,
+        # 166 M evaluations; the default grid misses it by 8.2e-3
         v = cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
                        cf.Bump(2, S, center=(0.0, 1.0), r_in=0.25, r_out=0.5))
         rep = cf.pairing(const2, S, v, v, 50.0, cfg)
@@ -896,6 +923,39 @@ class TestPairing:
         assert oracle == pytest.approx(2.1639342e-2, rel=1e-5)
         assert rep.I_vLu == pytest.approx(oracle, rel=1e-3)
         assert rep.residual <= 1e-3 * max(abs(rep.I_uLv), abs(rep.I_vLu))
+
+    def test_each_side_evaluates_L_once(self, const2, cfg, monkeypatch):
+        # both nested outer rules read one set of L rows per side
+        calls = []
+        field = operators._L_field
+
+        def counted(*args):
+            calls.append(args)
+            return field(*args)
+
+        monkeypatch.setattr(operators, "_L_field", counted)
+        u = cf.Bump(2, S, center=(0.0, 3.0), r_in=0.2, r_out=0.4)
+        v = cf.Bump(2, S, center=(0.0, 1.0), r_in=0.2, r_out=0.4)
+        cf.pairing(const2, S, u, v, 50.0, cfg)
+        assert len(calls) == 2
+        calls.clear()
+        cf.pairing(const2, S, v, v, 50.0, cfg)
+        assert len(calls) == 1
+
+    def test_criterion_06_pairing_within_its_quadrature_error(self, const2,
+                                                              cfg):
+        # references from grids finer than the pairing's: I_uLv on 6-point
+        # Gauss box grids (two refinements) and I_vLu on a finer support grid
+        u = cf.translate_truncate(cf.kelvin(0.25, 2, S))
+        v = cf.Product(cf.HalfSpacePower(2, S, alpha=0.4),
+                       cf.Bump(2, S, center=(0.0, 1.0), r_in=0.25, r_out=0.5))
+        rep = cf.pairing(const2, S, u, v, 3000.0, cfg)
+        quad_err = rep.outer_error + rep.row_error
+        for ref in (-1.2890252, -1.2890128):
+            assert abs(rep.I_uLv - ref) <= quad_err
+        assert abs(rep.I_vLu - (-1.2890019)) <= quad_err
+        assert quad_err + rep.truncation_bound == pytest.approx(
+            rep.abs_error_estimate, rel=1e-15)
 
     def test_u_must_vanish_below_the_plane(self, const2, cfg):
         v = cf.Bump(2, S, center=(0.0, 3.0), r_in=0.2, r_out=0.4)
